@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 #include "model/s3_model.h"
 
 using namespace cnv;

@@ -9,19 +9,16 @@
 //
 // Build and run:  ./model_explorer [output.dot] [--model s3|combined]
 //                                  [--ues N] [--jobs N]
-//                                  [--por] [--symmetry] [--spill-dir DIR]
+//                                  [--por] [--symmetry]
 //                                  [--checkpoint-dir DIR]
 //                                  [--checkpoint-every N] [--resume]
+//   --ues N   UEs in the combined model, 2..4 (default 2).
 //   --jobs N  explore on N workers (default 0 = hardware concurrency,
 //             1 = serial). Stats and counterexamples are identical at any N.
 //   --por / --symmetry
 //             enable partial-order and/or symmetry reduction. Sound for the
 //             checked properties: the same violations are found, from a
 //             smaller state count (reported as the reduction factor).
-//   --spill-dir DIR
-//             spill frontier candidate runs to checksummed files under DIR
-//             between the expand and insert phases instead of holding them
-//             in RAM; a damaged/missing run is recomputed deterministically.
 //   --checkpoint-dir DIR
 //             write checksummed exploration snapshots (intern table, arena,
 //             frontier, stats) under DIR at wave boundaries; with --resume,
@@ -120,11 +117,6 @@ void PrintStats(const mck::ParallelExploreResult<M>& result) {
     std::printf("reduction: %llu ample (partial-order) expansions\n",
                 (unsigned long long)result.stats.ample_states);
   }
-  if (result.par.spill_runs > 0) {
-    std::printf("spill: %llu frontier runs written, %llu recovered\n",
-                (unsigned long long)result.par.spill_runs,
-                (unsigned long long)result.par.spill_recovered);
-  }
 }
 
 }  // namespace
@@ -134,8 +126,8 @@ int main(int argc, char** argv) {
       argc, argv,
       "usage: model_explorer [output.dot] [--model s3|combined] [--ues N]\n"
       "                      [--jobs N] [--por] [--symmetry]\n"
-      "                      [--spill-dir DIR] [--checkpoint-dir DIR]\n"
-      "                      [--checkpoint-every N] [--resume]");
+      "                      [--checkpoint-dir DIR] [--checkpoint-every N]\n"
+      "                      [--resume]");
   std::string model_name = "s3";
   parser.StrValue("--model", &model_name);
   int ues = 2;
@@ -144,8 +136,6 @@ int main(int argc, char** argv) {
   parser.IntValue("--jobs", &jobs, 0);
   const bool por = parser.Flag("--por");
   const bool symmetry = parser.Flag("--symmetry");
-  std::string spill_dir;
-  parser.StrValue("--spill-dir", &spill_dir);
   std::string checkpoint_dir;
   parser.StrValue("--checkpoint-dir", &checkpoint_dir);
   std::uint64_t checkpoint_every = 0;
@@ -160,12 +150,15 @@ int main(int argc, char** argv) {
   if (model_name != "s3" && model_name != "combined") {
     parser.Fail("--model must be s3 or combined");
   }
+  if (ues > static_cast<int>(model::CombinedModel::kMaxUes)) {
+    parser.Fail("--ues: must be <= " +
+                std::to_string(model::CombinedModel::kMaxUes));
+  }
 
   mck::ParallelExploreOptions opt_explore;
   opt_explore.jobs = jobs;
   opt_explore.base.reduction.por = por;
   opt_explore.base.reduction.symmetry = symmetry;
-  opt_explore.spill_dir = spill_dir;
 
   if (model_name == "combined") {
     // Combined CSFB + LU + PDP interaction model over N symmetric UEs

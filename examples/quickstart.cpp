@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "mck/explorer.h"
 #include "mck/hash.h"
+#include "mck/parallel_explorer.h"
 #include "stack/testbed.h"
 #include "trace/qxdm.h"
 

@@ -193,10 +193,8 @@ enum class PayloadType : std::uint32_t {
   kCampaignCell = 3,
   kScreeningCell = 4,
   kConformanceCell = 5,
-  // Disk-backed frontier staging of ParallelExplore (mck/spill.h): one
-  // (wave, shard, worker) candidate run per file, deleted after the wave
-  // consumes it.
-  kFrontierShard = 6,
+  // 6 is retired (a removed exploration-frontier file type): never reuse it,
+  // so an old file of that type can only ever load as kBadType.
 };
 
 enum class LoadStatus {

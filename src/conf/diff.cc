@@ -5,7 +5,7 @@
 
 #include "conf/compile.h"
 #include "dist/coordinator.h"
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 #include "mck/random_walk.h"
 #include "obs/json.h"
 #include "util/rng.h"

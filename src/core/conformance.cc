@@ -3,7 +3,7 @@
 #include "conf/abstract.h"
 #include "conf/compile.h"
 #include "conf/script.h"
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
 #include "model/s3_model.h"

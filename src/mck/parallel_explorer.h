@@ -1,11 +1,13 @@
-// Parallel explicit-state exploration: BFS in depth-synchronized waves over
-// a sharded visited table, on the shared worker pool (par/pool.h). The design
-// goal is *determinism first*: at any worker count the result is
-// byte-identical to the serial wave-BFS of mck/explorer.h — same
-// states_visited / transitions / depth / truncation, and per property the
-// same minimal (depth, canonical-trace) counterexample.
+// The exploration engine: BFS in depth-synchronized waves (wave semantics in
+// mck/explorer.h) over a sharded visited table, on the shared worker pool
+// (par/pool.h). Serial exploration is jobs = 1: `Explore` below is
+// ParallelExplore at one job over a single shard, and the jobs == 1 path is
+// a direct wave loop with no staging. The design goal is *determinism
+// first*: at any worker count the result is byte-identical to jobs = 1 —
+// same states_visited / transitions / depth / truncation, and per property
+// the same minimal (depth, canonical-trace) counterexample.
 //
-// How a wave at depth d runs:
+// How a wave at depth d runs on more than one job:
 //
 //   1. EXPAND   Workers own contiguous slices of the depth-d frontier (the
 //               slice split depends only on frontier size and job count).
@@ -36,15 +38,14 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
-#include <cstdio>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <type_traits>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -53,12 +54,12 @@
 #include "dist/executor.h"
 #include "mck/explorer.h"
 #include "mck/intern_table.h"
-#include "mck/spill.h"
+#include "mck/por.h"
 
 namespace cnv::mck {
 
 struct ParallelExploreOptions {
-  // Search bounds and property handling; `order` is ignored (always BFS).
+  // Search bounds, property handling and reduction switches.
   ExploreOptions base;
   // Worker count: 0 = hardware concurrency, 1 = inline (no threads).
   int jobs = 0;
@@ -71,17 +72,6 @@ struct ParallelExploreOptions {
   // atomic shape (rather than ckpt::CancelToken) keeps mck free of a ckpt
   // *runtime-object* dependency; runners pass &token->flag().
   const std::atomic<bool>* cancel = nullptr;
-  // Disk-backed frontier staging (mck/spill.h): when set, each wave's
-  // candidate runs are written through the ckpt envelope into this
-  // directory (owned by the run; files are deleted as they are consumed)
-  // instead of held in RAM. Results are byte-identical with spill on or
-  // off. Requires trivially copyable State/Action — silently ignored
-  // otherwise. jobs == 1 with spill routes through the staged multi-worker
-  // path so staging is actually exercised.
-  std::string spill_dir;
-  // Test seam: observes every spill-run path right after it is written, so
-  // tests can truncate or corrupt the file and exercise the recovery path.
-  std::function<void(const std::string&)> on_spill_write_for_test;
 };
 
 struct ParallelExploreStats {
@@ -93,10 +83,6 @@ struct ParallelExploreStats {
   int jobs = 1;
   double worker_busy_seconds = 0;  // summed across workers
   double utilization = 0;          // busy / (jobs * elapsed_wall)
-  // Spill accounting. Run counts depend on the worker split, so these are
-  // execution-shape too and stay out of ParallelStatsView.
-  std::uint64_t spill_runs = 0;       // candidate runs written to disk
-  std::uint64_t spill_recovered = 0;  // runs recomputed after a bad load
 };
 
 // Canonical deterministic view of ParallelExploreStats — the counterpart of
@@ -125,19 +111,36 @@ inline std::ostream& operator<<(std::ostream& os, const ParallelStatsView& v) {
 
 namespace internal {
 
-// Candidate record staged between the expand and insert phases (and spilled
-// through mck/spill.h). Namespace-scope rather than function-local so the
-// spill codec templates can instantiate over it — gcc 12 ICEs on
-// function-local classes there.
-template <typename State, typename Action>
-struct FrontierCandidate {
-  State state;
-  std::uint64_t hash = 0;
-  // (frontier position of the parent, action index + 1) — the canonical
-  // serial discovery key.
-  std::pair<std::uint64_t, std::uint32_t> key{};
-  std::uint64_t parent = ~0ull;
-  Action via{};
+template <typename M>
+bool IsFinal(const M& model, const typename M::State& s) {
+  if constexpr (requires { { model.is_final(s) } -> std::convertible_to<bool>; }) {
+    return model.is_final(s);
+  } else {
+    (void)model;
+    (void)s;
+    return false;
+  }
+}
+
+// Wave-boundary snapshot cadence (SnapshotHooks::every_states/every_waves).
+struct SnapshotCadence {
+  std::uint64_t every_states = 0;
+  std::uint64_t every_waves = 0;
+  std::uint64_t states_at_last = 0;
+  std::uint64_t waves_since = 0;
+
+  bool Due(std::uint64_t states_now) {
+    ++waves_since;
+    const bool due =
+        (every_states == 0 && every_waves == 0) ||
+        (every_states != 0 && states_now - states_at_last >= every_states) ||
+        (every_waves != 0 && waves_since >= every_waves);
+    if (due) {
+      states_at_last = states_now;
+      waves_since = 0;
+    }
+    return due;
+  }
 };
 
 }  // namespace internal
@@ -164,7 +167,8 @@ struct ParallelExploreResult {
 
 // Exhaustive BFS from the model's initial state on `exec` (or an executor
 // created from options.jobs when none is passed). Deterministic: same output
-// at any job count, byte-identical to serial Explore with kBreadthFirst.
+// at any job count. `hooks`, when given, captures wave-boundary snapshots
+// and/or resumes from one (see SnapshotHooks).
 template <CheckableModel M>
 ParallelExploreResult<M> ParallelExplore(
     const M& model, const PropertySet<typename M::State>& properties,
@@ -190,11 +194,6 @@ ParallelExploreResult<M> ParallelExplore(
 
   const internal::ReductionEngine<M> red(model, options.base.reduction,
                                          !properties.empty());
-  // Spill requires POD state/action images (same bound as snapshot
-  // persistence); for other models the option is inert.
-  constexpr bool kPodModel = std::is_trivially_copyable_v<State> &&
-                             std::is_trivially_copyable_v<Action>;
-  const bool spill = kPodModel && !options.spill_dir.empty();
 
   // Global state ids pack (shard, local index); kNoParent marks the root.
   constexpr std::uint64_t kLocalMask = (1ull << 48) - 1;
@@ -209,25 +208,27 @@ ParallelExploreResult<M> ParallelExplore(
   // expansion; deadlock candidates use action index 0 because serial checks
   // deadlock when it starts expanding the parent.
   using Key = std::pair<std::uint64_t, std::uint32_t>;
-  using Candidate = internal::FrontierCandidate<State, Action>;
+  // Candidate record staged between the expand and insert phases.
+  struct Candidate {
+    State state;
+    std::uint64_t hash = 0;
+    Key key{};
+    std::uint64_t parent = kNoParent;
+    Action via{};
+  };
   struct PropHit {
     Key key{};
     std::uint32_t property = 0;
     std::uint64_t id = 0;
   };
   // One flush per (worker, wave): candidates[start, start+count) staged by
-  // `worker`, or — when spilling — the file the run was written to plus the
-  // frontier slice that produced it (so a damaged file can be re-expanded).
-  // A worker's candidates are produced in key order and worker slices are
-  // contiguous in frontier position, so iterating runs in worker order
-  // visits a shard's candidates in global key order with no sort.
+  // `worker`. A worker's candidates are produced in key order and worker
+  // slices are contiguous in frontier position, so iterating runs in worker
+  // order visits a shard's candidates in global key order with no sort.
   struct Run {
     int worker = 0;
     std::size_t start = 0;
     std::size_t count = 0;
-    std::string file;  // empty = candidates held in RAM
-    std::size_t slice_begin = 0;
-    std::size_t slice_end = 0;
   };
   struct Shard {
     std::vector<State> states;
@@ -250,12 +251,13 @@ ParallelExploreResult<M> ParallelExplore(
 
   std::vector<Shard> shards(n_shards);
   {
-    const std::size_t hint =
-        internal::ReserveHint(options.base.max_states) / n_shards + 8;
+    // One shard takes the whole hint; split tables take a share plus slack.
+    const std::size_t full = internal::ReserveHint(options.base.max_states);
+    const std::size_t hint = n_shards == 1 ? full : full / n_shards + 8;
     for (Shard& s : shards) {
       s.states.reserve(hint);
       s.meta.reserve(hint);
-      s.table.Reserve(hint);
+      s.table = InternTable(hint);
       if (hooks != nullptr) s.hashes.reserve(hint);
     }
   }
@@ -305,8 +307,8 @@ ParallelExploreResult<M> ParallelExplore(
 
   // Snapshot bookkeeping, maintained only when hooks are in play: the global
   // discovery ("rank") order of states and the reverse id -> rank map. Rank
-  // order is identical to serial interning order, which is what makes a
-  // snapshot resumable by either engine at any job count.
+  // order is the jobs = 1 interning order at every job count, which is what
+  // makes a snapshot resumable at any job count.
   const bool track = hooks != nullptr;
   std::vector<std::uint64_t> order;         // rank -> id
   std::unordered_map<std::uint64_t, std::uint64_t> rank_of;  // id -> rank
@@ -443,10 +445,9 @@ ParallelExploreResult<M> ParallelExplore(
   // arena size when the current wave began, so the C3 freshness predicate
   // means "interned before this wave" even when probed against a table that
   // has since grown — during the frozen expand phase the cutoff is a no-op,
-  // on the jobs==1 fast path (which interns mid-wave) and in the
-  // spill-recovery post-pass it restores exact pre-wave semantics. This is
-  // the same predicate the serial engine evaluates, which keeps reduced
-  // exploration byte-identical at any job count.
+  // on the jobs == 1 path (which interns mid-wave) it restores exact
+  // pre-wave semantics. Both paths thus evaluate the same predicate, which
+  // keeps reduced exploration byte-identical at any job count.
   std::vector<std::int64_t> wave_start(n_shards, 0);
   const auto mark_wave_start = [&] {
     if (!red.por()) return;
@@ -464,12 +465,11 @@ ParallelExploreResult<M> ParallelExplore(
     return found >= 0 && found < wave_start[sh];
   };
 
-  if (jobs == 1 && !spill) {
-    // Serial fast path: the wave algorithm of mck::Explore run directly over
-    // the sharded storage — no staging, no merge, single probe per
-    // successor. Byte-identical to the multi-worker path by construction
-    // (both reproduce serial wave order), including hash_occupancy, since
-    // the shard tables end up with the same content.
+  if (jobs == 1) {
+    // Serial path: the wave loop run directly over the sharded storage — no
+    // staging, no merge, single probe per successor. It is the reference the
+    // multi-worker path reproduces, including hash_occupancy, since the
+    // shard tables end up with the same content.
     std::vector<Action> fast_ample;
     while (!frontier.empty() && !all_violated()) {
       if (drain_requested()) {
@@ -554,51 +554,6 @@ ParallelExploreResult<M> ParallelExplore(
       maybe_snapshot();
     }
   } else {
-  // Successor computation for frontier positions [begin, end), shared by the
-  // expand phase and spill-run recovery. Candidates that survive the frozen
-  // visited-table probe are routed through `sink(sh, candidate)`. `count`
-  // gates the transition/deadlock/ample accounting so a recovery
-  // re-expansion never double-counts figures phase 1 already recorded.
-  auto expand_range = [&](int w, std::size_t begin, std::size_t end,
-                          std::vector<Action>& ample_buf, bool count,
-                          auto&& sink) {
-    const std::size_t wi = static_cast<std::size_t>(w);
-    for (std::size_t pos = begin; pos < end; ++pos) {
-      const State& s = state_of(frontier[pos]);
-      const std::vector<Action> actions = model.enabled(s);
-      if (actions.empty()) {
-        if (count && options.base.detect_deadlock &&
-            !internal::IsFinal(model, s)) {
-          worker_deadlocks[wi].push_back(pos);
-        }
-        continue;
-      }
-      const std::vector<Action>* expand = &actions;
-      if (red.por() &&
-          red.SelectAmple(model, s, actions, is_old_canon, ample_buf)) {
-        expand = &ample_buf;
-        if (count) ++worker_ample[wi];
-      }
-      for (std::uint32_t ai = 0;
-           ai < static_cast<std::uint32_t>(expand->size()); ++ai) {
-        if (count) ++worker_transitions[wi];
-        State next = red.Canon(model.apply(s, (*expand)[ai]));
-        const std::uint64_t h = static_cast<std::uint64_t>(HashValue(next));
-        const std::uint32_t sh = shard_of(h);
-        Shard& shard = shards[sh];
-        // The table is frozen during expand, so this probe needs no lock;
-        // it filters duplicates from earlier waves. (Recovery probes
-        // single-threaded on grown tables: it then also discards same-wave
-        // inserts, which the insert-phase dedup would skip anyway.)
-        const std::int64_t seen = shard.table.Find(h, [&](std::int64_t i) {
-          return shard.states[static_cast<std::size_t>(i)] == next;
-        });
-        if (seen >= 0) continue;
-        sink(sh, Candidate{std::move(next), h, Key{pos, ai + 1},
-                           frontier[pos], (*expand)[ai]});
-      }
-    }
-  };
   while (!frontier.empty() && !all_violated()) {
     if (drain_requested()) {
       result.cancelled = true;
@@ -626,56 +581,61 @@ ParallelExploreResult<M> ParallelExplore(
         frontier.size(), [&](int w, std::size_t begin, std::size_t end) {
           const std::size_t wi = static_cast<std::size_t>(w);
           std::vector<Candidate>* local = &routed[wi * n_shards];
-          expand_range(w, begin, end, worker_ample_buf[wi], true,
-                       [&](std::uint32_t sh, Candidate&& c) {
-                         local[sh].push_back(std::move(c));
-                       });
-          // Flush this worker's staged candidates: to disk when spilling,
-          // otherwise into the shard's staging area, one lock per shard.
+          std::vector<Action>& ample_buf = worker_ample_buf[wi];
+          for (std::size_t pos = begin; pos < end; ++pos) {
+            const State& s = state_of(frontier[pos]);
+            const std::vector<Action> actions = model.enabled(s);
+            if (actions.empty()) {
+              if (options.base.detect_deadlock &&
+                  !internal::IsFinal(model, s)) {
+                worker_deadlocks[wi].push_back(pos);
+              }
+              continue;
+            }
+            const std::vector<Action>* expand = &actions;
+            if (red.por() &&
+                red.SelectAmple(model, s, actions, is_old_canon, ample_buf)) {
+              expand = &ample_buf;
+              ++worker_ample[wi];
+            }
+            for (std::uint32_t ai = 0;
+                 ai < static_cast<std::uint32_t>(expand->size()); ++ai) {
+              ++worker_transitions[wi];
+              State next = red.Canon(model.apply(s, (*expand)[ai]));
+              const std::uint64_t h =
+                  static_cast<std::uint64_t>(HashValue(next));
+              const std::uint32_t sh = shard_of(h);
+              const Shard& shard = shards[sh];
+              // The table is frozen during expand, so this probe needs no
+              // lock; it filters duplicates from earlier waves.
+              const std::int64_t seen =
+                  shard.table.Find(h, [&](std::int64_t i) {
+                    return shard.states[static_cast<std::size_t>(i)] == next;
+                  });
+              if (seen >= 0) continue;
+              local[sh].push_back(Candidate{std::move(next), h,
+                                            Key{pos, ai + 1}, frontier[pos],
+                                            (*expand)[ai]});
+            }
+          }
+          // Flush this worker's staged candidates into the shard staging
+          // areas, one lock per shard.
           for (std::uint32_t sh = 0; sh < n_shards; ++sh) {
             if (local[sh].empty()) continue;
             Shard& shard = shards[sh];
-            if (spill) {
-              if constexpr (kPodModel) {
-                const std::string path = options.spill_dir + "/wave" +
-                                         std::to_string(depth) + "_s" +
-                                         std::to_string(sh) + "_j" +
-                                         std::to_string(w) + ".run";
-                // A failed write is not fatal: the insert phase classifies
-                // the file via LoadStatus and recovers by re-expansion.
-                (void)SaveFrontierRun(path, FrontierRunDigest(depth, sh, w),
-                                      local[sh]);
-                if (options.on_spill_write_for_test) {
-                  options.on_spill_write_for_test(path);
-                }
-                std::lock_guard<std::mutex> lock(shard.mu);
-                shard.runs.push_back(
-                    {w, 0, local[sh].size(), path, begin, end});
-                local[sh].clear();
-              }
-            } else {
-              std::lock_guard<std::mutex> lock(shard.mu);
-              shard.runs.push_back({w, shard.candidates.size(),
-                                    local[sh].size(), std::string(), begin,
-                                    end});
-              shard.candidates.insert(
-                  shard.candidates.end(),
-                  std::make_move_iterator(local[sh].begin()),
-                  std::make_move_iterator(local[sh].end()));
-              local[sh].clear();
-            }
+            std::lock_guard<std::mutex> lock(shard.mu);
+            shard.runs.push_back(
+                {w, shard.candidates.size(), local[sh].size()});
+            shard.candidates.insert(
+                shard.candidates.end(),
+                std::make_move_iterator(local[sh].begin()),
+                std::make_move_iterator(local[sh].end()));
+            local[sh].clear();
           }
         });
     for (int w = 0; w < jobs; ++w) {
       result.stats.transitions += worker_transitions[static_cast<std::size_t>(w)];
       result.stats.ample_states += worker_ample[static_cast<std::size_t>(w)];
-    }
-    if (spill) {
-      for (const Shard& shard : shards) {
-        for (const Run& run : shard.runs) {
-          if (!run.file.empty()) ++result.par.spill_runs;
-        }
-      }
     }
 
     // --- 2. insert -------------------------------------------------------
@@ -685,64 +645,6 @@ ParallelExploreResult<M> ParallelExplore(
     for (std::uint32_t p = 0; p < properties.size(); ++p) {
       already_violated[p] = fvpp && violated.contains(properties[p].name);
     }
-    // Interns one surviving candidate into its shard: arena append, table
-    // insert, wave bookkeeping (new_ids/new_keys/new_hashes) and property
-    // checks. Runs under shard ownership — the insert ParallelFor assigns
-    // whole shards to workers, and the recovery post-pass is
-    // single-threaded.
-    auto process_candidate = [&](Shard& shard, std::size_t si, Candidate& c) {
-      const std::int64_t seen = shard.table.Find(c.hash, [&](std::int64_t i) {
-        return shard.states[static_cast<std::size_t>(i)] == c.state;
-      });
-      if (seen >= 0) return;  // same-wave duplicate: first key wins
-      shard.states.push_back(std::move(c.state));
-      shard.meta.push_back({c.parent, c.via});
-      if (track) shard.hashes.push_back(c.hash);
-      const std::int64_t idx =
-          static_cast<std::int64_t>(shard.states.size()) - 1;
-      shard.table.Insert(c.hash, idx);
-      const std::uint64_t id = make_id(static_cast<std::uint32_t>(si), idx);
-      shard.new_ids.push_back(id);
-      shard.new_keys.push_back(c.key);
-      shard.new_hashes.push_back(c.hash);
-      const State& s = shard.states[static_cast<std::size_t>(idx)];
-      for (std::uint32_t p = 0;
-           p < static_cast<std::uint32_t>(properties.size()); ++p) {
-        if (already_violated[p]) continue;
-        if (!properties[p].holds(s)) shard.hits.push_back({c.key, p, id});
-      }
-    };
-    // Processes shard.runs[first..] in order, consuming (and deleting)
-    // spill files as it goes. Returns runs.size() when done, or the index
-    // of the first run whose spill file failed to load — processing stops
-    // there so key order is preserved across the recovery.
-    auto process_runs = [&](Shard& shard, std::size_t si,
-                            std::size_t first) -> std::size_t {
-      for (std::size_t ri = first; ri < shard.runs.size(); ++ri) {
-        const Run& run = shard.runs[ri];
-        if (run.file.empty()) {
-          for (std::size_t ci = run.start; ci < run.start + run.count; ++ci) {
-            process_candidate(shard, si, shard.candidates[ci]);
-          }
-          continue;
-        }
-        if constexpr (kPodModel) {
-          std::vector<Candidate> loaded;
-          if (LoadFrontierRun(run.file,
-                              FrontierRunDigest(
-                                  depth, static_cast<std::uint32_t>(si),
-                                  run.worker),
-                              &loaded) != ckpt::LoadStatus::kOk) {
-            return ri;
-          }
-          std::remove(run.file.c_str());
-          for (Candidate& c : loaded) process_candidate(shard, si, c);
-        }
-      }
-      return shard.runs.size();
-    };
-    std::mutex deferred_mu;
-    std::vector<std::pair<std::size_t, std::size_t>> deferred;
     exec->ParallelFor(n_shards, [&](int, std::size_t begin, std::size_t end) {
       for (std::size_t si = begin; si < end; ++si) {
         Shard& shard = shards[si];
@@ -751,53 +653,37 @@ ParallelExploreResult<M> ParallelExplore(
         // is produced in key order).
         std::sort(shard.runs.begin(), shard.runs.end(),
                   [](const Run& a, const Run& b) { return a.worker < b.worker; });
-        const std::size_t stop = process_runs(shard, si, 0);
-        if (stop < shard.runs.size()) {
-          // A spill run failed to load. Defer this shard: recovery
-          // re-expands frontier slices, which probes *other* shards'
-          // tables — racy while they are still inserting, so it has to
-          // wait for the barrier below.
-          std::lock_guard<std::mutex> lock(deferred_mu);
-          deferred.emplace_back(si, stop);
-        } else {
-          shard.candidates.clear();
-          shard.runs.clear();
-        }
-      }
-    });
-    // Spill recovery post-pass (single-threaded): for each damaged run,
-    // re-expand the frontier slice that produced it, keep only candidates
-    // routed to the deferred shard, and resume run processing behind it.
-    // The wave_start cutoff makes the C3 freshness probe ignore this wave's
-    // inserts, and phase 1 already counted transitions/deadlocks/ample, so
-    // every deterministic figure is unchanged.
-    if (!deferred.empty()) {
-      std::sort(deferred.begin(), deferred.end());
-      for (const auto& [si, first] : deferred) {
-        Shard& shard = shards[si];
-        std::size_t ri = first;
-        while (ri < shard.runs.size()) {
-          const std::size_t stop = process_runs(shard, si, ri);
-          if (stop >= shard.runs.size()) break;
-          const Run& bad = shard.runs[stop];
-          std::vector<Candidate> rebuilt;
-          std::vector<Action> recovery_ample;
-          expand_range(bad.worker, bad.slice_begin, bad.slice_end,
-                       recovery_ample, false,
-                       [&](std::uint32_t sh, Candidate&& c) {
-                         if (sh == static_cast<std::uint32_t>(si)) {
-                           rebuilt.push_back(std::move(c));
-                         }
-                       });
-          for (Candidate& c : rebuilt) process_candidate(shard, si, c);
-          std::remove(bad.file.c_str());
-          ++result.par.spill_recovered;
-          ri = stop + 1;
+        for (const Run& run : shard.runs) {
+          for (std::size_t ci = run.start; ci < run.start + run.count; ++ci) {
+            Candidate& c = shard.candidates[ci];
+            const std::int64_t seen =
+                shard.table.Find(c.hash, [&](std::int64_t i) {
+                  return shard.states[static_cast<std::size_t>(i)] == c.state;
+                });
+            if (seen >= 0) continue;  // same-wave duplicate: first key wins
+            shard.states.push_back(std::move(c.state));
+            shard.meta.push_back({c.parent, c.via});
+            if (track) shard.hashes.push_back(c.hash);
+            const std::int64_t idx =
+                static_cast<std::int64_t>(shard.states.size()) - 1;
+            shard.table.Insert(c.hash, idx);
+            const std::uint64_t id =
+                make_id(static_cast<std::uint32_t>(si), idx);
+            shard.new_ids.push_back(id);
+            shard.new_keys.push_back(c.key);
+            shard.new_hashes.push_back(c.hash);
+            const State& s = shard.states[static_cast<std::size_t>(idx)];
+            for (std::uint32_t p = 0;
+                 p < static_cast<std::uint32_t>(properties.size()); ++p) {
+              if (already_violated[p]) continue;
+              if (!properties[p].holds(s)) shard.hits.push_back({c.key, p, id});
+            }
+          }
         }
         shard.candidates.clear();
         shard.runs.clear();
       }
-    }
+    });
 
     // --- 3. merge --------------------------------------------------------
     discovered.clear();
@@ -916,7 +802,7 @@ ParallelExploreResult<M> ParallelExplore(
   result.stats.truncated = truncated;
   // Orbit accounting: each canonical representative stands for its whole
   // permutation orbit. Recomputed over the final arenas (rollback keeps them
-  // equal to the visited set), exactly like the serial engine.
+  // equal to the visited set) on both paths.
   if (red.orbits()) {
     for (const Shard& shard : shards) {
       for (const State& s : shard.states) {
@@ -955,6 +841,24 @@ ParallelExploreResult<M> ParallelExplore(
                            result.stats.elapsed_wall_seconds));
   }
   return result;
+}
+
+// Serial exhaustive exploration: ParallelExplore at one job over a single
+// visited-table shard. The single shard keeps per-call setup small on the
+// tiny screening models and makes hash_occupancy the load factor of one
+// table.
+template <CheckableModel M>
+ExploreResult<M> Explore(const M& model,
+                         const PropertySet<typename M::State>& properties,
+                         const ExploreOptions& options = {},
+                         const SnapshotHooks<M>* hooks = nullptr) {
+  ParallelExploreOptions popt;
+  popt.base = options;
+  popt.jobs = 1;
+  popt.shard_bits = 0;
+  ParallelExploreResult<M> r =
+      ParallelExplore(model, properties, popt, nullptr, hooks);
+  return {std::move(r.violations), r.stats};
 }
 
 }  // namespace cnv::mck

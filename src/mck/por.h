@@ -1,4 +1,4 @@
-// Ample-set partial-order reduction. The engines expand, at each state, an
+// Ample-set partial-order reduction. The engine expands, at each state, an
 // *ample subset* of the enabled actions instead of all of them whenever a
 // component can be found whose enabled actions provably commute with
 // everything the rest of the system can do. The classic conditions, as
@@ -24,9 +24,9 @@
 //       an enabled action can never be deferred forever around a cycle.
 //       "Visited at wave start" over-approximates "fully expanded", which
 //       only costs reduction, never soundness — and it is exactly the
-//       predicate both the serial and the parallel engine can evaluate
-//       identically (the parallel expand phase probes the frozen pre-wave
-//       table), preserving serial-vs-parallel byte-identity.
+//       predicate the jobs = 1 path and the multi-worker path can evaluate
+//       identically (the multi-worker expand phase probes the frozen
+//       pre-wave table), preserving byte-identity at any job count.
 //
 // Candidate components are tried in ascending component order, so the
 // chosen ample set is a deterministic function of the state alone.

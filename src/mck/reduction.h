@@ -1,15 +1,14 @@
 // State-space reduction interface: a model opts into partial-order and/or
 // symmetry reduction by exposing a `ReductionSpec` through a `reduction()`
 // method. The spec is purely declarative — per-state oracles the exploration
-// engines (mck/explorer.h, mck/parallel_explorer.h) consult when the caller
-// enables reduction via ReductionOptions. A model without a reduction()
-// method, or an engine run with both flags off, explores the full product
-// exactly as before; reduction never changes which property violations are
-// reachable (see tests/mck_por_test.cc for the differential proof
-// obligation).
+// engine (mck/parallel_explorer.h) consults when the caller enables
+// reduction via ReductionOptions. A model without a reduction() method, or
+// a run with both flags off, explores the full product exactly as before;
+// reduction never changes which property violations are reachable (see
+// tests/mck_por_test.cc for the differential proof obligation).
 //
 // The soundness contract a spec must honour (DESIGN.md "State-space
-// reduction" spells out how the engines use each oracle):
+// reduction" spells out how the engine uses each oracle):
 //
 //   owner(s, a)    The component (process/UE) the action belongs to, in
 //                  [0, components), or kSharedComponent for actions that

@@ -3,7 +3,7 @@
 // orbit representative, which is what actually gets interned into the
 // visited table. A model's `canonicalize` oracle typically sorts its per-UE
 // blocks with SortBlocks below; MultisetOrbitSize computes how many concrete
-// states the representative stands for, which the engines sum into the
+// states the representative stands for, which the engine sums into the
 // `represented_states` stat (for a fully symmetric model the sum over all
 // reached representatives equals the size of the unreduced reachable set —
 // pinned by tests/mck_symmetry_test.cc).

@@ -36,6 +36,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,15 @@ struct CombinedModel {
   };
 
   CombinedModel() = default;
-  explicit CombinedModel(Config config) : config_(config) {}
+  // Throws std::invalid_argument when config.ues is outside [1, kMaxUes]:
+  // the state holds a fixed array of kMaxUes UE blocks.
+  explicit CombinedModel(Config config) : config_(config) {
+    if (config.ues < 1 || config.ues > static_cast<int>(kMaxUes)) {
+      throw std::invalid_argument("CombinedModel: ues must be in [1, " +
+                                  std::to_string(kMaxUes) + "], got " +
+                                  std::to_string(config.ues));
+    }
+  }
 
   enum class Sys : std::uint8_t { k4G, k3G };
   // Mobility management: registered on 4G; after a fallback the UE owes the

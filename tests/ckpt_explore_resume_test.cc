@@ -70,9 +70,7 @@ void ExpectSameViolations(const M& m, const std::vector<mck::Violation<M>>& a,
 template <typename M>
 void ExpectResumeIdentical(const M& m,
                            const mck::PropertySet<typename M::State>& props,
-                           mck::ExploreOptions base = {}) {
-  base.order = mck::SearchOrder::kBreadthFirst;
-
+                           const mck::ExploreOptions& base = {}) {
   std::vector<mck::ExploreSnapshot<M>> snaps;
   mck::SnapshotHooks<M> capture;
   capture.on_snapshot = [&snaps](const mck::ExploreSnapshot<M>& s) {

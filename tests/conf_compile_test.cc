@@ -7,7 +7,7 @@
 #include <algorithm>
 
 #include "gtest/gtest.h"
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 #include "mck/random_walk.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"

@@ -11,7 +11,7 @@
 #include "conf/script.h"
 #include "core/conformance.h"
 #include "gtest/gtest.h"
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
 #include "model/s3_model.h"

@@ -1,4 +1,4 @@
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 
 #include <gtest/gtest.h>
 
@@ -39,22 +39,11 @@ TEST(ExplorerTest, BuggyCounterYieldsCounterexample) {
 TEST(ExplorerTest, BfsFindsShortestCounterexample) {
   CounterModel m;
   m.buggy = true;
-  ExploreOptions opt;
-  opt.order = SearchOrder::kBreadthFirst;
-  const auto r = Explore(m, BelowCap(m.cap), opt);
+  const auto r = Explore(m, BelowCap(m.cap));
   const auto* v = r.FindViolation("below_cap");
   ASSERT_NE(v, nullptr);
   // Shortest: 3 normal increments to reach cap-1, then the double bump.
   EXPECT_EQ(v->trace.size(), 4u);
-}
-
-TEST(ExplorerTest, DfsFindsSameViolation) {
-  CounterModel m;
-  m.buggy = true;
-  ExploreOptions opt;
-  opt.order = SearchOrder::kDepthFirst;
-  const auto r = Explore(m, BelowCap(m.cap), opt);
-  EXPECT_FALSE(r.Holds("below_cap"));
 }
 
 TEST(ExplorerTest, TraceReplayReachesViolatingState) {

@@ -1,16 +1,19 @@
-// Determinism suite for the parallel exploration engine: at any worker
-// count, ParallelExplore must return byte-identical results to the serial
-// wave-BFS of mck::Explore — same stats, same violations in the same order
-// with the same counterexample traces — on every toy and screening model,
-// bounded or not.
+// Determinism suite for the exploration engine: at any worker count and
+// shard split, ParallelExplore must return byte-identical results to
+// mck::Explore (one job, one shard) — same stats, same violations in the
+// same order with the same counterexample traces — on every toy and
+// screening model, bounded or not. Also pins the combined model's state
+// space at every supported UE count.
 #include "mck/parallel_explorer.h"
 
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "mck/toy_models.h"
+#include "model/combined_model.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
 #include "model/s3_model.h"
@@ -28,8 +31,7 @@ namespace {
 template <typename M>
 void ExpectMatchesSerial(const M& m,
                          const PropertySet<typename M::State>& props,
-                         ExploreOptions base = {}) {
-  base.order = SearchOrder::kBreadthFirst;
+                         const ExploreOptions& base = {}) {
   const ExploreResult<M> serial = Explore(m, props, base);
 
   std::optional<ExploreStatsView> stats_ref;
@@ -233,6 +235,63 @@ TEST(ParallelExploreTest, ShardBitsZeroStillMatchesSerial) {
   for (std::size_t i = 0; i < par.violations.size(); ++i) {
     EXPECT_EQ(FormatTrace(m, par.violations[i]),
               FormatTrace(m, serial.violations[i]));
+  }
+}
+
+// The combined model's state space at every supported UE count, full and
+// under POR + symmetry. Every row must come out the same through Explore
+// and through ParallelExplore at jobs 1 and 4.
+struct CombinedPin {
+  int ues = 0;
+  bool reduced = false;  // POR + symmetry
+  std::uint64_t states = 0;
+  std::uint64_t transitions = 0;
+  std::uint64_t represented = 0;
+};
+
+constexpr CombinedPin kCombinedPins[] = {
+    {2, false, 113, 186, 113},       {2, true, 47, 71, 87},
+    {3, false, 1411, 3381, 1411},    {3, true, 179, 396, 847},
+    {4, false, 16785, 52804, 16785}, {4, true, 544, 1587, 7967},
+};
+
+TEST(ParallelExploreTest, CombinedModelStateSpaceIsPinned) {
+  using model::CombinedModel;
+  // MM_OK needs the switch-back misconfiguration; the default config
+  // reaches the other two at every UE count.
+  const std::set<std::string> expected_violated = {model::kPacketServiceOk,
+                                                   model::kCallServiceOk};
+  for (const CombinedPin& pin : kCombinedPins) {
+    SCOPED_TRACE("ues=" + std::to_string(pin.ues) +
+                 (pin.reduced ? " por+symmetry" : " full"));
+    CombinedModel::Config cfg;
+    cfg.ues = pin.ues;
+    const CombinedModel m(cfg);
+    const auto props = m.Properties();
+    ExploreOptions base;
+    base.reduction.por = pin.reduced;
+    base.reduction.symmetry = pin.reduced;
+    const auto expect_pinned =
+        [&](const ExploreStats& stats,
+            const std::vector<Violation<CombinedModel>>& violations) {
+          EXPECT_EQ(stats.states_visited, pin.states);
+          EXPECT_EQ(stats.transitions, pin.transitions);
+          EXPECT_EQ(stats.represented_states, pin.represented);
+          EXPECT_FALSE(stats.truncated);
+          std::set<std::string> violated;
+          for (const auto& v : violations) violated.insert(v.property);
+          EXPECT_EQ(violated, expected_violated);
+        };
+    const auto serial = Explore(m, props, base);
+    expect_pinned(serial.stats, serial.violations);
+    for (const int jobs : {1, 4}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      ParallelExploreOptions opt;
+      opt.base = base;
+      opt.jobs = jobs;
+      const auto par = ParallelExplore(m, props, opt);
+      expect_pinned(par.stats, par.violations);
+    }
   }
 }
 

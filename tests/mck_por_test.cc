@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "mck/explorer.h"
 #include "mck/parallel_explorer.h"
 #include "mck/toy_models.h"
 #include "model/combined_model.h"

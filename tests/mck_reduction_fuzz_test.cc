@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "mck/explorer.h"
 #include "mck/hash.h"
 #include "mck/parallel_explorer.h"
 #include "mck/symmetry.h"

@@ -10,9 +10,9 @@
 
 #include <array>
 #include <set>
+#include <stdexcept>
 #include <string>
 
-#include "mck/explorer.h"
 #include "mck/parallel_explorer.h"
 #include "mck/toy_models.h"
 #include "model/combined_model.h"
@@ -108,6 +108,22 @@ TEST(SymmetryTest, CombinedModelFourUesStillAgree) {
             ViolatedProps<CombinedModel>(sym.violations));
   // Three interchangeable UEs buy a substantial factor on their own.
   EXPECT_GE(full.stats.states_visited, 3 * sym.stats.states_visited);
+}
+
+// The state holds a fixed array of kMaxUes UE blocks: a UE count outside
+// [1, kMaxUes] is refused at construction instead of read past the array.
+TEST(SymmetryTest, CombinedModelRejectsUeCountOutOfRange) {
+  const int max_ues = static_cast<int>(CombinedModel::kMaxUes);
+  for (const int ues : {-1, 0, max_ues + 1}) {
+    CombinedModel::Config cfg;
+    cfg.ues = ues;
+    EXPECT_THROW(CombinedModel{cfg}, std::invalid_argument) << "ues=" << ues;
+  }
+  for (int ues = 1; ues <= max_ues; ++ues) {
+    CombinedModel::Config cfg;
+    cfg.ues = ues;
+    EXPECT_NO_THROW(CombinedModel{cfg}) << "ues=" << ues;
+  }
 }
 
 // --- serial/parallel agreement under symmetry -------------------------------

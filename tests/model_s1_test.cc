@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 
 namespace cnv::model {
 namespace {

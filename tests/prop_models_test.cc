@@ -7,7 +7,7 @@
 #include <tuple>
 #include <vector>
 
-#include "mck/explorer.h"
+#include "mck/parallel_explorer.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
 #include "model/s3_model.h"
