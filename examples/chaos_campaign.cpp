@@ -37,21 +37,8 @@
 //   --cell-timeout-ms T / --max-retries R
 //             per-cell watchdog: a cell whose attempt overran T wall-clock
 //             milliseconds is retried up to R times with exponential
-//             backoff (defaults: no watchdog, no retries)
-//   --backend thread|process
-//             execution backend (default thread). "process" fans cells out
-//             to supervised worker processes over a checksummed pipe
-//             protocol: a crashing or hanging cell kills only its worker,
-//             which is respawned; the merged report stays byte-identical.
-//   --workers N
-//             worker count for the chosen backend (alias for --jobs;
-//             whichever is given last wins)
-//   --heartbeat-ms T
-//             process backend: a worker silent for T ms is declared dead,
-//             killed and respawned (default 2000)
-//   --quarantine-after K
-//             process backend: a cell that kills K workers is quarantined
-//             into the report instead of retrying forever (default 3)
+//             backoff (defaults: no watchdog, no retries); a cell whose
+//             every attempt fails is quarantined into the report
 //   --admission SPEC
 //             sweep core admission policies: comma list of off (legacy
 //             zero-queueing core), unbounded (bounded service rate, no
@@ -85,8 +72,6 @@ constexpr char kUsage[] =
     "usage: chaos_campaign [seeds] [plans] [--robust] [--jobs N]\n"
     "                      [--metrics-json DIR] [--checkpoint-dir DIR]\n"
     "                      [--resume] [--cell-timeout-ms T] [--max-retries R]\n"
-    "                      [--backend thread|process] [--workers N]\n"
-    "                      [--heartbeat-ms T] [--quarantine-after K]\n"
     "                      [--admission off,unbounded,reject,shed]\n"
     "                      [--storm-scale X]";
 
@@ -169,14 +154,6 @@ int main(int argc, char** argv) {
   parser.I64Value("--cell-timeout-ms", &cell_timeout_ms, 0);
   int max_retries = 0;
   parser.IntValue("--max-retries", &max_retries, 0);
-  std::string backend_spec = "thread";
-  parser.StrValue("--backend", &backend_spec);
-  int workers = -1;
-  parser.IntValue("--workers", &workers, -1);
-  std::int64_t heartbeat_ms = 2000;
-  parser.I64Value("--heartbeat-ms", &heartbeat_ms, 2000);
-  int quarantine_after = 3;
-  parser.IntValue("--quarantine-after", &quarantine_after, 3);
   std::string admission_spec;
   parser.StrValue("--admission", &admission_spec);
   double storm_scale = 1.0;
@@ -222,14 +199,7 @@ int main(int argc, char** argv) {
                       .core_queue_replay = true};
   }
   cfg.collect_telemetry = !metrics_dir.empty();
-  if (workers >= 0) jobs = workers;
   cfg.parallelism = jobs;
-  if (!dist::ParseBackend(backend_spec, &cfg.backend)) {
-    parser.Fail("--backend must be 'thread' or 'process', got '" +
-                backend_spec + "'");
-  }
-  cfg.heartbeat_ms = heartbeat_ms;
-  cfg.quarantine_after = quarantine_after;
   cfg.checkpoint_dir = checkpoint_dir;
   cfg.resume = resume;
   cfg.retry.cell_timeout_ms = cell_timeout_ms;
@@ -265,15 +235,6 @@ int main(int argc, char** argv) {
   if (!checkpoint_dir.empty() || result.exec.retries > 0 ||
       result.exec.watchdog_hits > 0) {
     std::fprintf(stderr, "execution: %s\n", result.exec.ToString().c_str());
-  }
-  if (result.worker_deaths > 0 || result.worker_respawns > 0 ||
-      result.heartbeat_timeouts > 0) {
-    std::fprintf(stderr,
-                 "supervision: %llu worker death(s), %llu respawn(s), %llu "
-                 "heartbeat timeout(s)\n",
-                 static_cast<unsigned long long>(result.worker_deaths),
-                 static_cast<unsigned long long>(result.worker_respawns),
-                 static_cast<unsigned long long>(result.heartbeat_timeouts));
   }
   if (!result.complete && result.quarantined.empty()) {
     std::fprintf(stderr,

@@ -6,8 +6,7 @@
 //
 // Usage:  ./conformance [--seeds N] [--seed-base S] [--walks W] [--jobs N]
 //                       [--json FILE] [--checkpoint-dir DIR] [--resume]
-//                       [--backend thread|process] [--workers N]
-//                       [--heartbeat-ms T] [--quarantine-after K]
+//                       [--reduce]
 //   --seeds N    testbed/walk seeds per (scenario, carrier) group
 //                (default 64)
 //   --seed-base S
@@ -21,15 +20,6 @@
 //                completed cells replay from their blobs and the report is
 //                byte-identical to an uninterrupted run. SIGINT/SIGTERM
 //                drain gracefully between cells (exit status 75).
-//   --backend thread|process
-//                run cells in worker threads (default) or supervised worker
-//                processes (failure isolation: a crashing cell is retried in
-//                a fresh worker and quarantined after --quarantine-after
-//                strikes). The report is byte-identical either way.
-//   --workers N  alias for --jobs (whichever is given last wins)
-//   --heartbeat-ms T / --quarantine-after K
-//                process-backend liveness deadline and poisoned-cell strike
-//                budget (defaults 2000 ms, 3 strikes)
 //   --reduce     explore the model side with partial-order + symmetry
 //                reduction enabled; the report is byte-identical to an
 //                unreduced sweep (the S1-S4 slices have trivial reduction
@@ -51,8 +41,6 @@ int main(int argc, char** argv) {
       argc, argv,
       "usage: conformance [--seeds N] [--seed-base S] [--walks W] [--jobs N]\n"
       "                   [--json FILE] [--checkpoint-dir DIR] [--resume]\n"
-      "                   [--backend thread|process] [--workers N]\n"
-      "                   [--heartbeat-ms T] [--quarantine-after K]\n"
       "                   [--reduce]");
   conf::DiffOptions opt;
   std::string json_path;
@@ -67,22 +55,11 @@ int main(int argc, char** argv) {
   parser.StrValue("--json", &json_path);
   parser.StrValue("--checkpoint-dir", &opt.checkpoint_dir);
   opt.resume = parser.Flag("--resume");
-  std::string backend_spec = "thread";
-  parser.StrValue("--backend", &backend_spec);
-  int workers = -1;
-  parser.IntValue("--workers", &workers, -1);
-  parser.I64Value("--heartbeat-ms", &opt.heartbeat_ms, 2000);
-  parser.IntValue("--quarantine-after", &opt.quarantine_after, 3);
   parser.Finish(0);
   if (opt.resume && opt.checkpoint_dir.empty()) {
     parser.Fail("--resume requires --checkpoint-dir");
   }
   if (opt.seeds == 0) parser.Fail("--seeds must be >= 1");
-  if (workers >= 0) opt.jobs = workers;
-  if (!dist::ParseBackend(backend_spec, &opt.backend)) {
-    parser.Fail("--backend must be 'thread' or 'process', got '" +
-                backend_spec + "'");
-  }
 
   ckpt::CancelToken cancel;
   ckpt::InstallSignalDrain(&cancel);

@@ -4,9 +4,7 @@
 // findings.
 //
 // Usage:  ./screening [--jobs N] [--walks W] [--seed S] [--solutions]
-//                     [--checkpoint-dir DIR] [--resume]
-//                     [--backend thread|process] [--workers N]
-//                     [--heartbeat-ms T] [--quarantine-after K]
+//                     [--checkpoint-dir DIR] [--resume] [--reduce]
 //   --jobs N     explore each cell on N workers (default 0 = hardware
 //                concurrency, 1 = serial). Findings, violated properties
 //                and counterexamples are byte-identical at any N; only the
@@ -22,17 +20,6 @@
 //                from their blobs and the report is byte-identical to an
 //                uninterrupted run. SIGINT/SIGTERM drain gracefully between
 //                cells (exit status 75).
-//   --backend thread|process
-//                run the catalog in-process (default) or in a supervised
-//                worker process (failure isolation: a crashing or hanging
-//                cell is retried in a fresh worker and quarantined after
-//                --quarantine-after strikes). The catalog is a chained
-//                grid — cells always run in order — and the report is
-//                byte-identical either way.
-//   --workers N  alias for --jobs (whichever is given last wins)
-//   --heartbeat-ms T / --quarantine-after K
-//                process-backend liveness deadline and poisoned-cell strike
-//                budget (defaults 2000 ms, 3 strikes)
 //   --reduce     explore each cell with partial-order + symmetry reduction
 //                enabled. The S1-S4 slices carry trivial reduction specs,
 //                so the findings and counterexamples are byte-identical to
@@ -49,9 +36,7 @@ int main(int argc, char** argv) {
   args::ArgParser parser(
       argc, argv,
       "usage: screening [--jobs N] [--walks W] [--seed S] [--solutions]\n"
-      "                 [--checkpoint-dir DIR] [--resume]\n"
-      "                 [--backend thread|process] [--workers N]\n"
-      "                 [--heartbeat-ms T] [--quarantine-after K] [--reduce]");
+      "                 [--checkpoint-dir DIR] [--resume] [--reduce]");
   core::ScreeningOptions opt;
   opt.jobs = 0;
   opt.with_solutions = parser.Flag("--solutions");
@@ -64,20 +49,9 @@ int main(int argc, char** argv) {
   parser.U64Value("--seed", &opt.seed);
   parser.StrValue("--checkpoint-dir", &opt.checkpoint_dir);
   opt.resume = parser.Flag("--resume");
-  std::string backend_spec = "thread";
-  parser.StrValue("--backend", &backend_spec);
-  int workers = -1;
-  parser.IntValue("--workers", &workers, -1);
-  parser.I64Value("--heartbeat-ms", &opt.heartbeat_ms, 2000);
-  parser.IntValue("--quarantine-after", &opt.quarantine_after, 3);
   parser.Finish(0);
   if (opt.resume && opt.checkpoint_dir.empty()) {
     parser.Fail("--resume requires --checkpoint-dir");
-  }
-  if (workers >= 0) opt.jobs = workers;
-  if (!dist::ParseBackend(backend_spec, &opt.backend)) {
-    parser.Fail("--backend must be 'thread' or 'process', got '" +
-                backend_spec + "'");
   }
 
   ckpt::CancelToken cancel;

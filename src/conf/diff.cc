@@ -312,12 +312,8 @@ DiffReport DifferentialDriver::Run() const {
   Grid grid(groups, options_);
 
   dist::DistOptions opt;
-  opt.backend = options_.backend;
   opt.workers = options_.jobs;
-  opt.heartbeat_ms = options_.heartbeat_ms;
-  opt.quarantine_after = options_.quarantine_after;
   opt.retry = options_.retry;
-  opt.kill_plan = options_.kill_plan;
   opt.cancel = options_.cancel != nullptr ? &options_.cancel->flag() : nullptr;
   opt.cell_type = ckpt::PayloadType::kConformanceCell;
   opt.validate_payload = [](std::size_t, std::string_view blob) {

@@ -27,16 +27,11 @@ struct DiffOptions {
   std::uint64_t seeds = 64;      // seeds per (scenario, carrier) group
   std::uint64_t seed_base = 1;   // first testbed seed
   std::uint64_t walks = 32;      // random walks per cell (model side)
-  int jobs = 1;                  // worker threads/processes (1 = inline)
+  int jobs = 1;                  // worker threads (1 = inline)
   std::string checkpoint_dir;    // empty = no checkpointing
   bool resume = false;
   ckpt::RetryPolicy retry;
   ckpt::CancelToken* cancel = nullptr;
-  // Distributed execution (dist::RunGrid); see fault::CampaignConfig.
-  dist::Backend backend = dist::Backend::kThread;
-  std::int64_t heartbeat_ms = 2000;
-  int quarantine_after = 3;
-  dist::KillPlan kill_plan;
   // State-space reductions for the model-side explorations (exhaustive
   // passes and canonical-script compilation). The S1-S4 slices have
   // trivial reduction specs, so the report is byte-identical with the

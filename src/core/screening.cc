@@ -349,12 +349,9 @@ ScreeningReport ScreeningRunner::RunAll() const {
 
   ScreeningGrid grid(catalog, options_);
   dist::DistOptions opt;
-  opt.backend = options_.backend;
-  opt.workers = options_.jobs;  // chained: fleet of 1; jobs drive the cell
-  opt.heartbeat_ms = options_.heartbeat_ms;
-  opt.quarantine_after = options_.quarantine_after;
+  // A chained grid runs its cells inline, in order; options_.jobs drives
+  // each cell's exhaustive passes instead.
   opt.retry = options_.retry;
-  opt.kill_plan = options_.kill_plan;
   opt.cancel = options_.cancel != nullptr ? &options_.cancel->flag() : nullptr;
   opt.cell_type = ckpt::PayloadType::kScreeningCell;
   std::unique_ptr<ckpt::ManifestStore> store;

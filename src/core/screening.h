@@ -47,15 +47,6 @@ struct ScreeningOptions {
   // Graceful drain: checked between cells; the report is then marked
   // interrupted/incomplete.
   ckpt::CancelToken* cancel = nullptr;
-  // Distributed execution (dist::RunGrid). The catalog is a *chained* grid
-  // (the shared RNG stream is the chain carry), so cells always run in
-  // order; the process backend still buys failure-domain isolation — a
-  // crashing or hanging cell is retried in a fresh worker and quarantined
-  // after `quarantine_after` strikes instead of killing the run.
-  dist::Backend backend = dist::Backend::kThread;
-  std::int64_t heartbeat_ms = 2000;
-  int quarantine_after = 3;
-  dist::KillPlan kill_plan;
   // State-space reduction for the exhaustive passes (mck/reduction.h). The
   // S1–S4 screening models declare single-component specs, so turning the
   // flags on must not change any cell result — the `reduction` CI job pins

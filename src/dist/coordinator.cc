@@ -1,20 +1,16 @@
 #include "dist/coordinator.h"
 
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <utility>
 
 #include "dist/executor.h"
-#include "dist/process.h"
 
 namespace cnv::dist {
 
 namespace {
 
-// Shared merge/checkpoint state. All mutation happens under `mu` on the
-// thread backend; the process backend's callbacks all run on the
-// coordinator thread, where the lock is uncontended.
+// Shared merge/checkpoint state. All mutation happens under `mu`.
 struct Merge {
   CellGrid& grid;
   const DistOptions& options;
@@ -49,9 +45,15 @@ struct Merge {
     result.exec.watchdog_hits += attempt.watchdog_hits;
   }
 
-  void Quarantine(QuarantineRecord q) {
+  // Quarantines a cell whose every attempt failed.
+  void Quarantine(std::size_t i, const ckpt::RetryOutcome& attempt,
+                  std::string last_error) {
+    QuarantineRecord q;
+    q.index = i;
+    q.name = grid.CellName(i);
+    q.strikes = static_cast<std::uint32_t>(1 + attempt.retries);
+    q.last_error = std::move(last_error);
     std::lock_guard<std::mutex> lock(mu);
-    const std::size_t i = q.index;
     result.states[i] = CellState::kQuarantined;
     result.quarantined.push_back(std::move(q));
     // Deliberately NOT marked done in the manifest: a future resume gets
@@ -82,9 +84,9 @@ bool Cancelled(const DistOptions& options) {
          options.cancel->load(std::memory_order_relaxed);
 }
 
-// Thread backend, unchained: the historical campaign/diff loop — dynamic
-// claiming with graceful drain, merge + checkpoint under the mutex.
-void RunThreadUnchained(Merge& m, const std::vector<std::size_t>& pending) {
+// Unchained: the historical campaign/diff loop — dynamic claiming with
+// graceful drain, merge + checkpoint under the mutex.
+void RunUnchained(Merge& m, const std::vector<std::size_t>& pending) {
   Executor exec(m.options.workers);
   exec.ParallelEachUntil(
       pending.size(),
@@ -104,22 +106,16 @@ void RunThreadUnchained(Merge& m, const std::vector<std::size_t>& pending) {
         // the cell.
         if (attempt.ok || out.ok) {
           m.Commit(i, std::move(out.payload));
-        } else if (m.options.quarantine_after > 0) {
-          QuarantineRecord q;
-          q.index = i;
-          q.name = m.grid.CellName(i);
-          q.strikes = static_cast<std::uint32_t>(1 + attempt.retries);
-          q.last_error = out.error;
-          m.Quarantine(std::move(q));
+        } else {
+          m.Quarantine(i, attempt, std::move(out.error));
         }
-        // quarantine disabled: the cell stays pending (incomplete result).
       },
       m.options.cancel);
 }
 
-// Thread backend, chained: the historical screening loop — strict index
-// order, carry threaded cell to cell, retries replaying the same carry-in.
-void RunThreadChained(Merge& m) {
+// Chained: the historical screening loop — strict index order, carry
+// threaded cell to cell, retries replaying the same carry-in.
+void RunChained(Merge& m) {
   const std::size_t n = m.grid.size();
   std::string carry = m.grid.InitialCarry();
   for (std::size_t i = 0; i < n; ++i) {
@@ -140,14 +136,7 @@ void RunThreadChained(Merge& m) {
     // As in the unchained loop: a slow-but-successful last attempt keeps
     // its outcome (and its carry, so the chain continues).
     if (!attempt.ok && !out.ok) {
-      if (m.options.quarantine_after > 0) {
-        QuarantineRecord q;
-        q.index = i;
-        q.name = m.grid.CellName(i);
-        q.strikes = static_cast<std::uint32_t>(1 + attempt.retries);
-        q.last_error = out.error;
-        m.Quarantine(std::move(q));
-      }
+      m.Quarantine(i, attempt, std::move(out.error));
       break;  // no carry-out: the chain cannot continue either way
     }
     carry = out.carry;
@@ -155,54 +144,7 @@ void RunThreadChained(Merge& m) {
   }
 }
 
-void RunProcess(Merge& m, const std::vector<std::size_t>& pending) {
-  FleetCallbacks cb;
-  cb.on_result = [&m](std::size_t i, std::string outcome, std::string) {
-    m.Commit(i, std::move(outcome));
-  };
-  cb.on_quarantine = [&m](const QuarantineRecord& q) { m.Quarantine(q); };
-  cb.carry_for = [&m](std::size_t i) -> std::string {
-    if (!m.grid.chained()) return {};
-    // Chained cells complete strictly in index order, so every cell before
-    // i has a merged payload; fold the chain from the start.
-    std::string carry = m.grid.InitialCarry();
-    for (std::size_t j = 0; j < i; ++j) {
-      m.grid.CarryFromPayload(m.result.payloads[j], &carry);
-    }
-    return carry;
-  };
-  const FleetStats stats = RunProcessFleet(m.grid, m.options, pending, cb);
-  m.result.worker_deaths = stats.worker_deaths;
-  m.result.worker_respawns = stats.worker_respawns;
-  m.result.heartbeat_timeouts = stats.heartbeat_timeouts;
-  m.result.exec.retries += stats.worker_deaths + stats.clean_failures;
-  m.result.exec.watchdog_hits += stats.watchdog_kills;
-  if (stats.interrupted) m.result.exec.interrupted = true;
-}
-
 }  // namespace
-
-std::string ToString(Backend b) {
-  switch (b) {
-    case Backend::kThread:
-      return "thread";
-    case Backend::kProcess:
-      return "process";
-  }
-  return "unknown";
-}
-
-bool ParseBackend(std::string_view name, Backend* out) {
-  if (name == "thread") {
-    *out = Backend::kThread;
-    return true;
-  }
-  if (name == "process") {
-    *out = Backend::kProcess;
-    return true;
-  }
-  return false;
-}
 
 GridResult RunGrid(CellGrid& grid, const DistOptions& options) {
   const std::size_t n = grid.size();
@@ -254,12 +196,10 @@ GridResult RunGrid(CellGrid& grid, const DistOptions& options) {
   }
 
   if (!pending.empty()) {
-    if (options.backend == Backend::kProcess) {
-      RunProcess(m, pending);
-    } else if (grid.chained()) {
-      RunThreadChained(m);
+    if (grid.chained()) {
+      RunChained(m);
     } else {
-      RunThreadUnchained(m, pending);
+      RunUnchained(m, pending);
     }
   }
 

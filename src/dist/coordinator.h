@@ -4,21 +4,21 @@
 //
 //   resume        manifest + cell blobs load upfront; damaged or
 //                 semantically invalid blobs are discarded and re-run
-//   dispatch      thread backend (dist::Executor, caller participates,
-//                 workers == 1 is byte-identical to the old serial loops)
-//                 or process backend (supervised fleet, dist/process.h)
+//   dispatch      the thread pool (dist::Executor, caller participates;
+//                 workers == 1 runs inline, byte-identical to the old
+//                 serial loops)
 //   checkpointing every completed cell is persisted atomically and the
 //                 manifest updated, so a coordinator crash resumes exactly
 //                 like the single-process runners always have
-//   retries       ckpt::RunWithRetries per cell on the thread backend; the
-//                 process backend's strike machinery on the other
-//   quarantine    a cell that exhausts its strike budget is quarantined
-//                 into the GridResult instead of wedging the run
+//   retries       ckpt::RunWithRetries per cell
+//   quarantine    a cell whose 1 + max_retries attempts all fail is
+//                 quarantined into the GridResult instead of wedging the run
 //   drain         cancel stops new work; in-flight cells finish and are
 //                 checkpointed; the result is marked interrupted
 //
 // Determinism contract: GridResult::payloads is merged by cell index, so it
-// is byte-identical across backends, worker counts and kill schedules.
+// is byte-identical at any worker count and across any kill-and-resume
+// boundary.
 #pragma once
 
 #include "dist/grid.h"

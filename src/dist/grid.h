@@ -5,12 +5,12 @@
 // and hand dispatch, supervision, checkpointing and retry to one
 // dist::RunGrid coordinator instead of each carrying their own loop.
 //
-// The determinism contract that makes distribution safe: RunCell(i, carry)
-// is a pure function of (i, carry) — same index and carry-in, same outcome
-// payload and carry-out bytes, in any process, at any time. The coordinator
-// merges outcomes *by cell index*, so the merged result is byte-identical
-// across the in-process backends and the multi-process backend at any
-// worker count and under any worker-kill schedule.
+// The determinism contract that makes parallel dispatch safe:
+// RunCell(i, carry) is a pure function of (i, carry) — same index and
+// carry-in, same outcome payload and carry-out bytes, on any thread, at any
+// time. The coordinator merges outcomes *by cell index*, so the merged
+// result is byte-identical between the serial run and the thread pool at
+// any worker count, and across any kill-and-resume boundary.
 #pragma once
 
 #include <atomic>
@@ -48,8 +48,7 @@ class CellGrid {
   }
 
   // True when cell i+1's input depends on cell i's carry-out. Chained grids
-  // run strictly in index order (the process backend still supervises the
-  // single in-flight lease); unchained grids fan out freely.
+  // run strictly in index order; unchained grids fan out freely.
   virtual bool chained() const { return false; }
 
   // Carry-in for cell 0 of a chained grid.
@@ -66,46 +65,17 @@ class CellGrid {
   }
 
   // Runs the cell. Must be deterministic in (index, carry_in) and safe to
-  // call from a forked worker process or a pool thread.
+  // call from a pool thread.
   virtual CellOutcome RunCell(std::size_t index, std::string_view carry_in) = 0;
 };
 
-enum class Backend {
-  kThread,   // in-process pool (workers == 1 degenerates to serial/inline)
-  kProcess,  // supervised worker processes over the frame protocol
-};
-
-std::string ToString(Backend b);
-bool ParseBackend(std::string_view name, Backend* out);
-
-// Test seam: SIGKILL the worker occupying `slot` once the coordinator has
-// merged `after_results` cell results. Deterministic per schedule; the
-// merged grid output must be byte-identical under any schedule.
-struct KillEvent {
-  std::uint64_t after_results = 0;
-  int slot = 0;
-};
-
-struct KillPlan {
-  std::vector<KillEvent> events;
-  bool empty() const { return events.empty(); }
-};
-
 struct DistOptions {
-  Backend backend = Backend::kThread;
   // Worker count: 0 = hardware concurrency, 1 = inline/serial.
   int workers = 1;
-  // Process-backend liveness: a worker whose last heartbeat is older than
-  // this is declared dead (SIGKILLed, lease reassigned).
-  std::int64_t heartbeat_ms = 2000;
-  // A cell whose leases have crashed/hung/failed this many times is
-  // quarantined into the report instead of livelocking the fleet.
-  int quarantine_after = 3;
-  // Per-cell watchdog + bounded retries (thread backend runs the post-hoc
-  // watchdog; the process backend enforces cell_timeout_ms pre-emptively by
-  // killing the overrunning worker).
+  // Per-cell post-hoc watchdog + bounded retries. A cell whose
+  // 1 + retry.max_retries attempts all fail is quarantined into the report.
   ckpt::RetryPolicy retry;
-  // Graceful drain: no new leases once set; in-flight cells finish and are
+  // Graceful drain: no new cells start once set; in-flight cells finish and are
   // checkpointed, the result is marked incomplete.
   const std::atomic<bool>* cancel = nullptr;
   // Checkpointing: when `store` is set, completed cells are persisted as
@@ -119,20 +89,18 @@ struct DistOptions {
   // and re-run the cell. Null accepts any blob the envelope check passed.
   std::function<bool(std::size_t index, std::string_view payload)>
       validate_payload;
-  // Failure injection for the kill-schedule fuzzer (process backend only).
-  KillPlan kill_plan;
 };
 
 enum class CellState : std::uint8_t {
   kPending = 0,     // never completed (drain interrupted the grid)
   kDone = 1,        // payload merged
-  kQuarantined = 2  // poisoned: killed/failed quarantine_after workers
+  kQuarantined = 2  // poisoned: every attempt failed
 };
 
 struct QuarantineRecord {
   std::size_t index = 0;
   std::string name;
-  std::uint32_t strikes = 0;  // worker deaths + clean failures attributed
+  std::uint32_t strikes = 0;  // failed attempts (1 + retry.max_retries)
   std::string last_error;     // last clean-failure message, if any
 };
 
@@ -142,10 +110,6 @@ struct GridResult {
   std::vector<CellState> states;
   std::vector<QuarantineRecord> quarantined;  // index order
   ckpt::ExecutionStats exec;
-  // Process-backend supervision accounting (stderr only, like exec).
-  std::uint64_t worker_deaths = 0;
-  std::uint64_t worker_respawns = 0;
-  std::uint64_t heartbeat_timeouts = 0;
   bool complete = true;  // every cell done or quarantined
 
   bool Done(std::size_t i) const { return states[i] == CellState::kDone; }

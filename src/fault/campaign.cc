@@ -247,12 +247,8 @@ CampaignResult CampaignRunner::Run() const {
   Grid grid(*this, triples);
 
   dist::DistOptions opt;
-  opt.backend = config_.backend;
   opt.workers = config_.parallelism;
-  opt.heartbeat_ms = config_.heartbeat_ms;
-  opt.quarantine_after = config_.quarantine_after;
   opt.retry = config_.retry;
-  opt.kill_plan = config_.kill_plan;
   opt.cancel = config_.cancel != nullptr ? &config_.cancel->flag() : nullptr;
   opt.cell_type = ckpt::PayloadType::kCampaignCell;
   opt.validate_payload = [](std::size_t, std::string_view blob) {
@@ -273,9 +269,6 @@ CampaignResult CampaignRunner::Run() const {
   }
   result.exec = cells.exec;
   result.quarantined = std::move(cells.quarantined);
-  result.worker_deaths = cells.worker_deaths;
-  result.worker_respawns = cells.worker_respawns;
-  result.heartbeat_timeouts = cells.heartbeat_timeouts;
   result.complete = cells.complete && result.quarantined.empty();
 
   for (const RunOutcome& run : result.runs) {

@@ -66,16 +66,6 @@ struct CampaignConfig {
   // checkpointed, pending cells are skipped, and the result is marked
   // interrupted/incomplete.
   ckpt::CancelToken* cancel = nullptr;
-  // Distributed execution (dist::RunGrid): thread backend dispatches on the
-  // in-process pool exactly like the historical loop; process backend fans
-  // cells out to supervised worker processes with heartbeat liveness,
-  // crash detection + lease reassignment and poisoned-cell quarantine. The
-  // merged result is byte-identical across backends and worker counts.
-  dist::Backend backend = dist::Backend::kThread;
-  std::int64_t heartbeat_ms = 2000;
-  int quarantine_after = 3;
-  // Failure-injection seam for the kill-schedule fuzzer (process backend).
-  dist::KillPlan kill_plan;
 };
 
 struct RunOutcome {
@@ -102,14 +92,10 @@ struct CampaignResult {
   // interruption history, so it is never part of Summary() or any
   // byte-compared export — drivers print it to stderr.
   ckpt::ExecutionStats exec;
-  // Cells quarantined after repeatedly killing/failing their workers
-  // (index order, deterministic for a deterministic poison). Quarantined
-  // cells keep default RunOutcome entries and are listed by Summary().
+  // Cells quarantined after every attempt failed (index order,
+  // deterministic for a deterministic poison). Quarantined cells keep
+  // default RunOutcome entries and are listed by Summary().
   std::vector<dist::QuarantineRecord> quarantined;
-  // Process-backend supervision accounting; stderr only, like exec.
-  std::uint64_t worker_deaths = 0;
-  std::uint64_t worker_respawns = 0;
-  std::uint64_t heartbeat_timeouts = 0;
   // False when a drain interrupted the sweep before every cell completed;
   // runs[] then holds default entries for the unfinished cells and Summary()
   // is not meaningful.

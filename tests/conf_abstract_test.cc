@@ -1,13 +1,16 @@
 // The trace abstraction layer maps concrete modem-style records back into
 // the screening models' vocabulary; these tests pin the mapping table
-// (module + description substring -> AbstractKind) and the in-order
-// subsequence semantics of the refinement check.
+// (module + description substring -> AbstractKind), the in-order
+// subsequence semantics of the refinement check, and that real testbed
+// runs of the paper's scenarios refine the event sequences they anticipate.
 #include "conf/abstract.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "stack/testbed.h"
 #include "trace/record.h"
 
 namespace cnv::conf {
@@ -200,12 +203,111 @@ TEST(CheckRefinementTest, MissingEventsReportedInOrder) {
   ASSERT_EQ(check.missing.size(), 2u);
   EXPECT_EQ(check.missing[0], AbstractKind::kTauRequest);
   EXPECT_EQ(check.missing[1], AbstractKind::kNetworkDetach);
+  // An empty trace fails on the first expected event.
+  const auto empty = CheckRefinement({}, {AbstractKind::kAttachRequest});
+  EXPECT_FALSE(empty.refines);
+  EXPECT_EQ(empty.failed_index, 0u);
+  // Each expected event needs its own concrete event.
+  EXPECT_FALSE(CheckRefinement(Events({AbstractKind::kAttachRequest}),
+                               {AbstractKind::kAttachRequest,
+                                AbstractKind::kAttachRequest})
+                   .refines);
 }
 
 TEST(CheckRefinementTest, EmptyExpectationTriviallyRefines) {
   EXPECT_TRUE(CheckRefinement({}, {}).refines);
   EXPECT_TRUE(
       CheckRefinement(Events({AbstractKind::kAttachRequest}), {}).refines);
+}
+
+void RunUntil(stack::Testbed& tb, const std::function<bool()>& pred,
+              SimDuration limit) {
+  const SimTime deadline = tb.sim().now() + limit;
+  while (!pred() && tb.sim().now() < deadline) tb.Run(Millis(100));
+}
+
+// S1: a 4G->3G switch, PDP deactivation in 3G, and the return to 4G that
+// the MME answers with a TAU reject and a detach before the re-attach.
+const std::vector<AbstractKind> kS1Kinds = {
+    AbstractKind::kAttachComplete, AbstractKind::kSwitch4gTo3g,
+    AbstractKind::kPdpDeactivated, AbstractKind::kSwitch3gTo4g,
+    AbstractKind::kTauRequest,     AbstractKind::kTauReject,
+    AbstractKind::kNetworkDetach,  AbstractKind::kAttachRequest,
+    AbstractKind::kAttachAccept,   AbstractKind::kAttachComplete,
+};
+
+std::string Describe(const std::vector<AbstractEvent>& events) {
+  std::string out;
+  for (const AbstractEvent& e : events) out += ToString(e.kind) + " ";
+  return out;
+}
+
+TEST(ScenarioRefinementTest, S1ContextLossRunRefinesS1Kinds) {
+  stack::Testbed tb({});
+  tb.ue().PowerOn(nas::System::k4G);
+  tb.Run(Seconds(2));
+  tb.ue().SwitchTo3g(model::SwitchReason::kMobility);
+  tb.Run(Seconds(10));
+  tb.sgsn().DeactivatePdp(nas::PdpDeactCause::kRegularDeactivation);
+  tb.Run(Seconds(1));
+  tb.ue().SwitchTo4g();
+  RunUntil(tb, [&] { return !tb.ue().out_of_service(); }, Minutes(2));
+  RunUntil(tb, [&] { return tb.ue().recovery_seconds().Count() == 1; },
+           Minutes(2));
+  const auto events = AbstractTrace(tb.traces().records());
+  const auto check = CheckRefinement(events, kS1Kinds);
+  EXPECT_TRUE(check.refines) << "failed at " << check.failed_index << ": "
+                             << Describe(events);
+}
+
+TEST(ScenarioRefinementTest, S2LostAttachCompleteRunRefinesS2Kinds) {
+  stack::Testbed tb({});
+  tb.ue().PowerOn(nas::System::k4G);
+  tb.ul4g().ForceDropNext(1);
+  tb.Run(Seconds(2));
+  tb.ue().CrossAreaBoundary();
+  RunUntil(tb, [&] { return tb.ue().oos_events() > 0; }, Seconds(10));
+  const auto events = AbstractTrace(tb.traces().records());
+  const auto check = CheckRefinement(
+      events, {AbstractKind::kAttachRequest, AbstractKind::kAttachAccept,
+               AbstractKind::kAttachComplete, AbstractKind::kTauRequest,
+               AbstractKind::kTauReject, AbstractKind::kNetworkDetach});
+  EXPECT_TRUE(check.refines) << "failed at " << check.failed_index << ": "
+                             << Describe(events);
+}
+
+TEST(ScenarioRefinementTest, CsfbCallFlowRefinesCsfbKinds) {
+  stack::TestbedConfig cfg;
+  cfg.profile = stack::OpI();
+  cfg.profile.lu_failure_prob = 0;
+  stack::Testbed tb(cfg);
+  tb.ue().PowerOn(nas::System::k4G);
+  tb.Run(Seconds(2));
+  tb.ue().Dial();
+  RunUntil(tb,
+           [&] {
+             return tb.ue().call_state() ==
+                    stack::UeDevice::CallState::kActive;
+           },
+           Minutes(2));
+  tb.Run(Seconds(5));
+  tb.ue().HangUp();
+  tb.Run(Seconds(5));
+  const auto events = AbstractTrace(tb.traces().records());
+  const auto check = CheckRefinement(
+      events, {AbstractKind::kCallDialed, AbstractKind::kCsfbFallback,
+               AbstractKind::kCmServiceRequest, AbstractKind::kCallEstablished,
+               AbstractKind::kCallEnded});
+  EXPECT_TRUE(check.refines) << "failed at " << check.failed_index << ": "
+                             << Describe(events);
+}
+
+TEST(ScenarioRefinementTest, CleanAttachDoesNotRefineS1Kinds) {
+  stack::Testbed tb({});
+  tb.ue().PowerOn(nas::System::k4G);
+  tb.Run(Seconds(3));
+  EXPECT_FALSE(
+      CheckRefinement(AbstractTrace(tb.traces().records()), kS1Kinds).refines);
 }
 
 }  // namespace

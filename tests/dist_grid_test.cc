@@ -1,6 +1,6 @@
-// Coordinator tests on toy grids (no worker processes): serial/thread
-// byte-identity, retry + quarantine on the thread backend, chained carry
-// threading, checkpoint/resume with blob validation, and graceful drain.
+// Coordinator tests on toy grids: serial/thread byte-identity, retry +
+// quarantine on the thread pool, chained carry threading, checkpoint/resume
+// with blob validation, and graceful drain.
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -152,7 +152,6 @@ TEST(GridTest, ThreadBackendQuarantinesCellsThatExhaustRetries) {
   opt.workers = 2;
   opt.retry.max_retries = 1;
   opt.retry.sleep_ms_for_test = [](std::int64_t) {};
-  opt.quarantine_after = 3;
   const GridResult result = RunGrid(grid, opt);
   // Every cell quarantined: the grid is "complete" (nothing pending) but
   // nothing produced a payload.
@@ -285,17 +284,6 @@ TEST(GridTest, ChainedDrainStopsBetweenCells) {
   for (std::size_t i = 3; i < 8; ++i) {
     EXPECT_EQ(result.states[i], CellState::kPending);
   }
-}
-
-TEST(GridTest, BackendNamesRoundTrip) {
-  EXPECT_EQ(ToString(Backend::kThread), "thread");
-  EXPECT_EQ(ToString(Backend::kProcess), "process");
-  Backend b = Backend::kProcess;
-  EXPECT_TRUE(ParseBackend("thread", &b));
-  EXPECT_EQ(b, Backend::kThread);
-  EXPECT_TRUE(ParseBackend("process", &b));
-  EXPECT_EQ(b, Backend::kProcess);
-  EXPECT_FALSE(ParseBackend("carrier-pigeon", &b));
 }
 
 }  // namespace

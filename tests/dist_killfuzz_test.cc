@@ -1,11 +1,9 @@
-// Kill-schedule fuzzer: the tentpole invariant of the distributed core is
-// that the merged grid output is byte-identical across backends, worker
-// counts, and ANY injected worker-kill schedule. Each fuzz round draws a
-// random kill plan (which slot dies after how many merged results, possibly
-// repeatedly) and a random worker count, runs the process backend, and
-// byte-compares against the serial baseline. A second leg kills the
-// "coordinator" mid-run by checkpointing a prefix, then resumes with a
-// different schedule and compares again.
+// Kill-and-resume fuzzer: the tentpole invariant of the distributed core is
+// that the merged grid output is byte-identical between the serial run and
+// the thread pool at any worker count, across any kill-and-resume boundary.
+// Each fuzz round "kills the coordinator" at a random point by cancelling a
+// checkpointed run mid-grid, then resumes at a random worker count and
+// byte-compares against the serial baseline.
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -51,46 +49,6 @@ class HashGrid : public CellGrid {
   std::size_t n_;
 };
 
-KillPlan RandomPlan(Rng& rng, std::uint64_t cells, int workers) {
-  KillPlan plan;
-  const int kills = static_cast<int>(rng.UniformInt(1, 5));
-  for (int k = 0; k < kills; ++k) {
-    KillEvent ev;
-    // Leave a few cells of slack after the last threshold, so every event
-    // reliably fires before the grid completes.
-    ev.after_results = static_cast<std::uint64_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(cells) - 5));
-    ev.slot = static_cast<int>(rng.UniformInt(0, workers - 1));
-    plan.events.push_back(ev);
-  }
-  return plan;
-}
-
-TEST(KillFuzzTest, AnyKillScheduleIsByteIdenticalToSerial) {
-  constexpr std::size_t kCells = 20;
-  HashGrid grid(kCells);
-  const DistOptions serial_opt;
-  const GridResult serial = RunGrid(grid, serial_opt);
-  ASSERT_TRUE(serial.complete);
-
-  Rng rng(20260808);
-  for (int round = 0; round < 8; ++round) {
-    DistOptions opt;
-    opt.backend = Backend::kProcess;
-    opt.workers = static_cast<int>(rng.UniformInt(1, 4));
-    // Kills must never quarantine here: the schedule may hammer one cell.
-    opt.quarantine_after = 1000;
-    opt.kill_plan = RandomPlan(rng, kCells, opt.workers);
-    const GridResult result = RunGrid(grid, opt);
-    ASSERT_TRUE(result.complete)
-        << "round " << round << " workers=" << opt.workers;
-    EXPECT_EQ(result.payloads, serial.payloads)
-        << "round " << round << " workers=" << opt.workers
-        << " kills=" << opt.kill_plan.events.size();
-    EXPECT_GE(result.worker_deaths, 1u);
-  }
-}
-
 TEST(KillFuzzTest, CoordinatorKillPlusResumeIsByteIdenticalToSerial) {
   constexpr std::size_t kCells = 16;
   HashGrid grid(kCells);
@@ -102,9 +60,9 @@ TEST(KillFuzzTest, CoordinatorKillPlusResumeIsByteIdenticalToSerial) {
     const std::string dir = TempDir("resume_round_" + std::to_string(round));
     ckpt::ManifestStore store(dir, 99);
 
-    // Leg 1: run under a kill schedule, then "kill the coordinator" by
-    // cancelling after a random number of merged results. The cancel lands
-    // mid-run, so an arbitrary subset of cells is checkpointed.
+    // Leg 1: "kill the coordinator" by cancelling after a random number of
+    // merged results. The cancel lands mid-run, so an arbitrary subset of
+    // cells is checkpointed.
     std::atomic<bool> cancel{false};
     std::atomic<std::uint64_t> merged{0};
     // Keep enough undone cells that in-flight stragglers (at most one per
@@ -130,8 +88,6 @@ TEST(KillFuzzTest, CoordinatorKillPlusResumeIsByteIdenticalToSerial) {
       std::atomic<bool>* cancel_;
       std::uint64_t stop_after_;
     };
-    // Thread backend for the interrupted leg: the cancel flag lives in the
-    // test process, so it must be visible to the code running the cells.
     CountingGrid interrupted_grid(kCells, &merged, &cancel, stop_after);
     DistOptions first_opt;
     first_opt.workers = static_cast<int>(rng.UniformInt(1, 4));
@@ -140,12 +96,9 @@ TEST(KillFuzzTest, CoordinatorKillPlusResumeIsByteIdenticalToSerial) {
     const GridResult first = RunGrid(interrupted_grid, first_opt);
     EXPECT_FALSE(first.complete);
 
-    // Leg 2: resume on the process backend under a fresh kill schedule.
+    // Leg 2: resume at an independently drawn worker count.
     DistOptions second_opt;
-    second_opt.backend = Backend::kProcess;
     second_opt.workers = static_cast<int>(rng.UniformInt(1, 4));
-    second_opt.quarantine_after = 1000;
-    second_opt.kill_plan = RandomPlan(rng, kCells, second_opt.workers);
     second_opt.store = &store;
     second_opt.resume = true;
     const GridResult resumed = RunGrid(grid, second_opt);
