@@ -8,10 +8,12 @@
 //   some_producer | ./watchdog -         # follow a byte stream on stdin
 //
 // Flags:
-//   --chunk N           feed size in bytes (default 65536); the alert log is
-//                       byte-identical at any chunking, including --chunk 1
+//   --chunk N           feed size in bytes (default 65536, at most 64 MiB);
+//                       the alert log is byte-identical at any chunking,
+//                       including --chunk 1
 //   --policy block|drop backpressure when the ring fills (default block)
-//   --ring N            ring capacity in records (default 16384)
+//   --ring N            ring capacity in records (default 16384, at most
+//                       rtv::Gateway::kMaxRingCapacity = 1048576)
 //   --alert-log FILE    also write the alert log to FILE
 //   --metrics-json FILE write the final obs registry snapshot to FILE
 //   --snapshot-every N  refresh --metrics-json every N records while running
@@ -45,14 +47,25 @@ constexpr char kUsage[] =
     "                [--ring N] [--alert-log FILE] [--metrics-json FILE]\n"
     "                [--snapshot-every N] [--quiet]";
 
+// The largest --chunk: the read buffer is allocated up front.
+constexpr std::int64_t kMaxChunk = std::int64_t{64} << 20;
+
 }  // namespace
 
 int main(int argc, char** argv) {
   args::ArgParser parser(argc, argv, kUsage);
   std::int64_t chunk = 64 * 1024;
   parser.I64Value("--chunk", &chunk, 1);
+  if (chunk > kMaxChunk) {
+    parser.Fail("--chunk: must be <= " + std::to_string(kMaxChunk));
+  }
   std::int64_t ring = 1 << 14;
   parser.I64Value("--ring", &ring, 2);
+  constexpr auto kMaxRing =
+      static_cast<std::int64_t>(rtv::Gateway::kMaxRingCapacity);
+  if (ring > kMaxRing) {
+    parser.Fail("--ring: must be <= " + std::to_string(kMaxRing));
+  }
   std::int64_t snapshot_every = 0;
   parser.I64Value("--snapshot-every", &snapshot_every, 1);
   std::string policy = "block";

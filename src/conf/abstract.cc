@@ -85,8 +85,8 @@ namespace {
 // description contains `needle` abstracts to `kind`. First match wins, so
 // the CSFB-specific switch rule precedes the generic one.
 struct Rule {
-  const char* module;
-  const char* needle;
+  std::string_view module;
+  std::string_view needle;
   AbstractKind kind;
 };
 
@@ -190,12 +190,12 @@ class RuleIndex {
     }
   }
 
-  std::optional<AbstractKind> Match(const trace::TraceRecord& r) const {
+  std::optional<AbstractKind> Match(std::string_view module,
+                                    std::string_view description) const {
     for (const Group& g : groups_) {
-      if (r.module != g.module) continue;
-      const std::string_view desc(r.description);
+      if (module != g.module) continue;
       for (const Rule* rule : g.rules) {
-        if (desc.find(rule->needle) != std::string_view::npos) {
+        if (description.find(rule->needle) != std::string_view::npos) {
           return rule->kind;
         }
       }
@@ -219,8 +219,13 @@ const RuleIndex& Index() {
 
 }  // namespace
 
+std::optional<AbstractKind> MatchAbstractKind(std::string_view module,
+                                              std::string_view description) {
+  return Index().Match(module, description);
+}
+
 std::optional<AbstractKind> MatchAbstractKind(const trace::TraceRecord& r) {
-  return Index().Match(r);
+  return MatchAbstractKind(r.module, r.description);
 }
 
 std::vector<AbstractEvent> AbstractTrace(

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/record.h"
@@ -77,12 +78,17 @@ struct AbstractEvent {
   std::size_t record_index = 0;
 };
 
-// Abstracts one record through the kRules mapping table (first match wins,
-// in table order); std::nullopt when the record has no model-vocabulary
-// counterpart. This is the incremental entry point the runtime-verification
-// gateway steps per record; internally it dispatches on the record's module
-// first so unmapped modules (RRC churn, channel reconfigurations, ...) cost
-// one lookup instead of a full table scan.
+// Abstracts one record, given its module and description, through the
+// kRules mapping table (first match wins, in table order); std::nullopt
+// when the record has no model-vocabulary counterpart. This is the
+// incremental entry point the runtime-verification gateway calls per
+// record, on views into the raw line; internally it dispatches on the
+// module first so unmapped modules (RRC churn, channel reconfigurations,
+// ...) cost one lookup instead of a full table scan.
+std::optional<AbstractKind> MatchAbstractKind(std::string_view module,
+                                              std::string_view description);
+
+// MatchAbstractKind(r.module, r.description).
 std::optional<AbstractKind> MatchAbstractKind(const trace::TraceRecord& r);
 
 // Abstracts a concrete record stream. Records with no model-vocabulary

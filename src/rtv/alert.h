@@ -4,6 +4,7 @@
 // verification, inverted from the batch conformance harness).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,6 +22,8 @@ enum class AlertKind : std::uint8_t {
   kS6,  // post-CSFB location update disrupted, network implicitly detaches
   kOverload,  // signalling storm / congestion-control activity
 };
+inline constexpr std::size_t kAlertKinds =
+    static_cast<std::size_t>(AlertKind::kOverload) + 1;
 
 // "S1".."S6" / "OVERLOAD".
 std::string ToString(AlertKind k);

@@ -1,6 +1,8 @@
 #include "rtv/gateway.h"
 
 #include <chrono>
+#include <stdexcept>
+#include <utility>
 
 #include "obs/export.h"
 #include "trace/qxdm.h"
@@ -22,10 +24,21 @@ std::vector<double> LatencyMicrosBounds() {
   return {0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000};
 }
 
+std::size_t CheckedRingCapacity(std::size_t requested) {
+  if (requested > Gateway::kMaxRingCapacity) {
+    throw std::invalid_argument(
+        "rtv::Gateway: ring_capacity " + std::to_string(requested) +
+        " exceeds the maximum " + std::to_string(Gateway::kMaxRingCapacity));
+  }
+  return requested;
+}
+
 }  // namespace
 
 Gateway::Gateway(GatewayConfig config)
-    : config_(config), ring_(config.ring_capacity) {}
+    : config_(std::move(config)),
+      ring_(CheckedRingCapacity(config_.ring_capacity)),
+      text_ring_(config_.ring_capacity) {}
 
 Gateway::~Gateway() { Finish(); }
 
@@ -39,26 +52,21 @@ void Gateway::Feed(std::uint32_t stream, std::string_view bytes) {
   auto [it, inserted] =
       parsers_.try_emplace(stream, config_.max_line_bytes);
   if (inserted) streams_.fetch_add(1, std::memory_order_relaxed);
-  it->second.Feed(bytes, [&](trace::TraceRecord&& r, std::uint64_t ordinal) {
-    Item item;
-    item.stream = stream;
-    item.ordinal = ordinal;
-    item.record = std::move(r);
-    Enqueue(std::move(item));
-  });
+  it->second.Feed(bytes,
+                  [&](const trace::RecordView& r, std::uint64_t ordinal) {
+                    Enqueue(stream, ordinal, r);
+                  });
+  ring_.Publish();
   MirrorIngestStats(stream, it->second);
 }
 
 void Gateway::CloseStream(std::uint32_t stream) {
   const auto it = parsers_.find(stream);
   if (it == parsers_.end()) return;
-  it->second.Finish([&](trace::TraceRecord&& r, std::uint64_t ordinal) {
-    Item item;
-    item.stream = stream;
-    item.ordinal = ordinal;
-    item.record = std::move(r);
-    Enqueue(std::move(item));
+  it->second.Finish([&](const trace::RecordView& r, std::uint64_t ordinal) {
+    Enqueue(stream, ordinal, r);
   });
+  ring_.Publish();
   MirrorIngestStats(stream, it->second);
 }
 
@@ -79,70 +87,114 @@ void Gateway::MirrorIngestStats(std::uint32_t stream,
   prev = ps;
 }
 
-void Gateway::Enqueue(Item item) {
+void Gateway::Enqueue(std::uint32_t stream, std::uint64_t ordinal,
+                      const trace::RecordView& record) {
+  Item item;
+  item.stream = stream;
+  item.ordinal = ordinal;
+  item.observation =
+      Observe(record.module, record.description, record.time, &text_);
   if (config_.latency_sample_every != 0 &&
-      item.ordinal % config_.latency_sample_every == 0) {
+      ordinal % config_.latency_sample_every == 0) {
     item.pushed_ns = NowNs();
   }
   if (!config_.threaded || !started_) {
-    Process(item);
+    Process(item, text_);
     return;
   }
+  const bool with_text = item.observation.NeedsText();
   if (config_.backpressure == Backpressure::kBlock) {
-    while (!ring_.TryPush(std::move(item))) {
+    // Publish before waiting: the consumer can only free what it can see.
+    while (!ring_.HasRoom()) {
+      ring_.Publish();
       std::this_thread::yield();
     }
-  } else if (!ring_.TryPush(std::move(item))) {
+    while (with_text && !text_ring_.TryPush(std::move(text_))) {
+      ring_.Publish();
+      std::this_thread::yield();
+    }
+  } else if (!ring_.HasRoom() ||
+             (with_text && !text_ring_.TryPush(std::move(text_)))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
+    ring_.Publish();
+    return;
   }
+  // The text (if any) is already published, so it is visible by the time
+  // the consumer can pop this item.
+  ring_.TryStage(item);
+  if (ring_.Unpublished() == kPublishEvery) ring_.Publish();
 }
 
-void Gateway::Process(Item& item) {
+void Gateway::Process(const Item& item, std::string_view text) {
   const std::size_t before = alerts_.size();
   auto [it, inserted] = monitors_.try_emplace(item.stream, item.stream);
-  it->second.Step(item.record, item.ordinal, &alerts_);
+  it->second.Step(item.observation, text, item.ordinal, &alerts_);
   ++processed_;
-  last_record_time_ = item.record.time;
+  last_record_time_ = item.observation.time;
   for (std::size_t i = before; i < alerts_.size(); ++i) {
-    registry_.GetCounter("rtv.alerts", "alerts emitted by the S1-S6 monitors")
-        .Increment();
-    registry_
-        .GetCounter("rtv.alerts." + ToString(alerts_[i].kind),
-                    "alerts for one finding")
-        .Increment();
+    if (alerts_total_ == nullptr) {
+      alerts_total_ = &registry_.GetCounter(
+          "rtv.alerts", "alerts emitted by the S1-S6 monitors");
+    }
+    alerts_total_->Increment();
+    obs::Counter*& by_kind =
+        alerts_by_kind_[static_cast<std::size_t>(alerts_[i].kind)];
+    if (by_kind == nullptr) {
+      by_kind = &registry_.GetCounter("rtv.alerts." + ToString(alerts_[i].kind),
+                                      "alerts for one finding");
+    }
+    by_kind->Increment();
     if (on_alert_) on_alert_(alerts_[i]);
   }
   if (item.pushed_ns != 0) {
-    const double us =
-        static_cast<double>(NowNs() - item.pushed_ns) / 1000.0;
-    registry_
-        .GetHistogram("rtv.record_latency_us", LatencyMicrosBounds(),
-                      "sampled push-to-processed latency per record")
-        .Observe(us);
+    if (latency_us_ == nullptr) {
+      latency_us_ = &registry_.GetHistogram(
+          "rtv.record_latency_us", LatencyMicrosBounds(),
+          "sampled push-to-processed latency per record");
+    }
+    latency_us_->Observe(static_cast<double>(NowNs() - item.pushed_ns) /
+                         1000.0);
   }
   if ((processed_ & 1023) == 0) {
     const std::size_t depth = ring_.SizeApprox();
     if (depth > queue_peak_) queue_peak_ = depth;
-    registry_.GetGauge("rtv.queue_depth", "ring occupancy, sampled")
-        .Set(static_cast<double>(depth));
+    if (queue_depth_ == nullptr) {
+      queue_depth_ =
+          &registry_.GetGauge("rtv.queue_depth", "ring occupancy, sampled");
+    }
+    queue_depth_->Set(static_cast<double>(depth));
   }
   MaybeSnapshot();
 }
 
 void Gateway::ConsumeLoop() {
+  // Pops one item and, when it carries text, its text.
   Item item;
+  std::string text;
+  const auto pop = [&] {
+    if (!ring_.TryPop(&item)) return false;
+    if (item.observation.NeedsText()) {
+      // Published before its item, so this succeeds at once.
+      while (!text_ring_.TryPop(&text)) {
+      }
+    }
+    return true;
+  };
   for (;;) {
-    if (ring_.TryPop(&item)) {
-      Process(item);
+    if (pop()) {
+      Process(item, text);
       continue;
     }
     if (done_.load(std::memory_order_acquire)) {
       // The producer has stopped pushing; drain whatever raced in between
       // the failed pop above and the flag read, then exit.
-      while (ring_.TryPop(&item)) Process(item);
+      while (pop()) Process(item, text);
       return;
     }
-    std::this_thread::yield();
+    // Idle: sleep rather than spin. A spinning monitor thread measurably
+    // slows the ingest thread it waits for (by about as much as the
+    // monitors cost), and the ingest thread is the bottleneck.
+    std::this_thread::sleep_for(kIdleSleep);
   }
 }
 

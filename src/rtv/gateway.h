@@ -3,30 +3,47 @@
 // S1-S6 online monitors, with live counters/gauges/histograms in an
 // obs::Registry and an optional periodic JSON snapshot.
 //
-//   bytes --Feed()--> StreamParser (ingest thread)
-//         --SpscRing<Item>--> abstraction + FindingMonitors (monitor thread)
+//   bytes --Feed()--> StreamParser + Observe (ingest thread)
+//         --SpscRing<Item> (+ SpscRing<std::string> for overload text)-->
+//         FindingMonitors::Step (monitor thread)
 //         --> Alert callback / alert log + metrics
+//
+// The ingest thread parses each line into views and abstracts it there, so
+// what crosses the ring is a trivially-copyable Item. Only the two overload
+// kinds need description text; it travels on a side ring and is published
+// before its item.
+//
+// Publication and latency: the producer stages items and publishes them at
+// least every kPublishEvery records and at the end of every Feed,
+// CloseStream and Finish, so a live tap feeding one line per Feed never
+// waits for a batch to fill. An idle monitor thread sleeps kIdleSleep
+// between polls, so a published record reaches the monitors within about
+// that long plus the OS timer slack (tens of microseconds).
 //
 // Threading contract: all Feed/CloseStream/Finish calls must come from one
 // thread (the single producer); the gateway owns the single consumer. With
 // backpressure kBlock the alert log is a pure function of the byte stream
-// and the per-stream interleaving — byte-identical at any chunking. With
-// kDropNewest, records arriving into a full ring are counted and dropped
-// (bounded memory under bursty ingest), which trades that determinism away;
-// the drop counter says exactly how much was lost.
+// and the per-stream interleaving — byte-identical at any chunking, and
+// identical to the inline (unthreaded) gateway. With kDropNewest, records
+// arriving into a full ring are counted and dropped (bounded memory under
+// bursty ingest), which trades that determinism away; the drop counter says
+// exactly how much was lost.
 //
-// Memory is bounded by: ring capacity x record size + per-stream parser
-// carry-over (<= max_line_bytes each) + per-stream monitor state (a few
-// flags), so a million idle UE streams cost only their map entries.
+// Memory is bounded by: ring capacity x (item + text slot) + per-stream
+// parser carry-over (<= max_line_bytes each) + per-stream monitor state (a
+// few flags), so a million idle UE streams cost only their map entries.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +52,7 @@
 #include "rtv/monitors.h"
 #include "rtv/ring.h"
 #include "rtv/stream.h"
+#include "trace/qxdm.h"
 
 namespace cnv::rtv {
 
@@ -44,7 +62,8 @@ enum class Backpressure : std::uint8_t {
 };
 
 struct GatewayConfig {
-  std::size_t ring_capacity = 1 << 14;  // entries; rounded up to a power of 2
+  // Entries; rounded up to a power of 2. At most Gateway::kMaxRingCapacity.
+  std::size_t ring_capacity = 1 << 14;
   Backpressure backpressure = Backpressure::kBlock;
   // false = single-threaded: Feed() runs the monitors inline (no ring, no
   // thread). Useful for offline analysis and as the bench baseline.
@@ -78,6 +97,15 @@ class Gateway {
   // Invoked on the monitor thread the moment an alert fires.
   using AlertCallback = std::function<void(const Alert&)>;
 
+  // The largest accepted GatewayConfig::ring_capacity (both rings together
+  // then take about 72 MiB).
+  static constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 20;
+  // Staged items are published at least this often.
+  static constexpr std::size_t kPublishEvery = 64;
+  // How long the monitor thread sleeps when it finds the ring empty.
+  static constexpr std::chrono::microseconds kIdleSleep{20};
+
+  // Throws std::invalid_argument when ring_capacity > kMaxRingCapacity.
   explicit Gateway(GatewayConfig config = {});
   ~Gateway();
   Gateway(const Gateway&) = delete;
@@ -115,48 +143,58 @@ class Gateway {
     std::uint32_t stream = 0;
     std::uint64_t ordinal = 0;
     std::uint64_t pushed_ns = 0;  // 0 = not latency-sampled
-    trace::TraceRecord record;
+    Observation observation;
   };
+  static_assert(std::is_trivially_copyable_v<Item>);
 
-  void Enqueue(Item item);
+  void Enqueue(std::uint32_t stream, std::uint64_t ordinal,
+               const trace::RecordView& record);
   void MirrorIngestStats(std::uint32_t stream, const StreamParser& parser);
-  void Process(Item& item);
+  void Process(const Item& item, std::string_view text);
   void ConsumeLoop();
   void MaybeSnapshot();
   void FoldCountersIntoRegistry();
 
   GatewayConfig config_;
   AlertCallback on_alert_;
+  bool started_ = false;
+  bool finished_ = false;
 
   // Ingest side (producer thread). The aggregate counters are mirrored
   // into relaxed atomics after every Feed so the consumer can fold them
   // into snapshots without touching the producer-owned parser map.
-  std::unordered_map<std::uint32_t, StreamParser> parsers_;
+  alignas(64) std::unordered_map<std::uint32_t, StreamParser> parsers_;
   std::unordered_map<std::uint32_t, StreamParser::Stats> mirrored_;
+  std::string text_;  // the current record's overload text
   std::atomic<std::uint64_t> bytes_in_{0};
   std::atomic<std::uint64_t> lines_in_{0};
   std::atomic<std::uint64_t> records_in_{0};
   std::atomic<std::uint64_t> lines_skipped_{0};
   std::atomic<std::uint64_t> lines_overlong_{0};
   std::atomic<std::uint64_t> streams_{0};
+  std::atomic<std::uint64_t> dropped_{0};
 
   // Hand-off.
   SpscRing<Item> ring_;
-  std::atomic<bool> done_{false};
-  std::atomic<std::uint64_t> dropped_{0};
+  SpscRing<std::string> text_ring_;
+  alignas(64) std::atomic<bool> done_{false};
 
   // Monitor side (consumer thread; main thread after Finish()).
-  std::unordered_map<std::uint32_t, FindingMonitors> monitors_;
+  alignas(64) std::unordered_map<std::uint32_t, FindingMonitors> monitors_;
   std::vector<Alert> alerts_;
   obs::Registry registry_;
+  // Registry handles, each resolved on first use so the registry only
+  // names what actually happened.
+  obs::Counter* alerts_total_ = nullptr;
+  std::array<obs::Counter*, kAlertKinds> alerts_by_kind_{};
+  obs::Histogram* latency_us_ = nullptr;
+  obs::Gauge* queue_depth_ = nullptr;
   std::uint64_t processed_ = 0;
   std::uint64_t snapshots_ = 0;
   std::size_t queue_peak_ = 0;
   SimTime last_record_time_ = 0;
 
   std::thread consumer_;
-  bool started_ = false;
-  bool finished_ = false;
 };
 
 // Formats `r` as one QXDM log line and feeds it to `gw` on `stream`: the

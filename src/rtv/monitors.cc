@@ -44,31 +44,76 @@ std::string FormatAlertLog(const std::vector<Alert>& alerts) {
 
 namespace {
 
-bool Contains(const std::string& haystack, std::string_view needle) {
-  return haystack.find(needle) != std::string::npos;
+bool Contains(std::string_view haystack, std::string_view needle) {
+  return haystack.find(needle) != std::string_view::npos;
 }
 
 }  // namespace
 
+Observation Observe(std::string_view module, std::string_view description,
+                    SimTime time, std::string* text) {
+  Observation o;
+  o.time = time;
+  // Power-on is not part of conf's abstraction vocabulary, so it is matched
+  // on the raw record.
+  if (module == "UE" && Contains(description, "device powers on")) {
+    o.power_on = true;
+    return o;
+  }
+  o.kind = conf::MatchAbstractKind(module, description);
+  if (!o.kind) return o;
+  using conf::AbstractKind;
+  switch (*o.kind) {
+    case AbstractKind::kTauReject:
+      if (Contains(description, "no EPS bearer context activated")) {
+        o.facts |= Observation::kNoEpsBearer;
+      }
+      if (Contains(description, "implicitly detached")) {
+        o.facts |= Observation::kImplicitlyDetached;
+      }
+      break;
+    case AbstractKind::kNetworkDetach:
+      if (Contains(description, "Tracking Area Update Reject")) {
+        o.facts |= Observation::kTauRejectDetach;
+      }
+      if (Contains(description, "network Detach Request")) {
+        o.facts |= Observation::kNetworkDetachRequest;
+      }
+      break;
+    case AbstractKind::kCallDialed:
+      if (module == "CM/CC") o.facts |= Observation::kCmLayerDial;
+      break;
+    default:
+      break;
+  }
+  if (o.NeedsText()) text->assign(TrimView(description));
+  return o;
+}
+
 void FindingMonitors::Step(const trace::TraceRecord& r, std::uint64_t ordinal,
                            std::vector<Alert>* out) {
+  std::string text;
+  const Observation o = Observe(r.module, r.description, r.time, &text);
+  Step(o, text, ordinal, out);
+}
+
+void FindingMonitors::Step(const Observation& o, std::string_view text,
+                           std::uint64_t ordinal, std::vector<Alert>* out) {
   // A power-on is a session boundary: whatever episode the previous capture
   // ended in (e.g. stranded in 3G after a CSFB call) must not bleed into
-  // the new one. Matched on the raw record because power-on is not part of
-  // conf's abstraction vocabulary.
-  if (r.module == "UE" && Contains(r.description, "device powers on")) {
+  // the new one.
+  if (o.power_on) {
     *this = FindingMonitors(stream_);
     return;
   }
-  const auto kind = conf::MatchAbstractKind(r);
-  if (!kind) return;
+  if (!o.kind) return;
 
   const auto emit = [&](AlertKind k, std::string detail) {
-    out->push_back(Alert{k, stream_, r.time, ordinal, std::move(detail)});
+    out->push_back(Alert{k, stream_, o.time, ordinal, std::move(detail)});
   };
 
   using conf::AbstractKind;
-  switch (*kind) {
+  switch (*o.kind) {
     case AbstractKind::kCsfbFallback:
       in_3g_ = true;
       in_3g_csfb_ = true;
@@ -91,28 +136,26 @@ void FindingMonitors::Step(const trace::TraceRecord& r, std::uint64_t ordinal,
       break;
 
     case AbstractKind::kTauReject:
-      if (returned_after_loss_ &&
-          Contains(r.description, "no EPS bearer context activated")) {
+      if (returned_after_loss_ && o.Has(Observation::kNoEpsBearer)) {
         emit(AlertKind::kS1,
              "TAU rejected for the PDP context lost during the 3G visit; "
              "network detach imminent");
         pdp_lost_in_3g_ = false;
         returned_after_loss_ = false;
       }
-      if (Contains(r.description, "implicitly detached")) {
+      if (o.Has(Observation::kImplicitlyDetached)) {
         tau_implicit_reject_ = true;
       }
       break;
 
     case AbstractKind::kNetworkDetach:
-      if (tau_implicit_reject_ &&
-          Contains(r.description, "Tracking Area Update Reject")) {
+      if (tau_implicit_reject_ && o.Has(Observation::kTauRejectDetach)) {
         emit(AlertKind::kS2,
              "network had already dropped the registration (lost Attach "
              "Complete): TAU Reject \"implicitly detached\"");
         tau_implicit_reject_ = false;
       }
-      if (lu_disrupted_ && Contains(r.description, "network Detach Request")) {
+      if (lu_disrupted_ && o.Has(Observation::kNetworkDetachRequest)) {
         emit(AlertKind::kS6,
              "implicit detach after the post-CSFB location update was "
              "disrupted by the inter-system switch");
@@ -144,7 +187,7 @@ void FindingMonitors::Step(const trace::TraceRecord& r, std::uint64_t ordinal,
       // Only a CM-layer dial can be HOL-blocked behind a location update;
       // a 4G dial surfaces as an EMM extended service request and rides
       // the CSFB path instead.
-      if (r.module == "CM/CC") dialed_cm_ = true;
+      if (o.Has(Observation::kCmLayerDial)) dialed_cm_ = true;
       break;
     case AbstractKind::kCmServiceRequest:
     case AbstractKind::kCallEstablished:
@@ -181,11 +224,11 @@ void FindingMonitors::Step(const trace::TraceRecord& r, std::uint64_t ordinal,
       break;
 
     case AbstractKind::kStormBegins:
-      emit(AlertKind::kOverload, Trim(r.description));
+      emit(AlertKind::kOverload, std::string(text));
       break;
     case AbstractKind::kCongestionBackoff:
       emit(AlertKind::kOverload,
-           "UE entered congestion backoff: " + Trim(r.description));
+           "UE entered congestion backoff: " + std::string(text));
       break;
 
     default:

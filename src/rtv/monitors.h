@@ -21,27 +21,76 @@
 //   S6  A location update disrupted by an inter-system switch, followed by
 //       a network-originated Detach Request.
 //
-// Monitors see the abstract kind *and* the raw record: causes ("implicitly
-// detached" vs "no EPS bearer context activated") and the dialing module
-// (CM/CC vs an EMM extended service request) distinguish findings that
-// share an abstract event.
+// Monitors see the abstract kind *and* a few facts of the raw record:
+// causes ("implicitly detached" vs "no EPS bearer context activated") and
+// the dialing module (CM/CC vs an EMM extended service request)
+// distinguish findings that share an abstract event.
+//
+// Each record is read in two steps. Observe() is stateless: it abstracts
+// the record and extracts those facts into a trivially-copyable
+// Observation, so the gateway runs it on its ingest thread and ships only
+// the Observation through its ring. FindingMonitors::Step(Observation)
+// runs the per-stream automata. The offline Step(TraceRecord) is exactly
+// Observe + Step, so every finding is defined once for both paths.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "conf/abstract.h"
 #include "rtv/alert.h"
 #include "trace/record.h"
 
 namespace cnv::rtv {
 
+// What the automata read of one record.
+struct Observation {
+  // The description facts the automata test, one bit each. Evaluated only
+  // for the abstract kinds whose automata read them.
+  enum Fact : std::uint8_t {
+    kNoEpsBearer = 1 << 0,           // "no EPS bearer context activated"
+    kImplicitlyDetached = 1 << 1,    // "implicitly detached"
+    kTauRejectDetach = 1 << 2,       // "Tracking Area Update Reject"
+    kNetworkDetachRequest = 1 << 3,  // "network Detach Request"
+    kCmLayerDial = 1 << 4,           // module "CM/CC"
+  };
+
+  SimTime time = 0;
+  std::optional<conf::AbstractKind> kind;  // nullopt: outside the vocabulary
+  bool power_on = false;  // "device powers on": a session boundary
+  std::uint8_t facts = 0;
+
+  bool Has(Fact f) const { return (facts & f) != 0; }
+  // The two overload kinds quote the record's trimmed description in their
+  // alert detail; no other kind reads the description text.
+  bool NeedsText() const {
+    return kind == conf::AbstractKind::kStormBegins ||
+           kind == conf::AbstractKind::kCongestionBackoff;
+  }
+};
+static_assert(std::is_trivially_copyable_v<Observation>);
+
+// Observes one record (any thread; no state). When the result NeedsText(),
+// `*text` is set to the trimmed description; otherwise it is untouched.
+Observation Observe(std::string_view module, std::string_view description,
+                    SimTime time, std::string* text);
+
 class FindingMonitors {
  public:
   explicit FindingMonitors(std::uint32_t stream = 0) : stream_(stream) {}
 
-  // Steps every automaton with the next record of this stream; appends any
-  // alerts whose signature completed on this record. `ordinal` is the
-  // record's 0-based index within the stream.
+  // Steps every automaton with the next observation of this stream;
+  // appends any alerts whose signature completed on it. `text` is the
+  // trimmed description when o.NeedsText() (ignored otherwise); `ordinal`
+  // is the record's 0-based index within the stream.
+  void Step(const Observation& o, std::string_view text,
+            std::uint64_t ordinal, std::vector<Alert>* out);
+
+  // Observe(r) + Step: the offline path.
   void Step(const trace::TraceRecord& r, std::uint64_t ordinal,
             std::vector<Alert>* out);
 

@@ -1,14 +1,20 @@
 // Bounded lock-free single-producer/single-consumer ring buffer: the
 // hand-off between the runtime-verification gateway's ingest thread (which
-// parses trace bytes into records) and its monitor thread (which abstracts
-// records and steps the property automata).
+// parses and abstracts trace bytes into observations) and its monitor
+// thread (which steps the property automata).
 //
 // The contract is the classic SPSC one (cf. the ZMQ push/pull pattern the
 // ngic-rtc data plane uses between its interface and worker threads): one
-// thread calls TryPush, one thread calls TryPop, and the indices are
-// published with release stores / consumed with acquire loads so every slot
-// written by the producer is fully visible to the consumer before it can be
+// thread is the producer, one the consumer, and the cursors are published
+// with release stores / consumed with acquire loads so every slot written
+// by the producer is fully visible to the consumer before it can be
 // popped. No locks, no allocation after construction, TSan-clean.
+//
+// The producer may stage several slots and publish them with one store
+// (TryStage ... Publish), so a batch costs one cache-line transfer instead
+// of one per item. Each side keeps a private copy of the other side's
+// cursor and re-reads the shared one only when the copy says full (or
+// empty), so in steady state neither side touches the other's line.
 #pragma once
 
 #include <atomic>
@@ -36,38 +42,59 @@ class SpscRing {
 
   std::size_t capacity() const { return slots_.size(); }
 
-  // Producer side. Returns false when the ring is full (the caller decides
-  // whether to spin — backpressure — or count-and-drop); the value is left
-  // untouched on failure, so a blocked push can simply retry.
-  bool TryPush(T&& v) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail - head > mask_) return false;  // full
-    slots_[tail & mask_] = std::move(v);
-    tail_.store(tail + 1, std::memory_order_release);
+  // Producer side. True when one more item fits, counting staged items.
+  bool HasRoom() {
+    if (staged_ - cached_head_ <= mask_) return true;
+    cached_head_ = head_.load(std::memory_order_acquire);
+    return staged_ - cached_head_ <= mask_;
+  }
+
+  // Producer side. Writes the next slot without making it visible to the
+  // consumer; Publish() does that. Returns false when the ring is full
+  // (the caller decides whether to spin — backpressure — or count-and-
+  // drop); the value is left untouched on failure, so a blocked stage can
+  // simply retry. A producer that spins on a full ring must Publish()
+  // first, or the consumer may never see the items that would free it.
+  template <typename U>
+  bool TryStage(U&& v) {
+    if (!HasRoom()) return false;
+    slots_[staged_ & mask_] = std::forward<U>(v);
+    ++staged_;
     return true;
   }
 
-  bool TryPush(const T& v) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail - head > mask_) return false;  // full
-    slots_[tail & mask_] = v;
-    tail_.store(tail + 1, std::memory_order_release);
+  // Producer side. Items staged since the last Publish().
+  std::size_t Unpublished() const { return staged_ - published_; }
+
+  // Producer side. Makes every staged item visible (one release store).
+  void Publish() {
+    if (published_ == staged_) return;
+    published_ = staged_;
+    tail_.store(published_, std::memory_order_release);
+  }
+
+  // Producer side. TryStage + Publish.
+  template <typename U>
+  bool TryPush(U&& v) {
+    if (!TryStage(std::forward<U>(v))) return false;
+    Publish();
     return true;
   }
 
-  // Consumer side. Returns false when the ring is empty.
+  // Consumer side. Returns false when no published item is waiting.
   bool TryPop(T* out) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;  // empty
+    if (head == cached_tail_) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+      if (head == cached_tail_) return false;  // empty
+    }
     *out = std::move(slots_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
-  // Racy size estimate for gauges; exact only when both threads are quiet.
+  // Racy size estimate of the published items for gauges; exact only when
+  // both threads are quiet.
   std::size_t SizeApprox() const {
     const std::size_t tail = tail_.load(std::memory_order_acquire);
     const std::size_t head = head_.load(std::memory_order_acquire);
@@ -79,10 +106,17 @@ class SpscRing {
  private:
   std::vector<T> slots_;
   const std::size_t mask_;
-  // Head (consumer cursor) and tail (producer cursor) live on separate
-  // cache lines so the two threads do not false-share.
+  // Consumer line: its cursor and its copy of the producer's.
   alignas(64) std::atomic<std::size_t> head_{0};
+  std::size_t cached_tail_ = 0;
+  // The published producer cursor, alone on its line: the consumer reads
+  // it only when its copy runs out.
   alignas(64) std::atomic<std::size_t> tail_{0};
+  // Producer line: what it has staged and published, and its copy of the
+  // consumer's cursor.
+  alignas(64) std::size_t staged_ = 0;
+  std::size_t published_ = 0;
+  std::size_t cached_head_ = 0;
 };
 
 }  // namespace cnv::rtv

@@ -1,7 +1,7 @@
 // Incremental, chunk-boundary-safe QXDM log parser: the ingest boundary of
 // the runtime-verification gateway. Bytes arrive in arbitrary chunks (pipe
 // reads, socket segments); complete lines are parsed in place through
-// trace::ParseRecord and a partial trailing line is carried over to the
+// trace::ParseRecordView and a partial trailing line is carried over to the
 // next chunk, so the record stream is byte-for-byte identical to parsing
 // the whole buffer at once — at any chunking, including one byte at a time.
 #pragma once
@@ -13,6 +13,7 @@
 
 #include "trace/qxdm.h"
 #include "trace/record.h"
+#include "util/strings.h"
 
 namespace cnv::rtv {
 
@@ -33,9 +34,11 @@ class StreamParser {
   explicit StreamParser(std::size_t max_line_bytes = 64 * 1024)
       : max_line_bytes_(max_line_bytes) {}
 
-  // Feeds one chunk; calls sink(record, ordinal) for every record that
-  // completes, where ordinal is the 0-based index of the record within this
-  // stream (identical to its index in a whole-buffer ParseLog).
+  // Feeds one chunk; calls sink(const trace::RecordView&, ordinal) for
+  // every record that completes, where ordinal is the 0-based index of the
+  // record within this stream (identical to its index in a whole-buffer
+  // ParseLog). The view points into the chunk or the carry-over buffer and
+  // is valid only during the call.
   template <typename Sink>
   void Feed(std::string_view chunk, Sink&& sink) {
     stats_.bytes += chunk.size();
@@ -83,26 +86,16 @@ class StreamParser {
   template <typename Sink>
   void EmitLine(std::string_view line, Sink&& sink) {
     ++stats_.lines;
-    if (IsBlank(line)) {
+    if (TrimView(line).empty()) {
       ++stats_.blank;
       return;
     }
-    if (auto r = trace::ParseRecord(line)) {
-      sink(std::move(*r), stats_.records);
+    if (const auto view = trace::ParseRecordView(line)) {
+      sink(*view, stats_.records);
       ++stats_.records;
     } else {
       ++stats_.skipped;
     }
-  }
-
-  static bool IsBlank(std::string_view line) {
-    for (const char c : line) {
-      if (c != ' ' && c != '\t' && c != '\r' && c != '\n' && c != '\v' &&
-          c != '\f') {
-        return false;
-      }
-    }
-    return true;
   }
 
   void Carry(std::string_view piece) {

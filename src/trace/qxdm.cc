@@ -1,13 +1,14 @@
 #include "trace/qxdm.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <climits>
 
 #include "util/strings.h"
 
 namespace cnv::trace {
 namespace {
 
-std::optional<TraceType> ParseType(const std::string& s) {
+std::optional<TraceType> ParseType(std::string_view s) {
   if (s == "STATE") return TraceType::kState;
   if (s == "MSG") return TraceType::kMsg;
   if (s == "EVENT") return TraceType::kEvent;
@@ -16,54 +17,66 @@ std::optional<TraceType> ParseType(const std::string& s) {
   return std::nullopt;
 }
 
-std::optional<nas::System> ParseSystem(const std::string& s) {
+std::optional<nas::System> ParseSystem(std::string_view s) {
   if (s == "3G") return nas::System::k3G;
   if (s == "4G") return nas::System::k4G;
   if (s == "none") return nas::System::kNone;
   return std::nullopt;
 }
 
-// Extracts the next "[field]" starting at `pos`; advances `pos` past it.
-std::optional<std::string> TakeBracketed(const std::string& line,
-                                         std::size_t& pos) {
-  const auto open = line.find('[', pos);
-  if (open == std::string::npos) return std::nullopt;
-  const auto close = line.find(']', open);
-  if (close == std::string::npos) return std::nullopt;
-  pos = close + 1;
-  return line.substr(open + 1, close - open - 1);
+bool IsAsciiSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool TakeLiteral(std::string_view& s, std::string_view lit) {
+  if (s.substr(0, lit.size()) != lit) return false;
+  s.remove_prefix(lit.size());
+  return true;
+}
+
+// Builds the view once the clock and the three fields are known; nullopt
+// when the type or system is not in the vocabulary. The description is
+// everything after the module field, trimmed.
+std::optional<RecordView> MakeView(int h, int m, int sec, int ms,
+                                   std::string_view type_s,
+                                   std::string_view sys_s,
+                                   std::string_view module_s,
+                                   std::string_view rest) {
+  const auto type = ParseType(type_s);
+  const auto sys = ParseSystem(sys_s);
+  if (!type || !sys) return std::nullopt;
+  const SimTime time =
+      static_cast<SimTime>(h) * kHour + static_cast<SimTime>(m) * kMinute +
+      static_cast<SimTime>(sec) * kSecond +
+      static_cast<SimTime>(ms) * kMillisecond;
+  return RecordView{time, *type, *sys, module_s, TrimView(rest)};
 }
 
 // --- fast path -------------------------------------------------------------
 //
-// The canonical FormatRecord grammar, parsed with no sscanf and no
-// intermediate strings:
+// The canonical FormatRecord grammar:
 //
 //   <h+>:<mm>:<ss>.<mmm> [<TYPE>] [<SYS>] [<MOD>] <description>
 //
 // Anything that deviates (leading whitespace, doubled separators, a '+'
-// sign sscanf would tolerate, ...) returns nullopt here and is re-parsed by
+// sign "%d" would tolerate, ...) returns nullopt here and is re-parsed by
 // the permissive scanner, so the two-tier parser accepts exactly what the
-// old one did and produces identical records.
+// permissive grammar does and produces identical records.
 
 bool TakeDigits(std::string_view& s, int min_digits, int max_digits,
                 int* out) {
   int n = 0;
   int digits = 0;
-  while (digits < max_digits && !s.empty() && s.front() >= '0' &&
-         s.front() <= '9') {
+  while (digits < max_digits && !s.empty() && IsDigit(s.front())) {
     n = n * 10 + (s.front() - '0');
     s.remove_prefix(1);
     ++digits;
   }
   if (digits < min_digits) return false;
   *out = n;
-  return true;
-}
-
-bool TakeLiteral(std::string_view& s, std::string_view lit) {
-  if (s.substr(0, lit.size()) != lit) return false;
-  s.remove_prefix(lit.size());
   return true;
 }
 
@@ -77,13 +90,7 @@ bool TakeField(std::string_view& s, std::string_view* out) {
   return true;
 }
 
-bool IsAsciiSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-         c == '\r';
-}
-
-std::optional<TraceRecord> ParseRecordFast(std::string_view line) {
-  std::string_view s = line;
+std::optional<RecordView> ParseFast(std::string_view s) {
   int h = 0, m = 0, sec = 0, ms = 0;
   // Hours may exceed two digits on long runs; minutes/seconds/millis are
   // fixed-width in the canonical format.
@@ -92,37 +99,99 @@ std::optional<TraceRecord> ParseRecordFast(std::string_view line) {
   if (!TakeLiteral(s, ":") || !TakeDigits(s, 2, 2, &sec)) return std::nullopt;
   if (!TakeLiteral(s, ".") || !TakeDigits(s, 3, 3, &ms)) return std::nullopt;
   if (m > 59 || sec > 59) return std::nullopt;
-
+  // The permissive scanner finds '[' anywhere; the fast path only claims
+  // the canonical single-space separation, and within a field the scanner
+  // would have stopped at the first ']' just like TakeField does. A '[' in
+  // a *description* is fine — the description is everything that remains.
   std::string_view type_s, sys_s, module_s;
   if (!TakeField(s, &type_s) || !TakeField(s, &sys_s) ||
       !TakeField(s, &module_s)) {
     return std::nullopt;
   }
-  // The permissive scanner finds '[' anywhere; the fast path only claims
-  // the canonical single-space separation, and within a field the scanner
-  // would have stopped at the first ']' just like TakeField does. A '[' in
-  // a *description* is fine — the description is everything that remains.
-  const auto type = ParseType(std::string(type_s));
-  const auto sys = ParseSystem(std::string(sys_s));
-  if (!type || !sys) return std::nullopt;
+  return MakeView(h, m, sec, ms, type_s, sys_s, module_s, s);
+}
 
-  // Trim(s) without the temporary: the canonical separator is one space,
-  // the description itself is stored trimmed.
-  while (!s.empty() && IsAsciiSpace(s.front())) s.remove_prefix(1);
-  while (!s.empty() && IsAsciiSpace(s.back())) s.remove_suffix(1);
+// --- permissive path -------------------------------------------------------
+//
+//   sscanf(line, "%d:%d:%d.%d%n", ...) then three "[field]"s found
+//   anywhere after the clock, then the (trimmed) description.
 
-  TraceRecord r;
-  r.time = static_cast<SimTime>(h) * kHour + static_cast<SimTime>(m) * kMinute +
-           static_cast<SimTime>(sec) * kSecond +
-           static_cast<SimTime>(ms) * kMillisecond;
-  r.type = *type;
-  r.system = *sys;
-  r.module.assign(module_s);
-  r.description.assign(s);
-  return r;
+// One "%d" conversion: optional leading whitespace, an optional sign, at
+// least one digit. The value is strtol's (saturating at the range of long)
+// narrowed to int, which is what glibc stores.
+bool ScanInt(std::string_view& s, int* out) {
+  std::size_t i = 0;
+  while (i < s.size() && IsAsciiSpace(s[i])) ++i;
+  bool negative = false;
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
+    negative = s[i] == '-';
+    ++i;
+  }
+  const std::size_t first_digit = i;
+  unsigned long magnitude = 0;
+  bool saturated = false;
+  for (; i < s.size() && IsDigit(s[i]); ++i) {
+    const auto digit = static_cast<unsigned long>(s[i] - '0');
+    if (magnitude > (ULONG_MAX - digit) / 10) saturated = true;
+    if (!saturated) magnitude = magnitude * 10 + digit;
+  }
+  if (i == first_digit) return false;
+  const unsigned long limit =
+      negative ? static_cast<unsigned long>(LONG_MAX) + 1 : LONG_MAX;
+  if (saturated || magnitude > limit) magnitude = limit;
+  const long value = negative ? static_cast<long>(0UL - magnitude)
+                              : static_cast<long>(magnitude);
+  *out = static_cast<int>(value);
+  s.remove_prefix(i);
+  return true;
+}
+
+// The next "[field]" anywhere in `s`; consumes through its ']'.
+bool TakeBracketedField(std::string_view& s, std::string_view* out) {
+  const auto open = s.find('[');
+  if (open == std::string_view::npos) return false;
+  const auto close = s.find(']', open);
+  if (close == std::string_view::npos) return false;
+  *out = s.substr(open + 1, close - open - 1);
+  s.remove_prefix(close + 1);
+  return true;
+}
+
+std::optional<RecordView> ParsePermissive(std::string_view line) {
+  // "%d" reads a C string, so an embedded NUL ends the clock.
+  const std::string_view c_str = line.substr(0, line.find('\0'));
+  std::string_view clock = c_str;
+  int h = 0, m = 0, s = 0, ms = 0;
+  if (!ScanInt(clock, &h) || !TakeLiteral(clock, ":") ||
+      !ScanInt(clock, &m) || !TakeLiteral(clock, ":") ||
+      !ScanInt(clock, &s) || !TakeLiteral(clock, ".") ||
+      !ScanInt(clock, &ms)) {
+    return std::nullopt;
+  }
+  if (m < 0 || m > 59 || s < 0 || s > 59 || ms < 0 || ms > 999 || h < 0) {
+    return std::nullopt;
+  }
+  std::string_view rest = line.substr(c_str.size() - clock.size());
+  std::string_view type_s, sys_s, module_s;
+  if (!TakeBracketedField(rest, &type_s) ||
+      !TakeBracketedField(rest, &sys_s) ||
+      !TakeBracketedField(rest, &module_s)) {
+    return std::nullopt;
+  }
+  return MakeView(h, m, s, ms, type_s, sys_s, module_s, rest);
 }
 
 }  // namespace
+
+TraceRecord RecordView::ToRecord() const {
+  TraceRecord r;
+  r.time = time;
+  r.type = type;
+  r.system = system;
+  r.module.assign(module);
+  r.description.assign(description);
+  return r;
+}
 
 std::string FormatRecord(const TraceRecord& r) {
   return FormatClock(r.time) + " [" + ToString(r.type) + "] [" +
@@ -138,41 +207,14 @@ std::string FormatLog(const std::vector<TraceRecord>& records) {
   return out;
 }
 
-std::optional<TraceRecord> ParseRecord(std::string_view sv_line) {
-  if (auto fast = ParseRecordFast(sv_line)) return fast;
-  // The permissive scanner needs a null-terminated buffer for sscanf; the
-  // fast path above already handled the canonical (hot) shape copy-free.
-  const std::string line(sv_line);
-  // Timestamp: "hh:mm:ss.mmm".
-  int h = 0, m = 0, s = 0, ms = 0;
-  int consumed = 0;
-  if (std::sscanf(line.c_str(), "%d:%d:%d.%d%n", &h, &m, &s, &ms,
-                  &consumed) != 4) {
-    return std::nullopt;
-  }
-  if (m < 0 || m > 59 || s < 0 || s > 59 || ms < 0 || ms > 999 || h < 0) {
-    return std::nullopt;
-  }
-  TraceRecord r;
-  r.time = static_cast<SimTime>(h) * kHour + static_cast<SimTime>(m) * kMinute +
-           static_cast<SimTime>(s) * kSecond +
-           static_cast<SimTime>(ms) * kMillisecond;
+std::optional<RecordView> ParseRecordView(std::string_view line) {
+  if (auto fast = ParseFast(line)) return fast;
+  return ParsePermissive(line);
+}
 
-  std::size_t pos = static_cast<std::size_t>(consumed);
-  const auto type_s = TakeBracketed(line, pos);
-  const auto sys_s = TakeBracketed(line, pos);
-  const auto module_s = TakeBracketed(line, pos);
-  if (!type_s || !sys_s || !module_s) return std::nullopt;
-
-  const auto type = ParseType(*type_s);
-  const auto sys = ParseSystem(*sys_s);
-  if (!type || !sys) return std::nullopt;
-
-  r.type = *type;
-  r.system = *sys;
-  r.module = *module_s;
-  r.description = Trim(line.substr(pos));
-  return r;
+std::optional<TraceRecord> ParseRecord(std::string_view line) {
+  if (const auto view = ParseRecordView(line)) return view->ToRecord();
+  return std::nullopt;
 }
 
 std::vector<TraceRecord> ParseLog(const std::string& text) {
@@ -182,20 +224,24 @@ std::vector<TraceRecord> ParseLog(const std::string& text) {
 std::vector<TraceRecord> ParseLogStrict(const std::string& text,
                                         ParseLogStats* stats) {
   std::vector<TraceRecord> out;
-  auto pieces = Split(text, '\n');
-  // A trailing '\n' produces one empty final piece; that is the line
-  // terminator, not an extra blank line.
-  if (!pieces.empty() && pieces.back().empty()) pieces.pop_back();
+  out.reserve(static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n') + 1));
+  std::string_view rest(text);
   std::size_t line_no = 0;
-  for (const auto& line : pieces) {
+  // Lines split on '\n'; a final '\n' terminates the last line rather than
+  // starting an empty one.
+  while (!rest.empty()) {
+    const auto nl = rest.find('\n');
+    const std::string_view line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
     ++line_no;
     if (stats) stats->lines = line_no;
-    if (Trim(line).empty()) {
+    if (TrimView(line).empty()) {
       if (stats) ++stats->blank;
       continue;
     }
-    if (auto r = ParseRecord(line)) {
-      out.push_back(std::move(*r));
+    if (const auto view = ParseRecordView(line)) {
+      out.push_back(view->ToRecord());
       if (stats) ++stats->parsed;
     } else if (stats) {
       ++stats->skipped;

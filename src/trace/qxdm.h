@@ -21,11 +21,27 @@ namespace cnv::trace {
 std::string FormatRecord(const TraceRecord& r);
 std::string FormatLog(const std::vector<TraceRecord>& records);
 
+// One parsed line whose module and description are views into the line
+// itself: what the streaming gateway abstracts without copying a string.
+// Valid only as long as the line's bytes are.
+struct RecordView {
+  SimTime time = 0;
+  TraceType type = TraceType::kEvent;
+  nas::System system = nas::System::kNone;
+  std::string_view module;
+  std::string_view description;  // trimmed of surrounding whitespace
+
+  TraceRecord ToRecord() const;
+};
+
 // Parses one formatted line; std::nullopt on malformed input. Lines in the
-// canonical FormatRecord shape take an allocation-light fast path (the
-// streaming gateway parses millions of records per second through this);
-// anything else falls back to the permissive scanner, so accepted inputs
-// and parse results are unchanged.
+// canonical FormatRecord shape take a fast path (the streaming gateway
+// parses millions of records per second through this); anything else falls
+// back to the permissive scanner, which accepts what
+// sscanf("%d:%d:%d.%d") plus three "[field]"s would. Neither path copies.
+std::optional<RecordView> ParseRecordView(std::string_view line);
+
+// ParseRecordView with the strings copied out.
 std::optional<TraceRecord> ParseRecord(std::string_view line);
 
 // Parses a whole log, skipping blank and malformed lines.

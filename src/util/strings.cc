@@ -1,5 +1,6 @@
 #include "util/strings.h"
 
+#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
@@ -33,7 +34,9 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
-std::string Trim(const std::string& s) {
+std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
+
+std::string_view TrimView(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cnv {
@@ -15,6 +16,9 @@ std::vector<std::string> Split(const std::string& s, char sep);
 
 // Strips ASCII whitespace from both ends.
 std::string Trim(const std::string& s);
+
+// Trim without the copy: the same bytes as Trim(s), as a view into `s`.
+std::string_view TrimView(std::string_view s);
 
 // printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

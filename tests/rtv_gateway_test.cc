@@ -4,14 +4,19 @@
 // accounting, the live testbed tap, and the metrics/snapshot surface.
 #include "rtv/gateway.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "conf/abstract.h"
 #include "rtv/monitors.h"
 #include "stack/testbed.h"
 #include "trace/qxdm.h"
@@ -86,6 +91,115 @@ TEST(GatewayTest, InlineModeMatchesThreadedMode) {
   GatewayConfig inline_cfg;
   inline_cfg.threaded = false;
   EXPECT_EQ(RunChunked(bytes, 333, inline_cfg), RunChunked(bytes, 333));
+}
+
+// Every golden on its own stream (the storm golden on stream 0), fed
+// round-robin in `chunk`-byte pieces.
+std::string RunInterleaved(std::size_t chunk, GatewayConfig config) {
+  std::vector<std::string> logs;
+  for (const char* name :
+       {"congestion_attach_storm_opi", "s1_context_loss_opi",
+        "s2_lost_attach_complete_opi", "s3_stuck_in_3g_opii",
+        "s4_hol_blocking_opi", "s5_call_data_coupling_opi",
+        "s6_lu_failure_detach_opi"}) {
+    logs.push_back(ReadGolden(name));
+  }
+  Gateway gw(config);
+  gw.Start();
+  bool fed = true;
+  for (std::size_t off = 0; fed; off += chunk) {
+    fed = false;
+    for (std::size_t s = 0; s < logs.size(); ++s) {
+      if (off >= logs[s].size()) continue;
+      gw.Feed(static_cast<std::uint32_t>(s),
+              std::string_view(logs[s]).substr(off, chunk));
+      fed = true;
+    }
+  }
+  gw.Finish();
+  return gw.AlertLog();
+}
+
+TEST(GatewayTest, ThreadedMatchesInlineOnInterleavedStreams) {
+  GatewayConfig inline_cfg;
+  inline_cfg.threaded = false;
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{61},
+                                  std::size_t{1} << 16}) {
+    const std::string want = RunInterleaved(chunk, inline_cfg);
+    // Overload details travel on the text side ring; they must arrive.
+    EXPECT_NE(want.find("[OVERLOAD] [stream 0] Mass attach storm begins"),
+              std::string::npos);
+    EXPECT_NE(want.find("UE entered congestion backoff: T3346 armed"),
+              std::string::npos);
+    EXPECT_EQ(RunInterleaved(chunk, {}), want) << "chunk=" << chunk;
+    GatewayConfig small_ring;
+    small_ring.ring_capacity = 2;
+    EXPECT_EQ(RunInterleaved(chunk, small_ring), want) << "chunk=" << chunk;
+  }
+}
+
+TEST(GatewayTest, DropNewestKeepsOverloadTextWithItsRecord) {
+  // A 2-slot ring in drop mode sheds most of a repeated storm corpus. The
+  // overload text rides a side ring; whatever survives must still carry its
+  // own record's description, never a neighbour's.
+  const std::string storm = ReadGolden("congestion_attach_storm_opi");
+  const auto records = trace::ParseLog(storm);
+  GatewayConfig config;
+  config.ring_capacity = 2;
+  config.backpressure = Backpressure::kDropNewest;
+  Gateway gw(config);
+  gw.Start();
+  constexpr int kReps = 200;
+  for (int rep = 0; rep < kReps; ++rep) gw.Feed(0, storm);
+  gw.Finish();
+
+  const auto stats = gw.stats();
+  EXPECT_EQ(stats.records_in, records.size() * kReps);
+  EXPECT_EQ(stats.records_dropped + stats.records_processed,
+            stats.records_in);
+  std::size_t overload = 0;
+  for (const Alert& a : gw.alerts()) {
+    if (a.kind != AlertKind::kOverload) continue;
+    ++overload;
+    const auto& r = records[a.record_index % records.size()];
+    const auto kind = conf::MatchAbstractKind(r);
+    ASSERT_TRUE(kind.has_value());
+    if (*kind == conf::AbstractKind::kStormBegins) {
+      EXPECT_EQ(a.detail, r.description);
+    } else {
+      EXPECT_EQ(a.detail, "UE entered congestion backoff: " + r.description);
+    }
+  }
+  EXPECT_GT(overload, 0u);
+}
+
+TEST(GatewayTest, EachFeedPublishesItsRecords) {
+  // A live tap feeds one line per Feed and waits for nothing: the record
+  // must reach the monitor thread without a later Feed or Finish.
+  Gateway gw;
+  std::atomic<int> alerts{0};
+  gw.set_alert_callback([&](const Alert&) { alerts.fetch_add(1); });
+  gw.Start();
+  gw.Feed(0,
+          "00:00:00.010 [EVENT] [4G] [STORM] Mass attach storm begins "
+          "(count=3 spacing=2ms)\n");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (alerts.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(alerts.load(), 1);
+  gw.Finish();
+}
+
+TEST(GatewayTest, RingCapacityAboveTheMaximumIsRejected) {
+  for (const std::size_t capacity :
+       {Gateway::kMaxRingCapacity + 1,
+        std::size_t{9223372036854775807ull}}) {
+    GatewayConfig config;
+    config.ring_capacity = capacity;
+    EXPECT_THROW(Gateway{config}, std::invalid_argument) << capacity;
+  }
 }
 
 TEST(GatewayTest, StreamsAreMonitoredIndependently) {
@@ -183,6 +297,22 @@ TEST(GatewayTest, RegistryExportsCountersGaugesAndLatency) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
   }
   EXPECT_EQ(gw.stats().lines_skipped, 0u);
+}
+
+TEST(GatewayTest, RegistryNamesOnlyWhatHappened) {
+  // Registry handles are resolved on first use: a run that raises only S1
+  // names no other alert counter, and a run too short to sample the queue
+  // names no queue-depth gauge.
+  Gateway gw;
+  gw.Start();
+  gw.Feed(0, ReadGolden("s1_context_loss_opi"));
+  gw.Finish();
+  const std::string json = gw.registry().ToJson(gw.last_record_time());
+  EXPECT_NE(json.find("\"rtv.alerts.S1\""), std::string::npos);
+  for (const char* absent :
+       {"rtv.alerts.S2", "rtv.alerts.OVERLOAD", "rtv.queue_depth"}) {
+    EXPECT_EQ(json.find(absent), std::string::npos) << absent;
+  }
 }
 
 TEST(GatewayTest, PeriodicSnapshotWritesJson) {

@@ -129,6 +129,52 @@ TEST(FindingMonitorsTest, ReplayingTwiceRaisesEverySignatureTwice) {
   }
 }
 
+TEST(ObserveTest, ExtractsOnlyWhatTheAutomataRead) {
+  std::string text = "untouched";
+  const Observation reject = Observe(
+      "EMM",
+      "Tracking Area Update Reject received (cause: implicitly detached)",
+      Seconds(3), &text);
+  EXPECT_EQ(reject.time, Seconds(3));
+  EXPECT_EQ(reject.kind, conf::AbstractKind::kTauReject);
+  EXPECT_TRUE(reject.Has(Observation::kImplicitlyDetached));
+  EXPECT_FALSE(reject.Has(Observation::kNoEpsBearer));
+  EXPECT_FALSE(reject.NeedsText());
+  EXPECT_EQ(text, "untouched");
+
+  const Observation dial =
+      Observe("CM/CC", "user dials an outgoing call", 0, &text);
+  EXPECT_EQ(dial.kind, conf::AbstractKind::kCallDialed);
+  EXPECT_TRUE(dial.Has(Observation::kCmLayerDial));
+
+  const Observation power = Observe("UE", "device powers on (4G)", 0, &text);
+  EXPECT_TRUE(power.power_on);
+  EXPECT_FALSE(power.kind.has_value());
+
+  const Observation storm = Observe(
+      "STORM", "  Mass attach storm begins (count=3)\t", 0, &text);
+  EXPECT_TRUE(storm.NeedsText());
+  EXPECT_EQ(text, "Mass attach storm begins (count=3)");
+
+  EXPECT_FALSE(Observe("3G-RRC", "RRC DCH", 0, &text).kind.has_value());
+}
+
+TEST(ObserveTest, StepOnObservationsMatchesStepOnRecords) {
+  // The gateway's path (Observe on the ingest side, then Step) and the
+  // offline path (Step on records) raise the same alerts.
+  std::string all;
+  for (const auto& e : Expectations()) all += ReadGolden(e.golden);
+  FindingMonitors monitors;
+  std::vector<Alert> alerts;
+  std::uint64_t ordinal = 0;
+  std::string text;
+  for (const auto& r : trace::ParseLog(all)) {
+    const Observation o = Observe(r.module, r.description, r.time, &text);
+    monitors.Step(o, text, ordinal++, &alerts);
+  }
+  EXPECT_EQ(FormatAlertLog(alerts), FormatAlertLog(Replay(all)));
+}
+
 TEST(AlertKindTest, NamesAreDistinctAndNonEmpty) {
   std::vector<AlertKind> kinds = {AlertKind::kS1, AlertKind::kS2,
                                   AlertKind::kS3, AlertKind::kS4,

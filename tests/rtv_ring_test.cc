@@ -71,6 +71,46 @@ TEST(SpscRingTest, MoveOnlyElements) {
   EXPECT_EQ(*out, 42);
 }
 
+TEST(SpscRingTest, StagedItemsStayInvisibleUntilPublished) {
+  SpscRing<int> ring(4);
+  EXPECT_TRUE(ring.TryStage(1));
+  EXPECT_TRUE(ring.TryStage(2));
+  int v = -1;
+  EXPECT_FALSE(ring.TryPop(&v));  // staged, not yet published
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+  ring.Publish();
+  EXPECT_EQ(ring.SizeApprox(), 2u);
+  ring.Publish();  // nothing new staged: a no-op
+  EXPECT_EQ(ring.SizeApprox(), 2u);
+  ASSERT_TRUE(ring.TryPop(&v));
+  EXPECT_EQ(v, 1);
+  ASSERT_TRUE(ring.TryPop(&v));
+  EXPECT_EQ(v, 2);
+  EXPECT_FALSE(ring.TryPop(&v));
+}
+
+TEST(SpscRingTest, StagedItemsCountTowardsFull) {
+  SpscRing<int> ring(2);
+  EXPECT_TRUE(ring.HasRoom());
+  EXPECT_TRUE(ring.TryStage(1));
+  EXPECT_TRUE(ring.TryStage(2));
+  EXPECT_FALSE(ring.HasRoom());
+  int rejected = 3;
+  EXPECT_FALSE(ring.TryStage(std::move(rejected)));
+  EXPECT_EQ(rejected, 3);  // left untouched on failure
+  ring.Publish();
+  int v = -1;
+  ASSERT_TRUE(ring.TryPop(&v));
+  EXPECT_EQ(v, 1);
+  EXPECT_TRUE(ring.HasRoom());  // the producer sees the freed slot
+  EXPECT_TRUE(ring.TryStage(3));
+  ring.Publish();
+  for (const int want : {2, 3}) {
+    ASSERT_TRUE(ring.TryPop(&v));
+    EXPECT_EQ(v, want);
+  }
+}
+
 // --- drop-newest at exact capacity ------------------------------------------
 //
 // The gateway's kDropNewest policy discards the incoming record whenever
@@ -155,6 +195,46 @@ TEST(SpscRingTest, ConcurrentOrderedTransfer) {
   for (std::uint64_t i = 0; i < kCount; ++i) {
     while (!ring.TryPush(std::uint64_t{i})) std::this_thread::yield();
   }
+  consumer.join();
+
+  ASSERT_EQ(got.size(), kCount);
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(got[i], i) << "out-of-order at " << i;
+  }
+}
+
+TEST(SpscRingTest, ConcurrentBatchedPublicationKeepsOrder) {
+  // The gateway's producer pattern: stage items, publish every few (here a
+  // varying batch of 1..64), and publish before spinning on a full ring so
+  // the consumer can always drain what would free it.
+  constexpr std::uint64_t kCount = 200'000;
+  SpscRing<std::uint64_t> ring(32);
+  std::vector<std::uint64_t> got;
+  got.reserve(kCount);
+
+  std::thread consumer([&] {
+    std::uint64_t v = 0;
+    while (got.size() < kCount) {
+      if (ring.TryPop(&v)) {
+        got.push_back(v);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::uint64_t unpublished = 0;
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    while (!ring.TryStage(std::uint64_t{i})) {
+      ring.Publish();
+      unpublished = 0;
+      std::this_thread::yield();
+    }
+    if (++unpublished >= 1 + i % 64) {
+      ring.Publish();
+      unpublished = 0;
+    }
+  }
+  ring.Publish();
   consumer.join();
 
   ASSERT_EQ(got.size(), kCount);

@@ -68,9 +68,9 @@ TEST(StreamParserFuzzTest, RandomChunkingsMatchWholeBufferParse) {
 
     StreamParser parser;
     std::vector<trace::TraceRecord> got;
-    const auto sink = [&](trace::TraceRecord&& r, std::uint64_t ordinal) {
+    const auto sink = [&](const trace::RecordView& r, std::uint64_t ordinal) {
       ASSERT_EQ(ordinal, got.size());
-      got.push_back(std::move(r));
+      got.push_back(r.ToRecord());
     };
     std::size_t off = 0;
     while (off < log.size()) {
@@ -96,8 +96,8 @@ TEST(StreamParserFuzzTest, OneByteChunksOnRandomLogs) {
     const auto want = trace::ParseLog(log);
     StreamParser parser;
     std::vector<trace::TraceRecord> got;
-    const auto sink = [&](trace::TraceRecord&& r, std::uint64_t) {
-      got.push_back(std::move(r));
+    const auto sink = [&](const trace::RecordView& r, std::uint64_t) {
+      got.push_back(r.ToRecord());
     };
     for (std::size_t i = 0; i < log.size(); ++i) {
       parser.Feed(std::string_view(log).substr(i, 1), sink);
@@ -113,7 +113,7 @@ TEST(StreamParserFuzzTest, OneByteChunksOnRandomLogs) {
 TEST(StreamParserFuzzTest, HostileUnterminatedStreamStaysBounded) {
   Rng rng(404);
   StreamParser parser(/*max_line_bytes=*/256);
-  const auto sink = [&](trace::TraceRecord&&, std::uint64_t) {};
+  const auto sink = [&](const trace::RecordView&, std::uint64_t) {};
   // Megabytes of newline-free noise must be discarded at the cap, not
   // buffered.
   std::string blob(1024, 'x');

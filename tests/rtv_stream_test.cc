@@ -25,9 +25,9 @@ std::vector<trace::TraceRecord> Collect(StreamParser& p,
                                         const std::string& text,
                                         std::size_t chunk) {
   std::vector<trace::TraceRecord> out;
-  const auto sink = [&](trace::TraceRecord&& r, std::uint64_t ordinal) {
+  const auto sink = [&](const trace::RecordView& r, std::uint64_t ordinal) {
     EXPECT_EQ(ordinal, out.size());
-    out.push_back(std::move(r));
+    out.push_back(r.ToRecord());
   };
   for (std::size_t off = 0; off < text.size(); off += chunk) {
     p.Feed(std::string_view(text).substr(off, chunk), sink);
@@ -66,8 +66,8 @@ TEST(StreamParserTest, EveryChunkSizeGivesIdenticalRecords) {
 TEST(StreamParserTest, FinishFlushesUnterminatedTrailingLine) {
   StreamParser p;
   std::vector<trace::TraceRecord> out;
-  const auto sink = [&](trace::TraceRecord&& r, std::uint64_t) {
-    out.push_back(std::move(r));
+  const auto sink = [&](const trace::RecordView& r, std::uint64_t) {
+    out.push_back(r.ToRecord());
   };
   p.Feed("00:00:01.000 [MSG] [4G] [EMM] Attach Request sent", sink);
   EXPECT_TRUE(out.empty());  // no newline yet
@@ -83,8 +83,8 @@ TEST(StreamParserTest, CrlfLineEndingsParse) {
   StreamParser p;
   std::vector<trace::TraceRecord> out;
   p.Feed("00:00:01.000 [MSG] [4G] [EMM] Attach Request sent\r\n",
-         [&](trace::TraceRecord&& r, std::uint64_t) {
-           out.push_back(std::move(r));
+         [&](const trace::RecordView& r, std::uint64_t) {
+           out.push_back(r.ToRecord());
          });
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].description, "Attach Request sent");
@@ -93,8 +93,8 @@ TEST(StreamParserTest, CrlfLineEndingsParse) {
 TEST(StreamParserTest, OverlongLineIsCountedAndDiscarded) {
   StreamParser p(/*max_line_bytes=*/32);
   std::vector<trace::TraceRecord> out;
-  const auto sink = [&](trace::TraceRecord&& r, std::uint64_t) {
-    out.push_back(std::move(r));
+  const auto sink = [&](const trace::RecordView& r, std::uint64_t) {
+    out.push_back(r.ToRecord());
   };
   // One pseudo-line far beyond the cap, fed in small pieces, then a valid
   // record: the parser must bound its memory, count the discard and keep
@@ -109,7 +109,9 @@ TEST(StreamParserTest, OverlongLineIsCountedAndDiscarded) {
 TEST(StreamParserTest, OverlongTrailingLineCountedOnFinish) {
   StreamParser p(/*max_line_bytes=*/8);
   int records = 0;
-  const auto sink = [&](trace::TraceRecord&&, std::uint64_t) { ++records; };
+  const auto sink = [&](const trace::RecordView&, std::uint64_t) {
+    ++records;
+  };
   p.Feed("this never ends and never has a newline", sink);
   p.Finish(sink);
   EXPECT_EQ(records, 0);

@@ -108,6 +108,46 @@ TEST(QxdmTest, ParseLogStrictMatchesParseLog) {
   EXPECT_EQ(with_newline.blank, stats.blank);
 }
 
+TEST(QxdmTest, ParseLogStrictPinsStatsOnAMessyLog) {
+  const std::string text =
+      "00:00:01.000 [MSG] [4G] [EMM] Attach Request sent\r\n"  // 1 CRLF
+      "\n"                                                     // 2 blank
+      " \t \r\n"                                              // 3 blank
+      "00:00:02.000 [MSG] [4G] [EMM]\n"                        // 4 empty desc
+      "garbage\r\n"                                            // 5 skipped
+      "12:99:00.000 [MSG] [3G] [MM] x\n"                       // 6 skipped
+      " 1:2:3.4 [EVENT] [3G] [UE] permissive\n"                // 7
+      "00:00:03.000 [MSG] [4G] [EMM] Attach Accept received";  // 8 no '\n'
+  ParseLogStats stats;
+  const auto records = ParseLogStrict(text, &stats);
+  EXPECT_EQ(stats.lines, 8u);
+  EXPECT_EQ(stats.parsed, 4u);
+  EXPECT_EQ(stats.blank, 2u);
+  EXPECT_EQ(stats.skipped, 2u);
+  EXPECT_EQ(stats.skipped_lines, (std::vector<std::size_t>{5, 6}));
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].description, "Attach Request sent");  // '\r' trimmed
+  EXPECT_EQ(records[1].description, "");
+  EXPECT_EQ(records[2].time, kHour + Minutes(2) + Seconds(3) + Millis(4));
+  EXPECT_EQ(records[2].description, "permissive");
+  EXPECT_EQ(records[3].description, "Attach Accept received");
+  EXPECT_EQ(records, ParseLog(text));
+}
+
+TEST(QxdmTest, ParseRecordViewPointsIntoTheLine) {
+  for (const std::string line :
+       {"00:00:01.000 [MSG] [4G] [EMM] Attach Request sent ",
+        " 0:0:1.0 [MSG]  [4G] [EMM] Attach Request sent"}) {
+    const auto view = ParseRecordView(line);
+    ASSERT_TRUE(view.has_value()) << line;
+    EXPECT_EQ(view->module, "EMM");
+    EXPECT_EQ(view->description, "Attach Request sent");
+    EXPECT_EQ(view->module.data(), line.data() + line.find("EMM"));
+    EXPECT_EQ(view->description.data(), line.data() + line.find("Attach"));
+    EXPECT_EQ(view->ToRecord(), *ParseRecord(line));
+  }
+}
+
 TEST(QxdmTest, ParseLogStrictCapsTheSkippedLineList) {
   std::string text;
   for (int i = 0; i < 100; ++i) text += "garbage line\n";
