@@ -47,11 +47,13 @@
 //             (priority shed preserving emergency/paging). Default "off".
 //   --storm-scale X
 //             scale the message count of every storm action in the
-//             selected plans by X (e.g. 0.1 for a smoke run)
+//             selected plans by X (e.g. 0.1 for a smoke run); a scaled
+//             count above INT_MAX exits 2 naming the plan
 //
 // Storm sweeps: ./chaos_campaign 3 storms --admission unbounded,reject,shed
 // CI runs the smoke version: ./chaos_campaign 3 s2-attach-disruption,mme-crash-restart
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -63,6 +65,7 @@
 #include "obs/export.h"
 #include "par/pool.h"
 #include "util/args.h"
+#include "util/strings.h"
 
 using namespace cnv;
 
@@ -184,9 +187,17 @@ int main(int argc, char** argv) {
     for (auto& plan : cfg.plans) {
       for (auto& action : plan.actions) {
         if (!IsStormKind(action.kind)) continue;
-        action.count = std::max(
-            1, static_cast<int>(static_cast<double>(action.count) *
-                                storm_scale));
+        // Scaled in double: the int product overflows long before the
+        // double does, and converting an out-of-range double is UB.
+        const double scaled =
+            static_cast<double>(action.count) * storm_scale;
+        if (scaled > static_cast<double>(INT_MAX)) {
+          parser.Fail("--storm-scale " + Format("%g", storm_scale) +
+                      " gives plan '" + plan.name + "' a storm of " +
+                      Format("%.3g", scaled) + " messages (max " +
+                      std::to_string(INT_MAX) + ")");
+        }
+        action.count = std::max(1, static_cast<int>(scaled));
       }
     }
   }

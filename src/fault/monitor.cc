@@ -14,9 +14,8 @@ constexpr int kSampleHour = 12;
 constexpr double kStuckIn3gThresholdS = 10.0;
 }  // namespace
 
-RecoveryMonitor::RecoveryMonitor(stack::Testbed& tb, SloBounds slo,
-                                 SimDuration period)
-    : tb_(tb), slo_(slo), period_(period) {
+RecoveryMonitor::RecoveryMonitor(stack::Testbed& tb, SloBounds slo)
+    : tb_(tb), slo_(slo) {
   mm_.name = "MM_OK";
   mm_.slo = slo_.mm_recovery;
   ps_.name = "PacketService_OK";
@@ -107,13 +106,31 @@ void RecoveryMonitor::Sample() {
   Observe(mm_, MmOk());
   Observe(ps_, PsOk());
   Observe(cs_, CsOk());
-  tb_.sim().ScheduleIn(period_, [this] { Sample(); });
+  ScheduleNextSample();
+}
+
+void RecoveryMonitor::ScheduleNextSample() {
+  // Runs inside an event, so nothing can change the testbed before the
+  // kernel's next pending event: every grid point before it would see the
+  // state this sample just saw.
+  sim::Simulator& sim = tb_.sim();
+  SimTime next = sim.now() + kSamplePeriod;
+  const SimTime bound = sim.NextEventLowerBound();
+  if (bound > next) {
+    const SimDuration ahead = bound - grid_origin_;
+    next = grid_origin_ +
+           (ahead + kSamplePeriod - 1) / kSamplePeriod * kSamplePeriod;
+  }
+  sim.ScheduleAt(next, [this] { Sample(); });
 }
 
 void RecoveryMonitor::Start() {
   if (running_) return;
   running_ = true;
-  tb_.sim().ScheduleIn(period_, [this] { Sample(); });
+  // Not skipped: the caller may still schedule work or change state before
+  // the run starts.
+  grid_origin_ = tb_.sim().now();
+  tb_.sim().ScheduleIn(kSamplePeriod, [this] { Sample(); });
 }
 
 DegradationReport RecoveryMonitor::ProbeDegradation(stack::Testbed& tb,

@@ -7,10 +7,19 @@
 //                    data session is up, delivers non-zero throughput)
 //   CallService_OK   the device could get call service right now
 //
-// Sampling is periodic on the testbed's simulator, so a monitored run is
-// exactly as deterministic as the run itself. Property transitions emit
-// RECOV trace records; finding probes translate the testbed's defect
-// counters into the paper's S1-S6 findings after the run.
+// Sampling sits on a fixed grid (every kSamplePeriod from Start) on the
+// testbed's simulator, so a monitored run is exactly as deterministic as
+// the run itself. The three properties are pure functions of testbed
+// state, which only events change, so a sample skips the grid points that
+// fall before the kernel's next possible event (Simulator::
+// NextEventLowerBound): they would observe exactly what this sample did.
+// The next sample lands on the first grid point at or after that bound and
+// pops against that instant's events just as the full 100 ms chain would.
+// Code that mutates the testbed between Run() calls, outside any event, is
+// observed at the next queued sample rather than the next grid point.
+// Property transitions emit RECOV trace records; finding probes translate
+// the testbed's defect counters into the paper's S1-S6 findings after the
+// run.
 #pragma once
 
 #include <string>
@@ -102,8 +111,10 @@ struct MonitorReport {
 
 class RecoveryMonitor {
  public:
-  explicit RecoveryMonitor(stack::Testbed& tb, SloBounds slo = {},
-                           SimDuration period = Millis(100));
+  // Spacing of the sample grid.
+  static constexpr SimDuration kSamplePeriod = Millis(100);
+
+  explicit RecoveryMonitor(stack::Testbed& tb, SloBounds slo = {});
   RecoveryMonitor(const RecoveryMonitor&) = delete;
   RecoveryMonitor& operator=(const RecoveryMonitor&) = delete;
 
@@ -137,6 +148,8 @@ class RecoveryMonitor {
   };
 
   void Sample();
+  // Queues the next sample on the first grid point that can see a change.
+  void ScheduleNextSample();
   void Observe(Tracker& t, bool ok_now);
 
   bool MmOk() const;
@@ -145,7 +158,7 @@ class RecoveryMonitor {
 
   stack::Testbed& tb_;
   SloBounds slo_;
-  SimDuration period_;
+  SimTime grid_origin_ = 0;  // samples run at grid_origin_ + k * kSamplePeriod
   bool running_ = false;
   Tracker mm_;
   Tracker ps_;

@@ -4,7 +4,9 @@
 
 namespace cnv::nas {
 
-std::string ToString(System s) {
+std::string ToString(System s) { return std::string(SystemName(s)); }
+
+std::string_view SystemName(System s) {
   switch (s) {
     case System::kNone:
       return "none";

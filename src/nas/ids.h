@@ -6,6 +6,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "mck/hash.h"
 
@@ -15,6 +16,8 @@ namespace cnv::nas {
 enum class System : std::uint8_t { kNone, k3G, k4G };
 
 std::string ToString(System s);
+// The same token as a view into static storage ("none", "3G", "4G").
+std::string_view SystemName(System s);
 
 // Public Land Mobile Network: a carrier. The experiments use two, OP-I and
 // OP-II, matching the paper's anonymized US operators.

@@ -15,9 +15,11 @@
 // (sim/heap_ref.h keeps that kernel as a differential oracle).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/wheel.h"
@@ -47,6 +49,28 @@ class Simulator {
 
   // Schedules `fn` after `d` (>= 0) from now.
   EventId ScheduleIn(SimDuration d, std::function<void()> fn);
+
+  // Schedules a strided series: step i runs fn(i) at start + i * spacing,
+  // for i in [0, count). `start` must be >= now and `spacing` >= 0.
+  //
+  // Key-reservation contract: the call takes the `count` consecutive seqs
+  // that `count` back-to-back ScheduleAt calls would take, so step i pops
+  // under the same (time, seq) key as the i-th event of that loop — the
+  // order against every other event is unchanged. Only one step is queued
+  // at a time: step i+1 is queued when step i fires (before fn(i) runs),
+  // with its reserved key, so a burst of any length holds one wheel entry
+  // and one handler slot, and the step closure (simulator and series
+  // pointers) fits std::function's small buffer. Series steps cannot be
+  // cancelled; each queued step counts as one scheduled event.
+  void ScheduleSeries(SimTime start, std::size_t count, SimDuration spacing,
+                      std::function<void(std::size_t)> fn);
+
+  // Never later than the time of the earliest pending event (cancelled
+  // entries still in the queue count as pending). O(1) and coarse: it looks
+  // no further ahead than the next level-0 wheel tick (~1.05 s). A handler
+  // may rely on nothing running in (now, NextEventLowerBound()) unless it
+  // schedules something there itself.
+  SimTime NextEventLowerBound() const { return wheel_.NextEntryLowerBound(); }
 
   // Cancels a pending event; cancelling an already-fired or unknown event is
   // a no-op (guard timers routinely race their own expiry). O(1): the
@@ -117,6 +141,23 @@ class Simulator {
            static_cast<bool>(slots_[slot].fn);
   }
 
+  // A ScheduleSeries burst: its reserved seq block and the next step to
+  // queue. Heap-allocated so queued step closures can point at it.
+  struct Series {
+    SimTime start = 0;
+    SimDuration spacing = 0;
+    std::uint64_t first_seq = 0;
+    std::size_t count = 0;
+    std::size_t next = 0;  // index of the step queued or about to be
+    std::function<void(std::size_t)> fn;
+  };
+
+  // Queues `fn` under an already-issued seq; ScheduleAt and series steps
+  // share it.
+  EventId Enqueue(SimTime t, std::uint64_t seq, std::function<void()> fn);
+  void QueueSeriesStep(Series* s);
+  void RunSeriesStep(Series* s);
+
   // Returns the slot's handler and recycles the slot for reuse.
   std::function<void()> ReleaseSlot(EventId id);
 
@@ -132,6 +173,7 @@ class Simulator {
   // Slot 0 is reserved so no live event ever gets id kInvalidEvent.
   std::vector<Slot> slots_{Slot{}};
   std::vector<std::uint32_t> free_slots_;
+  std::vector<std::unique_ptr<Series>> series_;  // bursts with steps left
 };
 
 }  // namespace cnv::sim

@@ -93,8 +93,10 @@ class TimerWheel {
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  // Inserts an entry. `seq` values must be unique and, for the FIFO
-  // contract to mean anything, issued in increasing order. `t` may lag the
+  // Inserts an entry. `seq` values must be unique; entries pop in (time,
+  // seq) order whatever order they were inserted in, so a caller may hold
+  // back an entry under a seq it reserved earlier as long as the entry is
+  // inserted before anything it would precede pops. `t` may lag the
   // wheel position (the kernel's clock can sit behind it after cancelled
   // stragglers drain); such entries park in a small side heap and still pop
   // in exact (time, seq) order.
@@ -175,6 +177,21 @@ class TimerWheel {
   // a driver may skip the shard until its window reaches this time. Fresh
   // schedules pull it back; an empty wheel reports kNoEvent.
   SimTime ResumeAt() const { return resume_at_; }
+
+  // Never later than the earliest pending entry: the minimum of the side
+  // heap top, the drain head, and the start of the first level-0 tick not
+  // yet loaded for draining (every slot, higher-level and calendar entry
+  // lies at or beyond that tick). Dead entries count as pending. O(1) and
+  // side-effect free, unlike a PopUntil probe.
+  SimTime NextEntryLowerBound() const {
+    const SimTime tick = pos_ >> kShift[0];
+    SimTime bound = tick == drained_tick_ ? (tick + 1) << kShift[0] : pos_;
+    if (drain_pos_ < drain_.size() && drain_[drain_pos_].time < bound) {
+      bound = drain_[drain_pos_].time;
+    }
+    if (!past_.empty() && past_.top().time < bound) bound = past_.top().time;
+    return bound;
+  }
 
   bool Empty() const { return size_ == 0; }
   std::size_t Size() const { return size_; }

@@ -34,18 +34,17 @@ void StormGenerator::MassAttach(SimTime start, std::size_t count,
                  "Mass attach storm begins (" + BurstLabel(count, spacing) +
                  ")");
   });
-  for (std::size_t i = 0; i < count; ++i) {
+  const std::uint64_t first_imsi = next_bg_imsi_;
+  next_bg_imsi_ += count;
+  sim_.ScheduleSeries(start, count, spacing, [this, first_imsi](std::size_t i) {
     nas::Message m;
     m.kind = nas::MsgKind::kAttachRequest;
     m.protocol = nas::Protocol::kEmm;
-    m.imsi = nas::Imsi{next_bg_imsi_++};
+    m.imsi = nas::Imsi{first_imsi + i};
     m.synthetic = true;
-    sim_.ScheduleAt(start + static_cast<SimDuration>(i) * spacing,
-                    [this, m] {
-                      ++injected_;
-                      mme_.OnUplink(m);
-                    });
-  }
+    ++injected_;
+    mme_.OnUplink(m);
+  });
 }
 
 void StormGenerator::TaPingPong(SimTime start, std::size_t count,
@@ -57,20 +56,19 @@ void StormGenerator::TaPingPong(SimTime start, std::size_t count,
                  "TA ping-pong burst begins (" + BurstLabel(count, spacing) +
                  ")");
   });
-  for (std::size_t i = 0; i < count; ++i) {
+  const std::uint64_t first_imsi = next_bg_imsi_;
+  next_bg_imsi_ += count;
+  sim_.ScheduleSeries(start, count, spacing, [this, first_imsi](std::size_t i) {
     nas::Message m;
     m.kind = nas::MsgKind::kTauRequest;
     m.protocol = nas::Protocol::kEmm;
-    m.imsi = nas::Imsi{next_bg_imsi_++};
+    m.imsi = nas::Imsi{first_imsi + i};
     // Border devices alternate between two tracking areas.
     m.tai.tac = (i % 2 == 0) ? 0x0101 : 0x0102;
     m.synthetic = true;
-    sim_.ScheduleAt(start + static_cast<SimDuration>(i) * spacing,
-                    [this, m] {
-                      ++injected_;
-                      mme_.OnUplink(m);
-                    });
-  }
+    ++injected_;
+    mme_.OnUplink(m);
+  });
 }
 
 void StormGenerator::PagingFlood(SimTime start, std::size_t count,
@@ -81,19 +79,29 @@ void StormGenerator::PagingFlood(SimTime start, std::size_t count,
     trace_.Event(nas::System::k3G, "STORM",
                  "Paging flood begins (" + BurstLabel(count, spacing) + ")");
   });
-  for (std::size_t i = 0; i < count; ++i) {
+  const std::uint64_t first_imsi = next_bg_imsi_;
+  next_bg_imsi_ += count;
+  sim_.ScheduleSeries(start, count, spacing, [this, first_imsi](std::size_t i) {
     nas::Message m;
     m.kind = nas::MsgKind::kPagingResponse;
     m.protocol = nas::Protocol::kMm;
-    m.imsi = nas::Imsi{next_bg_imsi_++};
+    m.imsi = nas::Imsi{first_imsi + i};
     m.synthetic = true;
-    sim_.ScheduleAt(start + static_cast<SimDuration>(i) * spacing,
-                    [this, m] {
-                      ++injected_;
-                      msc_.OnUplink(m);
-                    });
-  }
+    ++injected_;
+    msc_.OnUplink(m);
+  });
 }
+
+namespace {
+// The adversarial corpus cycles through seven entries; entries 3 and 6 are
+// replays that each carry a fresh uid.
+constexpr std::size_t kCorpusSize = 7;
+
+// Uids taken by the burst steps before step `i`.
+std::uint64_t ReplayUidsBefore(std::size_t i) {
+  return 2 * (i / kCorpusSize) + (i % kCorpusSize > 3 ? 1 : 0);
+}
+}  // namespace
 
 void StormGenerator::AdversarialNas(SimTime start, std::size_t count,
                                     SimDuration spacing) {
@@ -106,41 +114,38 @@ void StormGenerator::AdversarialNas(SimTime start, std::size_t count,
                  "Adversarial NAS burst begins (" + BurstLabel(count, spacing) +
                  ")");
   });
-  for (std::size_t i = 0; i < count; ++i) {
-    const SimTime at = start + static_cast<SimDuration>(i) * spacing;
+  const std::uint64_t imsi = next_bg_imsi_;
+  const std::uint64_t first_uid = next_uid_;
+  next_uid_ += ReplayUidsBefore(count);
+  sim_.ScheduleSeries(start, count, spacing, [this, imsi,
+                                              first_uid](std::size_t i) {
     nas::Message m;
-    m.imsi = nas::Imsi{next_bg_imsi_};
+    m.imsi = nas::Imsi{imsi};
     // Deterministic corpus cycle. Valid-integrity entries are restricted to
     // kinds whose dispatch is a no-op outside an in-flight procedure and
     // which have no congestion-reject counterpart, so an adversarial burst
     // can never push spurious rejects to the real device.
-    switch (i % 7) {
+    switch (i % kCorpusSize) {
       case 0:
         m.kind = nas::MsgKind::kAttachRequest;
         m.protocol = nas::Protocol::kEmm;
         m.integrity = nas::MsgIntegrity::kMalformed;
-        sim_.ScheduleAt(at, [this, m] {
-          ++injected_;
-          mme_.OnUplink(m);
-        });
+        ++injected_;
+        mme_.OnUplink(m);
         break;
       case 1:
         m.kind = nas::MsgKind::kTauRequest;
         m.protocol = nas::Protocol::kEmm;
         m.integrity = nas::MsgIntegrity::kTruncated;
-        sim_.ScheduleAt(at, [this, m] {
-          ++injected_;
-          mme_.OnUplink(m);
-        });
+        ++injected_;
+        mme_.OnUplink(m);
         break;
       case 2:
         m.kind = nas::MsgKind::kLocationUpdateRequest;
         m.protocol = nas::Protocol::kEsm;  // discriminator mismatch
         m.integrity = nas::MsgIntegrity::kWrongProtocol;
-        sim_.ScheduleAt(at, [this, m] {
-          ++injected_;
-          msc_.OnUplink(m);
-        });
+        ++injected_;
+        msc_.OnUplink(m);
         break;
       case 3:
         // Replay: a captured (valid) Attach Complete sent twice. The first
@@ -148,46 +153,38 @@ void StormGenerator::AdversarialNas(SimTime start, std::size_t count,
         // caught by the replay cache.
         m.kind = nas::MsgKind::kAttachComplete;
         m.protocol = nas::Protocol::kEmm;
-        m.uid = next_uid_++;
-        sim_.ScheduleAt(at, [this, m] {
-          ++injected_;
-          mme_.OnUplink(m);
-          ++injected_;
-          mme_.OnUplink(m);
-        });
+        m.uid = first_uid + ReplayUidsBefore(i);
+        ++injected_;
+        mme_.OnUplink(m);
+        ++injected_;
+        mme_.OnUplink(m);
         break;
       case 4:
         m.kind = nas::MsgKind::kGprsAttachRequest;
         m.protocol = nas::Protocol::kGmm;
         m.integrity = nas::MsgIntegrity::kMalformed;
-        sim_.ScheduleAt(at, [this, m] {
-          ++injected_;
-          sgsn_.OnUplink(m);
-        });
+        ++injected_;
+        sgsn_.OnUplink(m);
         break;
       case 5:
         m.kind = nas::MsgKind::kCmServiceRequest;
         m.protocol = nas::Protocol::kMm;
         m.integrity = nas::MsgIntegrity::kTruncated;
-        sim_.ScheduleAt(at, [this, m] {
-          ++injected_;
-          msc_.OnUplink(m);
-        });
+        ++injected_;
+        msc_.OnUplink(m);
         break;
       default:
         // Replay at the SGSN: a duplicated (valid) deactivation confirm.
         m.kind = nas::MsgKind::kPdpDeactivateAccept;
         m.protocol = nas::Protocol::kSm;
-        m.uid = next_uid_++;
-        sim_.ScheduleAt(at, [this, m] {
-          ++injected_;
-          sgsn_.OnUplink(m);
-          ++injected_;
-          sgsn_.OnUplink(m);
-        });
+        m.uid = first_uid + ReplayUidsBefore(i);
+        ++injected_;
+        sgsn_.OnUplink(m);
+        ++injected_;
+        sgsn_.OnUplink(m);
         break;
     }
-  }
+  });
 }
 
 }  // namespace cnv::stack

@@ -5,7 +5,9 @@
 // restart, tracking-area ping-pong, paging floods, and an adversarial UE
 // replaying malformed/truncated/reordered NAS. No randomness is consumed —
 // bursts are fixed (start, count, spacing) grids, so runs stay byte-
-// identical per seed at any parallelism.
+// identical per seed at any parallelism. Each burst is one
+// Simulator::ScheduleSeries: a message's IMSI and replay uid derive from its
+// step index, and a burst of any size holds one queue entry at a time.
 #pragma once
 
 #include <cstddef>

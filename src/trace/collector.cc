@@ -1,11 +1,13 @@
 #include "trace/collector.h"
 
+#include "trace/qxdm.h"
 #include "util/log.h"
-#include "util/strings.h"
 
 namespace cnv::trace {
 
-std::string ToString(TraceType t) {
+std::string ToString(TraceType t) { return std::string(TypeName(t)); }
+
+std::string_view TypeName(TraceType t) {
   switch (t) {
     case TraceType::kState:
       return "STATE";
@@ -26,9 +28,7 @@ void Collector::Add(TraceType type, nas::System system, std::string module,
   records_.push_back(TraceRecord{sim_.now(), type, system, std::move(module),
                                  std::move(description)});
   const TraceRecord& r = records_.back();
-  CNV_LOG_DEBUG << FormatClock(r.time) << " [" << ToString(r.type) << "] ["
-                << nas::ToString(r.system) << "] [" << r.module << "] "
-                << r.description;
+  CNV_LOG_DEBUG << FormatRecord(r);
   if (tap_) tap_(r);
 }
 

@@ -193,15 +193,36 @@ TraceRecord RecordView::ToRecord() const {
   return r;
 }
 
+void AppendRecord(std::string& out, const TraceRecord& r) {
+  AppendClock(out, r.time);
+  out += " [";
+  out += TypeName(r.type);
+  out += "] [";
+  out += nas::SystemName(r.system);
+  out += "] [";
+  out += r.module;
+  out += "] ";
+  out += r.description;
+}
+
 std::string FormatRecord(const TraceRecord& r) {
-  return FormatClock(r.time) + " [" + ToString(r.type) + "] [" +
-         nas::ToString(r.system) + "] [" + r.module + "] " + r.description;
+  std::string out;
+  AppendRecord(out, r);
+  return out;
 }
 
 std::string FormatLog(const std::vector<TraceRecord>& records) {
-  std::string out;
+  // Clock, three bracketed fields, separators and newline stay under this
+  // per line; the one reservation makes the appends copy-only.
+  constexpr std::size_t kFixedBytes = 48;
+  std::size_t bytes = 0;
   for (const auto& r : records) {
-    out += FormatRecord(r);
+    bytes += kFixedBytes + r.module.size() + r.description.size();
+  }
+  std::string out;
+  out.reserve(bytes);
+  for (const auto& r : records) {
+    AppendRecord(out, r);
     out += '\n';
   }
   return out;

@@ -18,6 +18,10 @@
 
 namespace cnv::trace {
 
+// Appends one formatted line (no trailing newline) to `out`: the one
+// formatter, which writes the clock digits itself and builds no temporary
+// strings. FormatRecord and FormatLog wrap it.
+void AppendRecord(std::string& out, const TraceRecord& r);
 std::string FormatRecord(const TraceRecord& r);
 std::string FormatLog(const std::vector<TraceRecord>& records);
 

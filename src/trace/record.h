@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "nas/ids.h"
 #include "util/time.h"
@@ -21,6 +22,8 @@ enum class TraceType : std::uint8_t {
 };
 
 std::string ToString(TraceType t);
+// The same token as a view into static storage ("STATE", "MSG", ...).
+std::string_view TypeName(TraceType t);
 
 struct TraceRecord {
   SimTime time = 0;

@@ -8,8 +8,6 @@
 namespace cnv {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
 const char* LevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -28,11 +26,11 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
+void SetLogLevel(LogLevel level) { internal::g_log_level.store(level); }
+LogLevel GetLogLevel() { return internal::g_log_level.load(); }
 
 void LogLine(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
+  if (!LogEnabled(level)) return;
   std::cerr << "[" << LevelName(level) << "] " << message << "\n";
 }
 

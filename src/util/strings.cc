@@ -9,31 +9,6 @@
 
 namespace cnv {
 
-std::string Join(const std::vector<std::string>& pieces,
-                 const std::string& sep) {
-  std::string out;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out += sep;
-    out += pieces[i];
-  }
-  return out;
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
 std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
 
 std::string_view TrimView(std::string_view s) {
@@ -72,16 +47,44 @@ std::string PadRight(const std::string& s, std::size_t width) {
 }
 
 // Defined here (declared in time.h) to keep util a single small library.
-std::string FormatClock(SimTime t) {
+void AppendClock(std::string& out, SimTime t) {
   const std::int64_t total_ms = t / kMillisecond;
   const std::int64_t ms = total_ms % 1000;
   const std::int64_t total_s = total_ms / 1000;
   const std::int64_t s = total_s % 60;
   const std::int64_t m = (total_s / 60) % 60;
   const std::int64_t h = total_s / 3600;
-  return Format("%02lld:%02lld:%02lld.%03lld", static_cast<long long>(h),
-                static_cast<long long>(m), static_cast<long long>(s),
-                static_cast<long long>(ms));
+  if (t < 0) {
+    // printf renders negative fields with a sign; keep its exact bytes.
+    out += Format("%02lld:%02lld:%02lld.%03lld", static_cast<long long>(h),
+                  static_cast<long long>(m), static_cast<long long>(s),
+                  static_cast<long long>(ms));
+    return;
+  }
+  // Written right to left: ".mmm", ":ss", ":mm", then the hours, which
+  // take at least two digits and as many more as they need.
+  char buf[32];
+  char* p = buf + sizeof buf;
+  const auto put = [&p](std::int64_t v, int width) {
+    for (int i = 0; i < width || v > 0; ++i) {
+      *--p = static_cast<char>('0' + v % 10);
+      v /= 10;
+    }
+  };
+  put(ms, 3);
+  *--p = '.';
+  put(s, 2);
+  *--p = ':';
+  put(m, 2);
+  *--p = ':';
+  put(h, 2);
+  out.append(p, buf + sizeof buf);
+}
+
+std::string FormatClock(SimTime t) {
+  std::string out;
+  AppendClock(out, t);
+  return out;
 }
 
 std::string FormatDuration(SimDuration d) {

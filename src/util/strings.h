@@ -3,16 +3,8 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace cnv {
-
-// Joins the pieces with `sep` between them.
-std::string Join(const std::vector<std::string>& pieces,
-                 const std::string& sep);
-
-// Splits on a single-character separator; keeps empty fields.
-std::vector<std::string> Split(const std::string& s, char sep);
 
 // Strips ASCII whitespace from both ends.
 std::string Trim(const std::string& s);

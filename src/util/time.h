@@ -34,8 +34,12 @@ constexpr SimDuration FromSeconds(double s) {
 }
 
 // Formats an absolute simulated time as "hh:mm:ss.mmm", the timestamp format
-// used by the paper's modem trace items (§3.3).
+// used by the paper's modem trace items (§3.3). Hours take two digits or
+// more; the bytes are printf's "%02lld:%02lld:%02lld.%03lld".
 std::string FormatClock(SimTime t);
+
+// FormatClock appended to `out`, without a temporary.
+void AppendClock(std::string& out, SimTime t);
 
 // Formats a duration compactly, e.g. "2.40s" or "350ms".
 std::string FormatDuration(SimDuration d);

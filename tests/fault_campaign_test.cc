@@ -3,9 +3,13 @@
 // sweep bookkeeping (runs, SLO counts, summary) must hold together.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
+#include "ckpt/io.h"
 #include "fault/campaign.h"
+#include "fault/checkpoint.h"
 
 namespace cnv::fault {
 namespace {
@@ -88,6 +92,76 @@ TEST(CampaignFindingsTest, FindingsAreStableAcrossSeeds) {
         RunPlan(plans::S6LuFailurePropagation(), stack::OpI(), seed), "S6"))
         << "seed " << seed;
   }
+}
+
+// Every canned plan on both carriers at seed 1, pinned as the FNV-1a digest
+// of the encoded outcome with its full QXDM trace: monitor report, findings,
+// storm degradation and every trace line. Kernel-level rewrites (event
+// queue, monitor sampling, storm scheduling, trace formatting) must leave
+// every digest unchanged; a deliberate behaviour change re-pins them.
+TEST(CampaignTest, CellOutcomesArePinned) {
+  struct Pin {
+    const char* plan;
+    const char* profile;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"s1-missing-bearer-context", "OP-I", 0xb8f7a71bca23b505ULL},
+      {"s1-missing-bearer-context", "OP-II", 0x1b3c10134d8f6823ULL},
+      {"s2-attach-disruption", "OP-I", 0xdb9643e42d79f043ULL},
+      {"s2-attach-disruption", "OP-II", 0x957cb598f96bc133ULL},
+      {"s3-stuck-in-3g", "OP-I", 0x68a54f271cd76ea3ULL},
+      {"s3-stuck-in-3g", "OP-II", 0x62369a8cb5b90e0aULL},
+      {"s4-mm-hol-blocking", "OP-I", 0x1808296a2b343ffdULL},
+      {"s4-mm-hol-blocking", "OP-II", 0x30083c7fc68c1834ULL},
+      {"s5-shared-channel-drop", "OP-I", 0xe01d45f1bd99681fULL},
+      {"s5-shared-channel-drop", "OP-II", 0x471d948ed41469c6ULL},
+      {"s6-lu-failure-propagation", "OP-I", 0xd01349a26fc8eeb7ULL},
+      {"s6-lu-failure-propagation", "OP-II", 0xd72100cafe59a1ccULL},
+      {"mme-crash-restart", "OP-I", 0xfd81978af49f5968ULL},
+      {"mme-crash-restart", "OP-II", 0xa0d0ee1ae4b1cc41ULL},
+      {"msc-outage", "OP-I", 0x0c68c5c7c377353fULL},
+      {"msc-outage", "OP-II", 0x96105d0f4241480dULL},
+      {"sgsn-flap", "OP-I", 0x3a0aedd310db770fULL},
+      {"sgsn-flap", "OP-II", 0xba957a7633a051d2ULL},
+      {"hss-blackout", "OP-I", 0x47286e8e6cbc5657ULL},
+      {"hss-blackout", "OP-II", 0x30e9c8ac7b4d623aULL},
+      {"radio-burst-loss", "OP-I", 0x7ff4439875fb1a3bULL},
+      {"radio-burst-loss", "OP-II", 0x82d2e7df59b01d43ULL},
+      {"backhaul-degradation", "OP-I", 0xf788668943abfa1bULL},
+      {"backhaul-degradation", "OP-II", 0x80dfc9eaae951f74ULL},
+      {"timer-skew", "OP-I", 0x4b8f2366daaa2303ULL},
+      {"timer-skew", "OP-II", 0x188c0298626fa1deULL},
+      {"attach-interference", "OP-I", 0xdbaab537c2d22b20ULL},
+      {"attach-interference", "OP-II", 0x6cb022d6f9bc4d4dULL},
+      {"mass-attach-storm", "OP-I", 0xbd92eb5d4e2ffae1ULL},
+      {"mass-attach-storm", "OP-II", 0x222067ae0d200011ULL},
+      {"ta-ping-pong-storm", "OP-I", 0xd434813e12969e28ULL},
+      {"ta-ping-pong-storm", "OP-II", 0xbdc4a42641567cb6ULL},
+      {"paging-flood-storm", "OP-I", 0xf99db7c02f31244cULL},
+      {"paging-flood-storm", "OP-II", 0xca5be5d8308aafe8ULL},
+      {"adversarial-nas-storm", "OP-I", 0x7f90b744366fe8dbULL},
+      {"adversarial-nas-storm", "OP-II", 0xc78ed3a8138ea3d7ULL},
+      {"signalling-storm-mix", "OP-I", 0x88ecaef239b41b19ULL},
+      {"signalling-storm-mix", "OP-II", 0x80f44ca6bad659efULL},
+  };
+  CampaignConfig cfg;
+  const CampaignRunner runner(cfg, /*keep_traces=*/true);
+  std::size_t checked = 0;
+  for (const auto& plan : plans::All()) {
+    for (const auto& profile : {stack::OpI(), stack::OpII()}) {
+      const RunOutcome run = runner.RunOne(1, plan, profile);
+      const Pin* pin = nullptr;
+      for (const Pin& p : pins) {
+        if (plan.name == p.plan && profile.name == p.profile) pin = &p;
+      }
+      ASSERT_NE(pin, nullptr) << plan.name << " " << profile.name;
+      EXPECT_EQ(ckpt::Fnv1a64(EncodeRunOutcome(run)), pin->digest)
+          << plan.name << " on " << profile.name;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(pins));
 }
 
 TEST(CampaignSweepTest, RunSweepsSeedsTimesPlansTimesProfiles) {

@@ -109,6 +109,26 @@ TEST(RecoveryMonitorTest, TransitionsEmitRecoveryTraceRecords) {
   EXPECT_GE(recov, 3u);  // at least the three "established" records
 }
 
+// With nothing else scheduled, a sample skips every grid point before the
+// next wheel tick (~1.05 s): an idle 600 s run costs about one sample per
+// tick instead of 6,000, and still reports the whole run as one outage.
+TEST(RecoveryMonitorTest, IdleTestbedSamplesAboutOncePerWheelTick) {
+  stack::Testbed tb({});
+  RecoveryMonitor monitor(tb);
+  monitor.Start();
+  const std::uint64_t before = tb.sim().ExecutedEvents();
+  tb.Run(Seconds(600));
+  const std::uint64_t samples = tb.sim().ExecutedEvents() - before;
+  const SimDuration wheel_tick = SimDuration{1} << 20;
+  EXPECT_LE(samples, static_cast<std::uint64_t>(Seconds(600) / wheel_tick + 2));
+  EXPECT_GT(samples, 0u);
+  const MonitorReport report = monitor.Finalize();
+  for (const auto& p : report.properties) {
+    EXPECT_FALSE(p.established) << p.name;
+    EXPECT_EQ(p.total_outage, Seconds(600)) << p.name;
+  }
+}
+
 TEST(RecoveryMonitorTest, ProbeFindingsIsQuietOnAHealthyRun) {
   stack::Testbed tb({});
   tb.ue().PowerOn(nas::System::k4G);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/timer.h"
@@ -188,6 +194,210 @@ TEST(SimulatorTest, TelemetryCountersTrackQueueActivity) {
   sim.RunAll();
   EXPECT_EQ(sim.ExecutedEvents(), 2u);
   EXPECT_EQ(sim.PeakQueueDepth(), 3u);  // peak is sticky after drain
+}
+
+// --- ScheduleSeries ---------------------------------------------------------
+//
+// A series must pop in exactly the order of the ScheduleAt loop it stands in
+// for. Each scenario runs twice — once with ScheduleSeries, once with the
+// loop on a twin simulator — and the (time, label) logs must match.
+
+using Log = std::vector<std::pair<SimTime, std::string>>;
+
+// Schedules `count` steps either as one series or as the equivalent loop.
+void Burst(Simulator& sim, bool series, SimTime start, std::size_t count,
+           SimDuration spacing, std::function<void(std::size_t)> fn) {
+  if (series) {
+    sim.ScheduleSeries(start, count, spacing, std::move(fn));
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    sim.ScheduleAt(start + static_cast<SimDuration>(i) * spacing,
+                   [fn, i] { fn(i); });
+  }
+}
+
+template <class Scenario>
+void ExpectSeriesMatchesLoop(Scenario scenario) {
+  Log with_series, with_loop;
+  Simulator a, b;
+  scenario(a, true, with_series);
+  a.RunAll();
+  scenario(b, false, with_loop);
+  b.RunAll();
+  EXPECT_EQ(with_series, with_loop);
+  EXPECT_EQ(a.now(), b.now());
+  EXPECT_EQ(a.ExecutedEvents(), b.ExecutedEvents());
+  EXPECT_EQ(a.PendingEvents(), 0u);
+}
+
+// Logs `label` at the current time when run.
+std::function<void()> Mark(Simulator& sim, Log& log, std::string label) {
+  return [&sim, &log, label] { log.emplace_back(sim.now(), label); };
+}
+
+TEST(SimulatorTest, SeriesInterleavesSameTimestampEventsLikeTheLoop) {
+  ExpectSeriesMatchesLoop([](Simulator& sim, bool series, Log& log) {
+    sim.ScheduleAt(Millis(10), Mark(sim, log, "before@10"));
+    sim.ScheduleAt(Millis(20), Mark(sim, log, "before@20"));
+    Burst(sim, series, Millis(10), 6, Millis(5), [&sim, &log](std::size_t i) {
+      log.emplace_back(sim.now(), "s" + std::to_string(i));
+      // Zero-delay and same-tick follow-ups from inside a step.
+      if (i % 2 == 0) {
+        sim.ScheduleIn(0, Mark(sim, log, "s" + std::to_string(i) + "+0"));
+      }
+      if (i == 1) sim.ScheduleIn(Millis(5), Mark(sim, log, "s1+5"));
+    });
+    sim.ScheduleAt(Millis(10), Mark(sim, log, "after@10"));
+    sim.ScheduleAt(Millis(20), Mark(sim, log, "after@20"));
+    sim.ScheduleAt(Millis(15), [&sim, &log] {
+      log.emplace_back(sim.now(), "h@15");
+      sim.ScheduleAt(Millis(20), Mark(sim, log, "h->20"));
+      sim.ScheduleIn(0, Mark(sim, log, "h->15"));
+    });
+  });
+}
+
+TEST(SimulatorTest, SeriesWithZeroSpacingKeepsFifoOrder) {
+  ExpectSeriesMatchesLoop([](Simulator& sim, bool series, Log& log) {
+    sim.ScheduleAt(Seconds(1), Mark(sim, log, "before"));
+    Burst(sim, series, Seconds(1), 50, 0, [&sim, &log](std::size_t i) {
+      log.emplace_back(sim.now(), "s" + std::to_string(i));
+      if (i % 7 == 0) {
+        sim.ScheduleIn(0, Mark(sim, log, "f" + std::to_string(i)));
+      }
+    });
+    sim.ScheduleAt(Seconds(1), Mark(sim, log, "after"));
+  });
+}
+
+TEST(SimulatorTest, SeriesSpanningWheelLevelsAndCalendarMatchesLoop) {
+  // 37-minute spacing over 300 steps covers ~185 h: level 0, both higher
+  // levels and the calendar tier beyond the ~76 h wheel horizon.
+  ExpectSeriesMatchesLoop([](Simulator& sim, bool series, Log& log) {
+    const SimDuration spacing = Minutes(37);
+    Burst(sim, series, Seconds(3), 300, spacing, [&sim, &log](std::size_t i) {
+      log.emplace_back(sim.now(), "s" + std::to_string(i));
+    });
+    std::uint64_t x = 88172645463325252ULL;
+    for (int k = 0; k < 400; ++k) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      // Half land exactly on a step instant, half anywhere in the span.
+      const SimTime t =
+          k % 2 == 0
+              ? Seconds(3) + static_cast<SimDuration>(x % 300) * spacing
+              : static_cast<SimTime>(x % static_cast<std::uint64_t>(
+                                             300 * spacing));
+      sim.ScheduleAt(t, Mark(sim, log, "e" + std::to_string(k)));
+    }
+  });
+}
+
+TEST(SimulatorTest, SeriesStartedInsideAHandlerMatchesLoop) {
+  ExpectSeriesMatchesLoop([](Simulator& sim, bool series, Log& log) {
+    sim.ScheduleAt(Seconds(2), Mark(sim, log, "pre@2.5"));
+    sim.ScheduleAt(Seconds(2), [&sim, &log, series] {
+      sim.ScheduleIn(Millis(500), Mark(sim, log, "h-before"));
+      Burst(sim, series, sim.now() + Millis(500), 20, Millis(250),
+            [&sim, &log](std::size_t i) {
+              log.emplace_back(sim.now(), "s" + std::to_string(i));
+            });
+      sim.ScheduleIn(Millis(500), Mark(sim, log, "h-after"));
+      sim.ScheduleIn(Seconds(2), Mark(sim, log, "h-mid"));
+    });
+    sim.ScheduleAt(Millis(2500), Mark(sim, log, "outer@2.5"));
+  });
+}
+
+TEST(SimulatorTest, SeriesStartingNowRunsAfterEarlierSameInstantEvents) {
+  ExpectSeriesMatchesLoop([](Simulator& sim, bool series, Log& log) {
+    sim.ScheduleAt(Seconds(5), [&sim, &log, series] {
+      sim.ScheduleIn(0, Mark(sim, log, "first"));
+      Burst(sim, series, sim.now(), 4, Millis(1), [&sim, &log](std::size_t i) {
+        log.emplace_back(sim.now(), "s" + std::to_string(i));
+      });
+      sim.ScheduleIn(0, Mark(sim, log, "last"));
+      // Same instants as steps 1 and 2, scheduled after the series call:
+      // the loop would have queued them behind those steps.
+      sim.ScheduleIn(Millis(1), Mark(sim, log, "later@+1"));
+      sim.ScheduleIn(Millis(2), Mark(sim, log, "later@+2"));
+    });
+    sim.ScheduleAt(Seconds(5), Mark(sim, log, "queued@5"));
+  });
+}
+
+TEST(SimulatorTest, SeriesHoldsOneQueueEntryAtATime) {
+  Simulator sim;
+  std::size_t fired = 0;
+  std::size_t max_pending = 0;
+  sim.ScheduleSeries(0, 100'000, Millis(1), [&](std::size_t i) {
+    EXPECT_EQ(i, fired);
+    ++fired;
+    max_pending = std::max(max_pending, sim.PendingEvents());
+  });
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  sim.RunAll();
+  EXPECT_EQ(fired, 100'000u);
+  EXPECT_EQ(max_pending, 1u);  // the next step, queued before fn(i) runs
+  EXPECT_LE(sim.HandlerSlots(), 3u);
+  EXPECT_LE(sim.PeakQueueDepth(), 2u);
+  EXPECT_EQ(sim.ScheduledEvents(), 100'000u);
+  EXPECT_EQ(sim.ExecutedEvents(), 100'000u);
+}
+
+TEST(SimulatorTest, SeriesRejectsPastStartAndNegativeSpacing) {
+  Simulator sim;
+  sim.RunUntil(Seconds(1));
+  const auto noop = [](std::size_t) {};
+  EXPECT_THROW(sim.ScheduleSeries(Millis(999), 3, Millis(1), noop),
+               std::invalid_argument);
+  EXPECT_THROW(sim.ScheduleSeries(Seconds(2), 3, -1, noop),
+               std::invalid_argument);
+  EXPECT_THROW(sim.ScheduleSeries(Seconds(2), 3, Millis(1), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(sim.ScheduleSeries(Seconds(2), 3,
+                                  std::numeric_limits<SimTime>::max() / 2,
+                                  noop),
+               std::invalid_argument);
+  sim.ScheduleSeries(Seconds(2), 0, Millis(1), noop);  // empty: no-op
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, NextEventLowerBoundNeverPassesThePendingHead) {
+  Simulator sim;
+  std::uint64_t x = 0x2545F4914F6CDD1DULL;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::vector<SimTime> pending;
+  // Random delays across every tier; each handler checks the bound against
+  // the true earliest pending time before it reschedules.
+  std::function<void()> step = [&] {
+    pending.erase(std::find(pending.begin(), pending.end(), sim.now()));
+    if (!pending.empty()) {
+      EXPECT_LE(sim.NextEventLowerBound(),
+                *std::min_element(pending.begin(), pending.end()));
+    }
+    const int fanout = static_cast<int>(next() % 3);
+    for (int k = 0; k < fanout && pending.size() < 200; ++k) {
+      const SimDuration d = static_cast<SimDuration>(
+          next() % (k == 0 ? Seconds(3) : Minutes(30 * 60)));
+      pending.push_back(sim.now() + d);
+      sim.ScheduleIn(d, step);
+    }
+  };
+  for (int k = 0; k < 50; ++k) {
+    const SimTime t = static_cast<SimTime>(next() % Seconds(20));
+    pending.push_back(t);
+    sim.ScheduleAt(t, step);
+  }
+  for (int n = 0; n < 5000 && sim.Step(); ++n) {
+  }
 }
 
 TEST(TimerTest, TimerStatsCountArmedFiredCancelled) {

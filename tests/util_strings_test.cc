@@ -2,30 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/time.h"
 
 namespace cnv {
 namespace {
-
-TEST(StringsTest, JoinBasics) {
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"a"}, ","), "a");
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-}
-
-TEST(StringsTest, SplitKeepsEmptyFields) {
-  EXPECT_EQ(Split("a,b,c", ',').size(), 3u);
-  EXPECT_EQ(Split(",", ',').size(), 2u);
-  EXPECT_EQ(Split("", ',').size(), 1u);
-  const auto parts = Split("a,,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[1], "");
-}
-
-TEST(StringsTest, SplitJoinRoundTrip) {
-  const std::string s = "x|y||z";
-  EXPECT_EQ(Join(Split(s, '|'), "|"), s);
-}
 
 TEST(StringsTest, TrimBothEnds) {
   EXPECT_EQ(Trim("  hi \t\n"), "hi");
@@ -51,6 +36,43 @@ TEST(TimeFormatTest, FormatClockMatchesPaperTraceFormat) {
   EXPECT_EQ(FormatClock(Millis(1234)), "00:00:01.234");
   EXPECT_EQ(FormatClock(kHour + Minutes(2) + Seconds(3) + Millis(45)),
             "01:02:03.045");
+}
+
+// The hand-written digits must reproduce printf's bytes exactly, including
+// three- and more-digit hours, sub-millisecond truncation and negatives.
+TEST(TimeFormatTest, AppendClockMatchesPrintfEverywhere) {
+  const auto printf_clock = [](SimTime t) {
+    const long long total_ms = t / kMillisecond;
+    const long long total_s = total_ms / 1000;
+    return Format("%02lld:%02lld:%02lld.%03lld", total_s / 3600,
+                  (total_s / 60) % 60, total_s % 60, total_ms % 1000);
+  };
+  std::vector<SimTime> times = {0,
+                                1,
+                                Millis(1) - 1,
+                                Millis(999),
+                                Seconds(59) + Millis(999),
+                                kHour - 1,
+                                99 * kHour + Minutes(59) + Seconds(59),
+                                100 * kHour,
+                                123456 * kHour + Millis(7),
+                                -1,
+                                -Millis(5),
+                                -(kHour + Seconds(2)),
+                                std::numeric_limits<SimTime>::max()};
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 20000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    times.push_back(static_cast<SimTime>(x >> (1 + i % 40)));
+  }
+  for (const SimTime t : times) {
+    std::string appended = "prefix";
+    AppendClock(appended, t);
+    EXPECT_EQ(appended, "prefix" + printf_clock(t)) << t;
+    EXPECT_EQ(FormatClock(t), printf_clock(t)) << t;
+  }
 }
 
 TEST(TimeFormatTest, FormatDurationPicksUnit) {
