@@ -29,9 +29,11 @@ concept CheckpointableModel =
     std::is_trivially_copyable_v<typename M::Action>;
 
 // v2: ample_states joined the snapshot so a resumed reduced run keeps its
-// strict-ample expansion count. Old snapshots are rejected (kBadVersion)
-// rather than resumed with a silently wrong figure.
-inline constexpr std::uint32_t kExploreSnapshotVersion = 2;
+// strict-ample expansion count. v3: the combined model's state hash packs
+// each UE block into one word, so cached node hashes from v2 no longer
+// match. Old snapshots are rejected (kBadVersion) rather than resumed with
+// silently wrong figures.
+inline constexpr std::uint32_t kExploreSnapshotVersion = 3;
 
 template <typename M>
   requires CheckpointableModel<M>
@@ -60,6 +62,10 @@ std::string EncodeSnapshot(const mck::ExploreSnapshot<M>& snap) {
   return w.Take();
 }
 
+// Rejects a payload that is truncated, has trailing bytes, or fails the
+// structural checks below — including any node whose cached hash is not
+// HashValue(state), so a stale or foreign snapshot can never route states
+// to the wrong shard or corrupt the rebuilt visited tables.
 template <typename M>
   requires CheckpointableModel<M>
 bool DecodeSnapshot(std::string_view payload, mck::ExploreSnapshot<M>* snap) {
@@ -76,6 +82,10 @@ bool DecodeSnapshot(std::string_view payload, mck::ExploreSnapshot<M>* snap) {
     node.hash = r.U64();
     node.parent = r.U64();
     node.via = r.Pod<Action>();
+    if (r.ok() &&
+        node.hash != static_cast<std::uint64_t>(HashValue(node.state))) {
+      return false;
+    }
     snap->nodes.push_back(node);
   }
   snap->frontier = r.PodVector<std::uint64_t>();

@@ -92,6 +92,17 @@ class InternTable {
     if (capacity > slots_.size()) Rebuild(capacity);
   }
 
+  // Rebuilds at the smallest power-of-two capacity, no smaller than
+  // `floor`, that holds size() entries — the capacity the table would have
+  // if the entries erased since it had `floor` slots had never been
+  // inserted. Undoes the growth a batch of inserts caused when the batch is
+  // rolled back, so occupancy does not depend on the rollback.
+  void ShrinkToFit(std::size_t floor) {
+    std::size_t capacity = floor;
+    while (capacity * 3 < size_ * 4) capacity <<= 1;
+    if (capacity < slots_.size()) Rebuild(capacity);
+  }
+
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
   // Load factor — the memory-pressure signal reported in ExploreStats.

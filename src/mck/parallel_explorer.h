@@ -47,7 +47,6 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -55,6 +54,7 @@
 #include "mck/explorer.h"
 #include "mck/intern_table.h"
 #include "mck/por.h"
+#include "mck/segmented_arena.h"
 
 namespace cnv::mck {
 
@@ -143,6 +143,92 @@ struct SnapshotCadence {
   }
 };
 
+// Global state ids pack (shard, local index); kNoParent marks the root.
+inline constexpr std::uint64_t kLocalMask = (1ull << 48) - 1;
+inline constexpr std::uint64_t kNoParent = ~0ull;
+
+template <typename Action>
+struct NodeMeta {
+  std::uint64_t parent = kNoParent;
+  Action via{};
+};
+
+// Canonical candidate key: (frontier position of the parent, action index
+// + 1). Globally unique within a wave and ordered exactly like serial
+// expansion; deadlock candidates use action index 0 because serial checks
+// deadlock when it starts expanding the parent.
+using Key = std::pair<std::uint64_t, std::uint32_t>;
+
+// Candidate record staged between the expand and insert phases.
+template <typename State, typename Action>
+struct Candidate {
+  State state;
+  std::uint64_t hash = 0;
+  Key key{};
+  std::uint64_t parent = kNoParent;
+  Action via{};
+};
+
+// A property violation found at insert, committed (or not) at merge.
+struct PropHit {
+  Key key{};
+  std::uint32_t property = 0;
+  std::uint64_t id = 0;
+};
+
+// One flush per (worker, wave): candidates[start, start+count) staged by
+// `worker`. A worker's candidates are produced in key order and worker
+// slices are contiguous in frontier position, so iterating runs in worker
+// order visits a shard's candidates in global key order with no sort.
+struct Run {
+  int worker = 0;
+  std::size_t start = 0;
+  std::size_t count = 0;
+};
+
+// One visited-table shard: node arenas indexed by local id, the intern
+// table over them, and the multi-worker path's per-wave staging.
+template <typename State, typename Action>
+struct Shard {
+  SegmentedArena<State> states;
+  SegmentedArena<NodeMeta<Action>> meta;
+  // Cached per-state hashes, kept only when snapshot hooks are in play
+  // (aligned with `states`, rolled back with it).
+  SegmentedArena<std::uint64_t> hashes;
+  InternTable table;
+  std::mutex mu;
+  std::vector<Candidate<State, Action>> candidates;  // staged (under mu)
+  std::vector<Run> runs;               // flush bookkeeping (under mu)
+  std::vector<std::uint64_t> new_ids;  // interned this wave, key order
+  std::vector<Key> new_keys;
+  // Cached hashes of this wave's interned states, aligned with new_keys:
+  // the beyond-cap rollback erases table entries with the hash already
+  // computed during expand instead of re-hashing the state.
+  std::vector<std::uint64_t> new_hashes;
+  std::vector<PropHit> hits;  // uncommitted property violations
+  // Table capacity when this wave's inserts began; the beyond-cap rollback
+  // shrinks back toward it.
+  std::size_t wave_capacity = 0;
+
+  // Appends a node and records it in the table; returns its local index.
+  std::int64_t Intern(State state, std::uint64_t hash, std::uint64_t parent,
+                      const Action& via, bool track) {
+    const auto idx = static_cast<std::int64_t>(states.size());
+    states.push_back(std::move(state));
+    meta.push_back({parent, via});
+    if (track) hashes.push_back(hash);
+    table.Insert(hash, idx);
+    return idx;
+  }
+
+  // Local index of the node equal to `s` (hashing to `hash`), or -1.
+  std::int64_t Find(std::uint64_t hash, const State& s) const {
+    return table.Find(hash, [&](std::int64_t i) {
+      return states[static_cast<std::size_t>(i)] == s;
+    });
+  }
+};
+
 }  // namespace internal
 
 template <typename M>
@@ -195,59 +281,12 @@ ParallelExploreResult<M> ParallelExplore(
   const internal::ReductionEngine<M> red(model, options.base.reduction,
                                          !properties.empty());
 
-  // Global state ids pack (shard, local index); kNoParent marks the root.
-  constexpr std::uint64_t kLocalMask = (1ull << 48) - 1;
-  constexpr std::uint64_t kNoParent = ~0ull;
-
-  struct NodeMeta {
-    std::uint64_t parent = kNoParent;
-    Action via{};
-  };
-  // Canonical candidate key: (frontier position of the parent, action index
-  // + 1). Globally unique within a wave and ordered exactly like serial
-  // expansion; deadlock candidates use action index 0 because serial checks
-  // deadlock when it starts expanding the parent.
-  using Key = std::pair<std::uint64_t, std::uint32_t>;
-  // Candidate record staged between the expand and insert phases.
-  struct Candidate {
-    State state;
-    std::uint64_t hash = 0;
-    Key key{};
-    std::uint64_t parent = kNoParent;
-    Action via{};
-  };
-  struct PropHit {
-    Key key{};
-    std::uint32_t property = 0;
-    std::uint64_t id = 0;
-  };
-  // One flush per (worker, wave): candidates[start, start+count) staged by
-  // `worker`. A worker's candidates are produced in key order and worker
-  // slices are contiguous in frontier position, so iterating runs in worker
-  // order visits a shard's candidates in global key order with no sort.
-  struct Run {
-    int worker = 0;
-    std::size_t start = 0;
-    std::size_t count = 0;
-  };
-  struct Shard {
-    std::vector<State> states;
-    std::vector<NodeMeta> meta;
-    InternTable table;
-    std::mutex mu;
-    std::vector<Candidate> candidates;   // staged this wave (under mu)
-    std::vector<Run> runs;               // flush bookkeeping (under mu)
-    std::vector<std::uint64_t> new_ids;  // interned this wave, key order
-    std::vector<Key> new_keys;
-    // Cached hashes of this wave's interned states, aligned with new_keys:
-    // the beyond-cap rollback erases table entries with the hash already
-    // computed during expand instead of re-hashing the state.
-    std::vector<std::uint64_t> new_hashes;
-    std::vector<PropHit> hits;  // uncommitted property violations
-    // Cached per-state hashes, kept only when snapshot hooks are in play
-    // (aligned with `states`, rolled back with it).
-    std::vector<std::uint64_t> hashes;
-  };
+  using internal::Key;
+  using internal::kLocalMask;
+  using internal::kNoParent;
+  using NodeMeta = internal::NodeMeta<Action>;
+  using Candidate = internal::Candidate<State, Action>;
+  using Shard = internal::Shard<State, Action>;
 
   std::vector<Shard> shards(n_shards);
   {
@@ -255,10 +294,10 @@ ParallelExploreResult<M> ParallelExplore(
     const std::size_t full = internal::ReserveHint(options.base.max_states);
     const std::size_t hint = n_shards == 1 ? full : full / n_shards + 8;
     for (Shard& s : shards) {
-      s.states.reserve(hint);
-      s.meta.reserve(hint);
+      s.states = SegmentedArena<State>(hint);
+      s.meta = SegmentedArena<NodeMeta>(hint);
+      if (hooks != nullptr) s.hashes = SegmentedArena<std::uint64_t>(hint);
       s.table = InternTable(hint);
-      if (hooks != nullptr) s.hashes.reserve(hint);
     }
   }
 
@@ -271,7 +310,7 @@ ParallelExploreResult<M> ParallelExplore(
     return (static_cast<std::uint64_t>(sh) << 48) |
            static_cast<std::uint64_t>(idx);
   };
-  const auto state_of = [&shards, kLocalMask](std::uint64_t id) -> const State& {
+  const auto state_of = [&shards](std::uint64_t id) -> const State& {
     return shards[static_cast<std::size_t>(id >> 48)]
         .states[static_cast<std::size_t>(id & kLocalMask)];
   };
@@ -292,16 +331,31 @@ ParallelExploreResult<M> ParallelExplore(
   ParallelExploreResult<M> result;
   result.par.shards = n_shards;
   result.par.jobs = jobs;
-  std::unordered_set<std::string> violated;
   const bool fvpp = options.base.first_violation_per_property;
-  const std::uint32_t kDeadlockProp =
-      static_cast<std::uint32_t>(properties.size());
+  const std::uint32_t n_props = static_cast<std::uint32_t>(properties.size());
+  const std::uint32_t kDeadlockProp = n_props;
 
+  // Committed violations by property index, plus the deadlock flag.
+  std::vector<char> violated(n_props, 0);
+  std::uint32_t violated_count = 0;
+  bool deadlocked = false;
+  const auto commit = [&](std::uint32_t p, std::uint64_t id) {
+    if (p == kDeadlockProp) {
+      deadlocked = true;
+      result.violations.push_back({"deadlock", reconstruct(id), state_of(id)});
+      return;
+    }
+    if (violated[p] == 0) {
+      violated[p] = 1;
+      ++violated_count;
+    }
+    result.violations.push_back(
+        {properties[p].name, reconstruct(id), state_of(id)});
+  };
   auto all_violated = [&] {
     // An empty property set means "build the reachability graph", not "every
     // property is already violated" — keep exploring.
-    return fvpp && !properties.empty() &&
-           violated.size() == properties.size() &&
+    return fvpp && n_props != 0 && violated_count == n_props &&
            !options.base.detect_deadlock;
   };
 
@@ -327,17 +381,12 @@ ParallelExploreResult<M> ParallelExplore(
     for (std::size_t rank = 0; rank < snap.nodes.size(); ++rank) {
       const auto& n = snap.nodes[rank];
       const std::uint32_t sh = shard_of(n.hash);
-      Shard& shard = shards[sh];
       const std::uint64_t parent_id =
           n.parent == kNoParentRank ? kNoParent
                                     : order[static_cast<std::size_t>(n.parent)];
-      shard.states.push_back(n.state);
-      shard.meta.push_back({parent_id, n.via});
-      shard.hashes.push_back(n.hash);
-      const std::int64_t idx =
-          static_cast<std::int64_t>(shard.states.size()) - 1;
-      shard.table.Insert(n.hash, idx);
-      const std::uint64_t id = make_id(sh, idx);
+      const std::uint64_t id =
+          make_id(sh, shards[sh].Intern(n.state, n.hash, parent_id, n.via,
+                                        /*track=*/true));
       order.push_back(id);
       rank_of.emplace(id, rank);
     }
@@ -353,28 +402,30 @@ ParallelExploreResult<M> ParallelExplore(
     result.stats.max_depth_reached = snap.max_depth_reached;
     result.stats.ample_states = snap.ample_states;
     result.violations = snap.violations;
-    for (const auto& v : result.violations) violated.insert(v.property);
+    for (const auto& v : result.violations) {
+      if (v.property == "deadlock") deadlocked = true;
+      for (std::uint32_t p = 0; p < n_props; ++p) {
+        if (properties[p].name == v.property && violated[p] == 0) {
+          violated[p] = 1;
+          ++violated_count;
+        }
+      }
+    }
   } else {
     // Intern the initial state and check it (single-threaded).
     State init = red.Canon(model.initial());
     const std::uint64_t h = static_cast<std::uint64_t>(HashValue(init));
     const std::uint32_t sh = shard_of(h);
-    Shard& shard = shards[sh];
-    shard.states.push_back(std::move(init));
-    shard.meta.push_back({kNoParent, Action{}});
-    if (track) shard.hashes.push_back(h);
-    shard.table.Insert(h, 0);
-    const std::uint64_t id = make_id(sh, 0);
+    const std::uint64_t id =
+        make_id(sh, shards[sh].Intern(std::move(init), h, kNoParent, Action{},
+                                      track));
     visited = 1;
     if (track) {
       order.push_back(id);
       rank_of.emplace(id, 0);
     }
-    for (std::uint32_t p = 0; p < properties.size(); ++p) {
-      if (!properties[p].holds(state_of(id))) {
-        violated.insert(properties[p].name);
-        result.violations.push_back({properties[p].name, {}, state_of(id)});
-      }
+    for (std::uint32_t p = 0; p < n_props; ++p) {
+      if (!properties[p].holds(state_of(id))) commit(p, id);
     }
     frontier.push_back(id);
   }
@@ -458,10 +509,7 @@ ParallelExploreResult<M> ParallelExplore(
   const auto is_old_canon = [&](const State& t) {
     const std::uint64_t h = static_cast<std::uint64_t>(HashValue(t));
     const std::uint32_t sh = shard_of(h);
-    const Shard& shard = shards[sh];
-    const std::int64_t found = shard.table.Find(h, [&](std::int64_t i) {
-      return shard.states[static_cast<std::size_t>(i)] == t;
-    });
+    const std::int64_t found = shards[sh].Find(h, t);
     return found >= 0 && found < wave_start[sh];
   };
 
@@ -489,61 +537,47 @@ ParallelExploreResult<M> ParallelExplore(
       mark_wave_start();
       next_frontier.clear();
       for (const std::uint64_t parent_id : frontier) {
-        // Re-fetch the parent state on every use: a shard arena may
-        // reallocate while children are interned.
-        const std::vector<Action> actions =
-            model.enabled(state_of(parent_id));
+        // Arena entries never move, so the parent stays valid while its
+        // children are interned.
+        const State& parent = state_of(parent_id);
+        const std::vector<Action> actions = model.enabled(parent);
         if (actions.empty()) {
-          if (options.base.detect_deadlock &&
-              !violated.contains("deadlock") &&
-              !internal::IsFinal(model, state_of(parent_id))) {
-            violated.insert("deadlock");
-            result.violations.push_back(
-                {"deadlock", reconstruct(parent_id), state_of(parent_id)});
+          if (options.base.detect_deadlock && !deadlocked &&
+              !internal::IsFinal(model, parent)) {
+            commit(kDeadlockProp, parent_id);
           }
           continue;
         }
         const std::vector<Action>* expand = &actions;
         if (red.por() &&
-            red.SelectAmple(model, state_of(parent_id), actions, is_old_canon,
+            red.SelectAmple(model, parent, actions, is_old_canon,
                             fast_ample)) {
           expand = &fast_ample;
           ++result.stats.ample_states;
         }
         for (const Action& a : *expand) {
           ++result.stats.transitions;
-          State next = red.Canon(model.apply(state_of(parent_id), a));
+          State next = red.Canon(model.apply(parent, a));
           const std::uint64_t h = static_cast<std::uint64_t>(HashValue(next));
           const std::uint32_t sh = shard_of(h);
           Shard& shard = shards[sh];
-          const std::int64_t found = shard.table.Find(h, [&](std::int64_t i) {
-            return shard.states[static_cast<std::size_t>(i)] == next;
-          });
-          if (found >= 0) continue;
+          if (shard.Find(h, next) >= 0) continue;
           if (options.base.max_states != 0 &&
               visited >= options.base.max_states) {
             truncated = true;
             continue;
           }
-          shard.states.push_back(std::move(next));
-          shard.meta.push_back({parent_id, a});
-          if (track) shard.hashes.push_back(h);
-          const std::int64_t idx =
-              static_cast<std::int64_t>(shard.states.size()) - 1;
-          shard.table.Insert(h, idx);
+          const std::uint64_t id = make_id(
+              sh, shard.Intern(std::move(next), h, parent_id, a, track));
           ++visited;
-          const std::uint64_t id = make_id(sh, idx);
           if (track) {
             rank_of.emplace(id, order.size());
             order.push_back(id);
           }
-          for (std::uint32_t p = 0; p < properties.size(); ++p) {
-            if (fvpp && violated.contains(properties[p].name)) continue;
-            if (!properties[p].holds(state_of(id))) {
-              violated.insert(properties[p].name);
-              result.violations.push_back(
-                  {properties[p].name, reconstruct(id), state_of(id)});
-            }
+          const State& s = state_of(id);
+          for (std::uint32_t p = 0; p < n_props; ++p) {
+            if (fvpp && violated[p] != 0) continue;
+            if (!properties[p].holds(s)) commit(p, id);
           }
           next_frontier.push_back(id);
         }
@@ -605,14 +639,9 @@ ParallelExploreResult<M> ParallelExplore(
               const std::uint64_t h =
                   static_cast<std::uint64_t>(HashValue(next));
               const std::uint32_t sh = shard_of(h);
-              const Shard& shard = shards[sh];
               // The table is frozen during expand, so this probe needs no
               // lock; it filters duplicates from earlier waves.
-              const std::int64_t seen =
-                  shard.table.Find(h, [&](std::int64_t i) {
-                    return shard.states[static_cast<std::size_t>(i)] == next;
-                  });
-              if (seen >= 0) continue;
+              if (shards[sh].Find(h, next) >= 0) continue;
               local[sh].push_back(Candidate{std::move(next), h,
                                             Key{pos, ai + 1}, frontier[pos],
                                             (*expand)[ai]});
@@ -639,43 +668,36 @@ ParallelExploreResult<M> ParallelExplore(
     }
 
     // --- 2. insert -------------------------------------------------------
-    // Which properties still need checking this wave (pre-wave snapshot; the
-    // merge phase resolves same-wave ties by key).
-    std::vector<char> already_violated(properties.size(), 0);
-    for (std::uint32_t p = 0; p < properties.size(); ++p) {
-      already_violated[p] = fvpp && violated.contains(properties[p].name);
-    }
+    // `violated` is read-only until merge, so it is the pre-wave set of
+    // properties that need no further checks; merge resolves same-wave ties
+    // by key.
     exec->ParallelFor(n_shards, [&](int, std::size_t begin, std::size_t end) {
       for (std::size_t si = begin; si < end; ++si) {
         Shard& shard = shards[si];
+        shard.wave_capacity = shard.table.capacity();
         // Visit candidates in global key order: runs sorted by worker id
         // (worker slices are ascending in frontier position, and each run
         // is produced in key order).
         std::sort(shard.runs.begin(), shard.runs.end(),
-                  [](const Run& a, const Run& b) { return a.worker < b.worker; });
-        for (const Run& run : shard.runs) {
+                  [](const internal::Run& a, const internal::Run& b) {
+                    return a.worker < b.worker;
+                  });
+        for (const internal::Run& run : shard.runs) {
           for (std::size_t ci = run.start; ci < run.start + run.count; ++ci) {
             Candidate& c = shard.candidates[ci];
-            const std::int64_t seen =
-                shard.table.Find(c.hash, [&](std::int64_t i) {
-                  return shard.states[static_cast<std::size_t>(i)] == c.state;
-                });
-            if (seen >= 0) continue;  // same-wave duplicate: first key wins
-            shard.states.push_back(std::move(c.state));
-            shard.meta.push_back({c.parent, c.via});
-            if (track) shard.hashes.push_back(c.hash);
+            // Same-wave duplicate: first key wins.
+            if (shard.Find(c.hash, c.state) >= 0) continue;
             const std::int64_t idx =
-                static_cast<std::int64_t>(shard.states.size()) - 1;
-            shard.table.Insert(c.hash, idx);
+                shard.Intern(std::move(c.state), c.hash, c.parent, c.via,
+                             track);
             const std::uint64_t id =
                 make_id(static_cast<std::uint32_t>(si), idx);
             shard.new_ids.push_back(id);
             shard.new_keys.push_back(c.key);
             shard.new_hashes.push_back(c.hash);
             const State& s = shard.states[static_cast<std::size_t>(idx)];
-            for (std::uint32_t p = 0;
-                 p < static_cast<std::uint32_t>(properties.size()); ++p) {
-              if (already_violated[p]) continue;
+            for (std::uint32_t p = 0; p < n_props; ++p) {
+              if (fvpp && violated[p] != 0) continue;
               if (!properties[p].holds(s)) shard.hits.push_back({c.key, p, id});
             }
           }
@@ -706,10 +728,11 @@ ParallelExploreResult<M> ParallelExplore(
     const Key cutoff = accept > 0 ? discovered[accept - 1].first : Key{0, 0};
 
     // Roll back beyond-cap states: serial interning never admits them, so
-    // drop them from the shard arenas and tables to keep every reported
-    // figure (hash_occupancy, largest_shard) identical at any job count.
-    // A shard's wave entries are appended in ascending key order, so the
-    // rejects are a suffix of its arena.
+    // drop them from the shard arenas and tables — and undo the table
+    // growth they caused — to keep every reported figure (hash_occupancy,
+    // largest_shard) identical at any job count. A shard's wave entries are
+    // appended in ascending key order, so the rejects are a suffix of its
+    // arena.
     if (has_cutoff) {
       for (Shard& shard : shards) {
         const std::size_t keep = static_cast<std::size_t>(
@@ -729,6 +752,7 @@ ParallelExploreResult<M> ParallelExplore(
           shard.new_ids.pop_back();
           shard.new_hashes.pop_back();
         }
+        shard.table.ShrinkToFit(shard.wave_capacity);
       }
     }
     for (Shard& shard : shards) {
@@ -740,13 +764,8 @@ ParallelExploreResult<M> ParallelExplore(
     // Commit violation candidates in (key, property) order — the minimal
     // (depth, canonical-trace) counterexample per property, and the same
     // violations-vector order as serial.
-    struct VCand {
-      Key key{};
-      std::uint32_t property = 0;
-      std::uint64_t id = 0;
-    };
-    std::vector<VCand> vcands;
-    if (options.base.detect_deadlock && !violated.contains("deadlock")) {
+    std::vector<internal::PropHit> vcands;
+    if (options.base.detect_deadlock && !deadlocked) {
       for (const auto& positions : worker_deadlocks) {
         for (const std::uint64_t pos : positions) {
           vcands.push_back({Key{pos, 0}, kDeadlockProp, frontier[pos]});
@@ -754,30 +773,24 @@ ParallelExploreResult<M> ParallelExplore(
       }
     }
     for (Shard& shard : shards) {
-      for (const PropHit& hit : shard.hits) {
+      for (const internal::PropHit& hit : shard.hits) {
         // States beyond the cap were never interned serially, so their
         // property checks never happened.
         if (has_cutoff && (accept == 0 || cutoff < hit.key)) continue;
-        vcands.push_back({hit.key, hit.property, hit.id});
+        vcands.push_back(hit);
       }
       shard.hits.clear();
     }
     std::sort(vcands.begin(), vcands.end(),
-              [](const VCand& a, const VCand& b) {
+              [](const internal::PropHit& a, const internal::PropHit& b) {
                 return std::tie(a.key, a.property) < std::tie(b.key, b.property);
               });
-    for (const VCand& c : vcands) {
-      if (c.property == kDeadlockProp) {
-        if (violated.contains("deadlock")) continue;
-        violated.insert("deadlock");
-        result.violations.push_back(
-            {"deadlock", reconstruct(c.id), state_of(c.id)});
+    for (const internal::PropHit& c : vcands) {
+      if (c.property == kDeadlockProp ? deadlocked
+                                      : fvpp && violated[c.property] != 0) {
         continue;
       }
-      const std::string& name = properties[c.property].name;
-      if (fvpp && violated.contains(name)) continue;
-      violated.insert(name);
-      result.violations.push_back({name, reconstruct(c.id), state_of(c.id)});
+      commit(c.property, c.id);
     }
 
     next_frontier.clear();
@@ -805,8 +818,8 @@ ParallelExploreResult<M> ParallelExplore(
   // equal to the visited set) on both paths.
   if (red.orbits()) {
     for (const Shard& shard : shards) {
-      for (const State& s : shard.states) {
-        result.stats.represented_states += red.OrbitSize(s);
+      for (std::size_t i = 0; i < shard.states.size(); ++i) {
+        result.stats.represented_states += red.OrbitSize(shard.states[i]);
       }
     }
   } else {

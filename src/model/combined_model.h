@@ -36,6 +36,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -99,7 +100,12 @@ struct CombinedModel {
     // The shared MSC/RNC resource: serves one location update or call setup
     // at a time. The only cross-UE coupling in the model.
     bool msc_busy = false;
-    bool operator==(const State&) const = default;
+    // Byte equality: the state has no padding (asserted in
+    // combined_model.cc), so this is the memberwise comparison done as a
+    // few word compares — it runs on every visited-table probe hit.
+    bool operator==(const State& o) const {
+      return std::memcmp(this, &o, sizeof(State)) == 0;
+    }
   };
 
   enum class Kind : std::uint8_t {

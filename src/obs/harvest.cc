@@ -180,21 +180,6 @@ void HarvestExploreStats(Registry& reg, const mck::ExploreStats& stats,
   }
 }
 
-void HarvestParallelExploreStats(Registry& reg,
-                                 const mck::ParallelExploreStats& stats,
-                                 const std::string& prefix, bool include_wall) {
-  reg.GetCounter(prefix + ".waves").Increment(stats.waves);
-  reg.GetGauge(prefix + ".shards").Set(static_cast<double>(stats.shards));
-  reg.GetGauge(prefix + ".largest_shard")
-      .Set(static_cast<double>(stats.largest_shard));
-  if (include_wall) {
-    reg.GetGauge(prefix + ".jobs").Set(static_cast<double>(stats.jobs));
-    reg.GetGauge(prefix + ".worker_busy_seconds_wall")
-        .Set(stats.worker_busy_seconds);
-    reg.GetGauge(prefix + ".utilization_wall").Set(stats.utilization);
-  }
-}
-
 void HarvestExecutionStats(Registry& reg, const ckpt::ExecutionStats& stats,
                            const std::string& prefix) {
   reg.GetCounter(prefix + ".cells_total").Increment(stats.cells_total);

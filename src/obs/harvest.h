@@ -11,7 +11,6 @@
 
 #include "ckpt/manifest.h"
 #include "mck/explorer.h"
-#include "mck/parallel_explorer.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/wheel.h"
@@ -56,17 +55,6 @@ void HarvestTestbed(Registry& reg, stack::Testbed& tb);
 // stay out of byte-identical replay comparisons.
 void HarvestExploreStats(Registry& reg, const mck::ExploreStats& stats,
                          const std::string& prefix, bool include_wall = false);
-
-// Parallel-engine execution metrics under `prefix`: wave count, shard count
-// and peak shard size (all deterministic at any worker count); when
-// `include_wall` is set, also the worker-utilization gauges
-// "<prefix>.worker_busy_seconds_wall" and "<prefix>.utilization_wall" plus
-// the job count — wall-clock execution-shape figures that must stay out of
-// byte-identical replay comparisons.
-void HarvestParallelExploreStats(Registry& reg,
-                                 const mck::ParallelExploreStats& stats,
-                                 const std::string& prefix,
-                                 bool include_wall = false);
 
 // Checkpoint/resume execution accounting under `prefix` (default "ckpt"):
 // "<prefix>.cells_total", ".cells_resumed", ".cells_run", ".retries",

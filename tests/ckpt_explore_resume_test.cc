@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "mck/parallel_explorer.h"
 #include "mck/toy_models.h"
+#include "model/combined_model.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
 #include "model/s3_model.h"
@@ -173,6 +174,13 @@ TEST(ExploreResumeTest, S4Model) {
   ExpectResumeIdentical(m, model::S4Model::Properties());
 }
 
+TEST(ExploreResumeTest, CombinedModel) {
+  model::CombinedModel::Config cfg;
+  cfg.ues = 3;
+  const model::CombinedModel m(cfg);
+  ExpectResumeIdentical(m, m.Properties());
+}
+
 TEST(ExploreResumeTest, ResumeFromEveryCapturedWave) {
   // Not just the middle snapshot: every wave boundary must be resumable.
   mck::toys::PetersonModel m{false};
@@ -222,7 +230,9 @@ TEST(SnapshotCodecTest, RejectsStructurallyInvalidSnapshots) {
   mck::ExploreSnapshot<M> snap;
   snap.nodes.resize(2);
   snap.nodes[0].parent = mck::kNoParentRank;
+  snap.nodes[1].state.value = 1;
   snap.nodes[1].parent = 0;
+  for (auto& node : snap.nodes) node.hash = mck::toys::HashValue(node.state);
   snap.frontier = {1};
   mck::ExploreSnapshot<M> out;
   ASSERT_TRUE(DecodeSnapshot<M>(EncodeSnapshot<M>(snap), &out));
@@ -236,6 +246,51 @@ TEST(SnapshotCodecTest, RejectsStructurallyInvalidSnapshots) {
   auto bad_frontier = snap;
   bad_frontier.frontier = {5};
   EXPECT_FALSE(DecodeSnapshot<M>(EncodeSnapshot<M>(bad_frontier), &out));
+}
+
+TEST(SnapshotCodecTest, RejectsNodeWhoseHashIsNotHashValue) {
+  // A snapshot whose cached hashes disagree with the running build's
+  // HashValue (a stale layout, or another model's file) would route states
+  // to the wrong shard and never find them again; decoding refuses it.
+  using M = model::CombinedModel;
+  const M m;
+  std::vector<mck::ExploreSnapshot<M>> snaps;
+  mck::SnapshotHooks<M> capture;
+  capture.on_snapshot = [&snaps](const auto& s) { snaps.push_back(s); };
+  (void)mck::Explore(m, m.Properties(), {}, &capture);
+  ASSERT_FALSE(snaps.empty());
+  const mck::ExploreSnapshot<M>& good = snaps.back();
+  ASSERT_GE(good.nodes.size(), 2u);
+  mck::ExploreSnapshot<M> out;
+  ASSERT_TRUE(DecodeSnapshot<M>(EncodeSnapshot<M>(good), &out));
+
+  for (const std::size_t victim : {std::size_t{0}, good.nodes.size() - 1}) {
+    SCOPED_TRACE("node #" + std::to_string(victim));
+    auto stale = good;
+    stale.nodes[victim].hash ^= 1;
+    EXPECT_FALSE(DecodeSnapshot<M>(EncodeSnapshot<M>(stale), &out));
+  }
+}
+
+TEST(SnapshotCodecTest, CheckpointerRejectsVersion2Snapshot) {
+  // v2 files cached the combined model's old field-by-field hashes; the
+  // envelope version check turns them away before decoding.
+  using M = model::S3Model;
+  const std::string dir = FreshDir("version-2");
+  constexpr std::uint64_t kDigest = 0x5335ull;
+  ExploreCheckpointer<M> cp(dir, "s3", kDigest);
+  M m;
+  std::vector<mck::ExploreSnapshot<M>> snaps;
+  mck::SnapshotHooks<M> capture;
+  capture.on_snapshot = [&snaps](const auto& s) { snaps.push_back(s); };
+  (void)mck::Explore(m, m.Properties(), {}, &capture);
+  ASSERT_FALSE(snaps.empty());
+  ASSERT_TRUE(WriteCheckpointFile(cp.path(), PayloadType::kExploreSnapshot,
+                                  2, kDigest, EncodeSnapshot<M>(snaps[0])));
+  mck::ExploreSnapshot<M> snap;
+  const auto rs = cp.TryLoad(&snap);
+  EXPECT_FALSE(rs.loaded);
+  EXPECT_EQ(rs.primary, LoadStatus::kBadVersion);
 }
 
 // --- ExploreCheckpointer rotation under file damage -------------------------

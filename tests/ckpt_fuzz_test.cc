@@ -11,12 +11,11 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "test_dirs.h"
 #include "util/rng.h"
 
 namespace cnv::ckpt {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr PayloadType kType = PayloadType::kConformanceCell;
 constexpr std::uint32_t kPayloadVersion = 3;
@@ -30,7 +29,7 @@ constexpr std::size_t kReservedBegin = 20;
 constexpr std::size_t kReservedEnd = 24;
 
 std::string TestPath(const std::string& name) {
-  return (fs::path(testing::TempDir()) / ("ckpt_fuzz_" + name)).string();
+  return (test::TestTempDir() / name).string();
 }
 
 std::string MakePayload() {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_dirs.h"
 
 namespace cnv::ckpt {
 namespace {
@@ -23,9 +24,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string TempPath(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / "ckpt_io_test";
-  fs::create_directories(dir);
-  return (dir / name).string();
+  return (test::TestTempDir() / name).string();
 }
 
 std::string ReadAll(const std::string& path) {
@@ -328,7 +327,6 @@ TEST(SaveFaultTest, TargetOccupiedByDirectoryReportsRenameFailed) {
   EXPECT_EQ(SaveCheckpointFile(path, PayloadType::kCampaignCell, 1, 1, "z"),
             SaveStatus::kRenameFailed);
   EXPECT_FALSE(fs::exists(path + ".tmp"));
-  fs::remove_all(path);  // keep the shared temp dir .ckpt-only
 }
 
 TEST(SaveStatusTest, EveryStatusHasAName) {

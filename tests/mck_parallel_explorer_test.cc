@@ -22,16 +22,18 @@
 namespace cnv::mck {
 namespace {
 
-// Runs serial Explore and ParallelExplore at jobs 1, 2 and 8, asserting the
-// deterministic outputs match exactly via the canonical views: every
-// deterministic field at once, no hand-picked subsets a new field could
-// slip past. hash_occupancy is excluded from the serial comparison (a
-// sharded table has a different load factor than a single one) but the full
-// views — occupancy included — must be identical across job counts.
+// Runs serial Explore and ParallelExplore at jobs 1, 2 and 8 over
+// 2^shard_bits shards, asserting the deterministic outputs match exactly
+// via the canonical views: every deterministic field at once, no
+// hand-picked subsets a new field could slip past. hash_occupancy is
+// excluded from the serial comparison (a sharded table has a different load
+// factor than a single one) but the full views — occupancy included — must
+// be identical across job counts.
 template <typename M>
 void ExpectMatchesSerial(const M& m,
                          const PropertySet<typename M::State>& props,
-                         const ExploreOptions& base = {}) {
+                         const ExploreOptions& base = {},
+                         int shard_bits = 6) {
   const ExploreResult<M> serial = Explore(m, props, base);
 
   std::optional<ExploreStatsView> stats_ref;
@@ -41,6 +43,7 @@ void ExpectMatchesSerial(const M& m,
     ParallelExploreOptions opt;
     opt.base = base;
     opt.jobs = jobs;
+    opt.shard_bits = shard_bits;
     const ParallelExploreResult<M> par = ParallelExplore(m, props, opt);
 
     EXPECT_EQ(DeterministicView(par.stats, /*include_occupancy=*/false),
@@ -56,7 +59,7 @@ void ExpectMatchesSerial(const M& m,
     }
 
     EXPECT_EQ(par.par.jobs, jobs);
-    EXPECT_EQ(par.par.shards, 64u);
+    EXPECT_EQ(par.par.shards, 1u << shard_bits);
     const ExploreStatsView stats_view = DeterministicView(par.stats);
     const ParallelStatsView par_view = DeterministicView(par.par);
     if (!stats_ref.has_value()) {
@@ -329,6 +332,29 @@ TEST(ParallelExploreTest, RollbackLeavesHashOccupancyByteIdentical) {
         EXPECT_EQ(DeterministicView(r.par), *par_ref);
       }
     }
+  }
+}
+
+// The beyond-cap rollback pops shard arenas back across segment edges. On
+// one shard the reserve hint is max_states, so the arena's first segment
+// holds bit_floor(max_states) nodes: a power-of-two cap puts the first
+// beyond-cap node just past that edge (the rollback empties the second
+// segment), and a cap of 2^k + 1 keeps exactly one node past it. Multi-job
+// runs intern the whole crossing wave before rolling back, so every case
+// pops across an edge; all must equal serial, on one shard and on 64.
+TEST(ParallelExploreTest, RollbackAcrossSegmentEdgeMatchesSerial) {
+  model::CombinedModel::Config cfg;
+  cfg.ues = 3;  // 1411 states
+  const model::CombinedModel m(cfg);
+  for (const std::uint64_t cap : {255u, 256u, 257u, 512u, 513u, 1024u, 1025u}) {
+    SCOPED_TRACE("max_states=" + std::to_string(cap));
+    ExploreOptions base;
+    base.max_states = cap;
+    const auto serial = Explore(m, m.Properties(), base);
+    ASSERT_TRUE(serial.stats.truncated);
+    ASSERT_EQ(serial.stats.states_visited, cap);
+    ExpectMatchesSerial(m, m.Properties(), base, /*shard_bits=*/0);
+    ExpectMatchesSerial(m, m.Properties(), base);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "conf/abstract.h"
 #include "rtv/monitors.h"
 #include "stack/testbed.h"
+#include "test_dirs.h"
 #include "trace/qxdm.h"
 
 namespace cnv::rtv {
@@ -316,8 +317,7 @@ TEST(GatewayTest, RegistryNamesOnlyWhatHappened) {
 }
 
 TEST(GatewayTest, PeriodicSnapshotWritesJson) {
-  const std::string path = ::testing::TempDir() + "rtv_snapshot_test.json";
-  std::remove(path.c_str());
+  const std::string path = (test::TestTempDir() / "snapshot.json").string();
   GatewayConfig config;
   config.snapshot_every = 50;
   config.snapshot_path = path;
