@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
   args::ArgParser parser(argc, argv, kUsage);
   const bool robust = parser.Flag("--robust");
   int jobs = 0;
-  parser.IntValue("--jobs", &jobs, 0);
+  parser.IntValue("--jobs", &jobs, 0, par::kMaxJobs);
   std::string metrics_dir;
   parser.StrValue("--metrics-json", &metrics_dir);
   std::string checkpoint_dir;

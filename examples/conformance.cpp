@@ -32,6 +32,7 @@
 
 #include "ckpt/manifest.h"
 #include "conf/diff.h"
+#include "par/pool.h"
 #include "util/args.h"
 
 using namespace cnv;
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
   parser.U64Value("--seeds", &opt.seeds);
   parser.U64Value("--seed-base", &opt.seed_base);
   parser.U64Value("--walks", &opt.walks);
-  parser.IntValue("--jobs", &opt.jobs, 1);
+  parser.IntValue("--jobs", &opt.jobs, 1, par::kMaxJobs);
   parser.StrValue("--json", &json_path);
   parser.StrValue("--checkpoint-dir", &opt.checkpoint_dir);
   opt.resume = parser.Flag("--resume");

@@ -39,6 +39,7 @@
 #include "mck/reachability.h"
 #include "model/combined_model.h"
 #include "model/s3_model.h"
+#include "par/pool.h"
 #include "util/args.h"
 
 using namespace cnv;
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
   int ues = 2;
   parser.IntValue("--ues", &ues, 2);
   int jobs = 0;
-  parser.IntValue("--jobs", &jobs, 0);
+  parser.IntValue("--jobs", &jobs, 0, par::kMaxJobs);
   const bool por = parser.Flag("--por");
   const bool symmetry = parser.Flag("--symmetry");
   std::string checkpoint_dir;

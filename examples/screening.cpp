@@ -28,6 +28,7 @@
 
 #include "ckpt/manifest.h"
 #include "core/screening.h"
+#include "par/pool.h"
 #include "util/args.h"
 
 using namespace cnv;
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
     opt.reduction.por = true;
     opt.reduction.symmetry = true;
   }
-  parser.IntValue("--jobs", &opt.jobs, 0);
+  parser.IntValue("--jobs", &opt.jobs, 0, par::kMaxJobs);
   parser.U64Value("--walks", &opt.random_walks);
   parser.U64Value("--seed", &opt.seed);
   parser.StrValue("--checkpoint-dir", &opt.checkpoint_dir);

@@ -23,10 +23,12 @@
 // ParallelExplore at one job over a single visited-table shard.
 //
 // Wave semantics: the whole frontier at depth d is expanded before any
-// state at depth d+1, states are interned in expansion order, and early
-// exit (all properties violated) and max_states truncation take effect at
-// deterministic points — truncation accepts new states in expansion order
-// up to the cap, then finishes counting the wave's transitions and stops.
+// state at depth d+1, states are interned in expansion order, each property
+// reports one counterexample (the first violating state) and is not checked
+// again, and early exit (all properties violated) and max_states truncation
+// take effect at deterministic points — truncation accepts new states in
+// expansion order up to the cap, then finishes counting the wave's
+// transitions and stops.
 // Every job count reproduces these semantics, which is why results are
 // byte-identical at any worker count.
 #pragma once
@@ -57,10 +59,6 @@ concept CheckableModel = requires(const M m, const typename M::State s,
 struct ExploreOptions {
   // Stop exploring after this many distinct states (0 = unlimited).
   std::uint64_t max_states = 2'000'000;
-  // Do not explore beyond this depth (0 = unlimited).
-  std::uint64_t max_depth = 0;
-  // Report at most one counterexample per property.
-  bool first_violation_per_property = true;
   // Also report reachable states with no enabled transitions ("deadlocks").
   // States for which the model's optional `is_final(state)` returns true are
   // successful terminations, not deadlocks.
@@ -82,7 +80,7 @@ struct ExploreStats {
   std::uint64_t states_visited = 0;
   std::uint64_t transitions = 0;
   std::uint64_t max_depth_reached = 0;
-  bool truncated = false;  // hit max_states or max_depth
+  bool truncated = false;  // hit max_states
   // Peak size of the BFS frontier and the final load factor of the
   // visited-state hash table — the two memory-pressure signals for soaks.
   std::uint64_t frontier_peak = 0;

@@ -46,7 +46,6 @@
 #include <mutex>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -192,9 +191,6 @@ template <typename State, typename Action>
 struct Shard {
   SegmentedArena<State> states;
   SegmentedArena<NodeMeta<Action>> meta;
-  // Cached per-state hashes, kept only when snapshot hooks are in play
-  // (aligned with `states`, rolled back with it).
-  SegmentedArena<std::uint64_t> hashes;
   InternTable table;
   std::mutex mu;
   std::vector<Candidate<State, Action>> candidates;  // staged (under mu)
@@ -212,11 +208,10 @@ struct Shard {
 
   // Appends a node and records it in the table; returns its local index.
   std::int64_t Intern(State state, std::uint64_t hash, std::uint64_t parent,
-                      const Action& via, bool track) {
+                      const Action& via) {
     const auto idx = static_cast<std::int64_t>(states.size());
     states.push_back(std::move(state));
     meta.push_back({parent, via});
-    if (track) hashes.push_back(hash);
     table.Insert(hash, idx);
     return idx;
   }
@@ -296,7 +291,6 @@ ParallelExploreResult<M> ParallelExplore(
     for (Shard& s : shards) {
       s.states = SegmentedArena<State>(hint);
       s.meta = SegmentedArena<NodeMeta>(hint);
-      if (hooks != nullptr) s.hashes = SegmentedArena<std::uint64_t>(hint);
       s.table = InternTable(hint);
     }
   }
@@ -331,7 +325,6 @@ ParallelExploreResult<M> ParallelExplore(
   ParallelExploreResult<M> result;
   result.par.shards = n_shards;
   result.par.jobs = jobs;
-  const bool fvpp = options.base.first_violation_per_property;
   const std::uint32_t n_props = static_cast<std::uint32_t>(properties.size());
   const std::uint32_t kDeadlockProp = n_props;
 
@@ -345,27 +338,31 @@ ParallelExploreResult<M> ParallelExplore(
       result.violations.push_back({"deadlock", reconstruct(id), state_of(id)});
       return;
     }
-    if (violated[p] == 0) {
-      violated[p] = 1;
-      ++violated_count;
-    }
+    violated[p] = 1;
+    ++violated_count;
     result.violations.push_back(
         {properties[p].name, reconstruct(id), state_of(id)});
   };
   auto all_violated = [&] {
     // An empty property set means "build the reachability graph", not "every
     // property is already violated" — keep exploring.
-    return fvpp && n_props != 0 && violated_count == n_props &&
+    return n_props != 0 && violated_count == n_props &&
            !options.base.detect_deadlock;
   };
 
   // Snapshot bookkeeping, maintained only when hooks are in play: the global
-  // discovery ("rank") order of states and the reverse id -> rank map. Rank
-  // order is the jobs = 1 interning order at every job count, which is what
-  // makes a snapshot resumable at any job count.
+  // discovery ("rank") order of states. Rank order is the jobs = 1 interning
+  // order at every job count, which is what makes a snapshot resumable at any
+  // job count. A single shard interns in rank order, so there a state's id is
+  // its rank and nothing is recorded; split tables record rank -> id, one
+  // append per state. Everything else a snapshot holds (the reverse map, the
+  // state hashes) is rebuilt when one is captured.
   const bool track = hooks != nullptr;
-  std::vector<std::uint64_t> order;         // rank -> id
-  std::unordered_map<std::uint64_t, std::uint64_t> rank_of;  // id -> rank
+  const bool record_order = track && n_shards > 1;
+  std::vector<std::uint64_t> order;
+  const auto id_at = [&order, record_order](std::uint64_t rank) {
+    return record_order ? order[static_cast<std::size_t>(rank)] : rank;
+  };
   std::uint64_t depth = 0;
 
   std::vector<std::uint64_t> frontier;
@@ -377,24 +374,17 @@ ParallelExploreResult<M> ParallelExplore(
     // candidates in global key order), so arenas, table growth and
     // hash_occupancy all come out identical.
     const ExploreSnapshot<M>& snap = *hooks->resume;
-    order.reserve(snap.nodes.size());
-    for (std::size_t rank = 0; rank < snap.nodes.size(); ++rank) {
-      const auto& n = snap.nodes[rank];
+    for (const auto& n : snap.nodes) {
       const std::uint32_t sh = shard_of(n.hash);
       const std::uint64_t parent_id =
-          n.parent == kNoParentRank ? kNoParent
-                                    : order[static_cast<std::size_t>(n.parent)];
+          n.parent == kNoParentRank ? kNoParent : id_at(n.parent);
       const std::uint64_t id =
-          make_id(sh, shards[sh].Intern(n.state, n.hash, parent_id, n.via,
-                                        /*track=*/true));
-      order.push_back(id);
-      rank_of.emplace(id, rank);
+          make_id(sh, shards[sh].Intern(n.state, n.hash, parent_id, n.via));
+      if (record_order) order.push_back(id);
     }
     visited = snap.nodes.size();
     frontier.reserve(snap.frontier.size());
-    for (const std::uint64_t r : snap.frontier) {
-      frontier.push_back(order[static_cast<std::size_t>(r)]);
-    }
+    for (const std::uint64_t r : snap.frontier) frontier.push_back(id_at(r));
     depth = snap.depth;
     result.par.waves = snap.waves;
     result.stats.transitions = snap.transitions;
@@ -417,13 +407,9 @@ ParallelExploreResult<M> ParallelExplore(
     const std::uint64_t h = static_cast<std::uint64_t>(HashValue(init));
     const std::uint32_t sh = shard_of(h);
     const std::uint64_t id =
-        make_id(sh, shards[sh].Intern(std::move(init), h, kNoParent, Action{},
-                                      track));
+        make_id(sh, shards[sh].Intern(std::move(init), h, kNoParent, Action{}));
     visited = 1;
-    if (track) {
-      order.push_back(id);
-      rank_of.emplace(id, 0);
-    }
+    if (record_order) order.push_back(id);
     for (std::uint32_t p = 0; p < n_props; ++p) {
       if (!properties[p].holds(state_of(id))) commit(p, id);
     }
@@ -437,21 +423,38 @@ ParallelExploreResult<M> ParallelExplore(
     cadence.states_at_last = visited;
   }
   auto capture = [&] {
+    // At a wave boundary the arenas hold exactly the `visited` ranked
+    // states, so a per-shard local index -> rank table covers every parent
+    // and frontier id.
+    std::vector<std::vector<std::uint64_t>> ranks(n_shards);
+    for (std::uint32_t sh = 0; sh < n_shards; ++sh) {
+      ranks[sh].resize(shards[sh].states.size());
+    }
+    for (std::uint64_t rank = 0; rank < visited; ++rank) {
+      const std::uint64_t id = id_at(rank);
+      ranks[static_cast<std::size_t>(id >> 48)]
+           [static_cast<std::size_t>(id & kLocalMask)] = rank;
+    }
+    const auto rank_of = [&ranks](std::uint64_t id) {
+      return ranks[static_cast<std::size_t>(id >> 48)]
+                  [static_cast<std::size_t>(id & kLocalMask)];
+    };
     ExploreSnapshot<M> snap;
-    snap.nodes.resize(order.size());
-    for (std::size_t rank = 0; rank < order.size(); ++rank) {
-      const std::uint64_t id = order[rank];
+    snap.nodes.resize(static_cast<std::size_t>(visited));
+    for (std::size_t rank = 0; rank < snap.nodes.size(); ++rank) {
+      const std::uint64_t id = id_at(rank);
       const Shard& shard = shards[static_cast<std::size_t>(id >> 48)];
       const std::size_t local = static_cast<std::size_t>(id & kLocalMask);
       const NodeMeta& m = shard.meta[local];
-      snap.nodes[rank] = {shard.states[local], shard.hashes[local],
+      const State& state = shard.states[local];
+      snap.nodes[rank] = {state, static_cast<std::uint64_t>(HashValue(state)),
                           m.parent == kNoParent ? kNoParentRank
-                                                : rank_of.at(m.parent),
+                                                : rank_of(m.parent),
                           m.via};
     }
     snap.frontier.reserve(frontier.size());
     for (const std::uint64_t id : frontier) {
-      snap.frontier.push_back(rank_of.at(id));
+      snap.frontier.push_back(rank_of(id));
     }
     snap.depth = depth;
     snap.transitions = result.stats.transitions;
@@ -529,10 +532,6 @@ ParallelExploreResult<M> ParallelExplore(
                    static_cast<std::uint64_t>(frontier.size()));
       result.stats.max_depth_reached =
           std::max(result.stats.max_depth_reached, depth);
-      if (options.base.max_depth != 0 && depth >= options.base.max_depth) {
-        truncated = true;
-        break;
-      }
       ++result.par.waves;
       mark_wave_start();
       next_frontier.clear();
@@ -567,17 +566,13 @@ ParallelExploreResult<M> ParallelExplore(
             truncated = true;
             continue;
           }
-          const std::uint64_t id = make_id(
-              sh, shard.Intern(std::move(next), h, parent_id, a, track));
+          const std::uint64_t id =
+              make_id(sh, shard.Intern(std::move(next), h, parent_id, a));
           ++visited;
-          if (track) {
-            rank_of.emplace(id, order.size());
-            order.push_back(id);
-          }
+          if (record_order) order.push_back(id);
           const State& s = state_of(id);
           for (std::uint32_t p = 0; p < n_props; ++p) {
-            if (fvpp && violated[p] != 0) continue;
-            if (!properties[p].holds(s)) commit(p, id);
+            if (violated[p] == 0 && !properties[p].holds(s)) commit(p, id);
           }
           next_frontier.push_back(id);
         }
@@ -598,10 +593,6 @@ ParallelExploreResult<M> ParallelExplore(
                  static_cast<std::uint64_t>(frontier.size()));
     result.stats.max_depth_reached =
         std::max(result.stats.max_depth_reached, depth);
-    if (options.base.max_depth != 0 && depth >= options.base.max_depth) {
-      truncated = true;
-      break;
-    }
     ++result.par.waves;
     mark_wave_start();
 
@@ -688,8 +679,7 @@ ParallelExploreResult<M> ParallelExplore(
             // Same-wave duplicate: first key wins.
             if (shard.Find(c.hash, c.state) >= 0) continue;
             const std::int64_t idx =
-                shard.Intern(std::move(c.state), c.hash, c.parent, c.via,
-                             track);
+                shard.Intern(std::move(c.state), c.hash, c.parent, c.via);
             const std::uint64_t id =
                 make_id(static_cast<std::uint32_t>(si), idx);
             shard.new_ids.push_back(id);
@@ -697,8 +687,9 @@ ParallelExploreResult<M> ParallelExplore(
             shard.new_hashes.push_back(c.hash);
             const State& s = shard.states[static_cast<std::size_t>(idx)];
             for (std::uint32_t p = 0; p < n_props; ++p) {
-              if (fvpp && violated[p] != 0) continue;
-              if (!properties[p].holds(s)) shard.hits.push_back({c.key, p, id});
+              if (violated[p] == 0 && !properties[p].holds(s)) {
+                shard.hits.push_back({c.key, p, id});
+              }
             }
           }
         }
@@ -747,7 +738,6 @@ ParallelExploreResult<M> ParallelExplore(
               static_cast<std::int64_t>(shard.states.size()) - 1);
           shard.states.pop_back();
           shard.meta.pop_back();
-          if (track) shard.hashes.pop_back();
           shard.new_keys.pop_back();
           shard.new_ids.pop_back();
           shard.new_hashes.pop_back();
@@ -787,7 +777,7 @@ ParallelExploreResult<M> ParallelExplore(
               });
     for (const internal::PropHit& c : vcands) {
       if (c.property == kDeadlockProp ? deadlocked
-                                      : fvpp && violated[c.property] != 0) {
+                                      : violated[c.property] != 0) {
         continue;
       }
       commit(c.property, c.id);
@@ -798,9 +788,8 @@ ParallelExploreResult<M> ParallelExplore(
     for (std::size_t i = 0; i < accept; ++i) {
       next_frontier.push_back(discovered[i].second);
     }
-    if (track) {
+    if (record_order) {
       for (std::size_t i = 0; i < accept; ++i) {
-        rank_of.emplace(discovered[i].second, order.size());
         order.push_back(discovered[i].second);
       }
     }

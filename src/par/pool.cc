@@ -1,6 +1,8 @@
 #include "par/pool.h"
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace cnv::par {
 
@@ -10,6 +12,11 @@ int HardwareJobs() {
 }
 
 int ResolveJobs(int jobs) {
+  if (jobs > kMaxJobs) {
+    throw std::invalid_argument("jobs " + std::to_string(jobs) +
+                                " exceeds the maximum of " +
+                                std::to_string(kMaxJobs));
+  }
   if (jobs == 0) return HardwareJobs();
   return jobs < 1 ? 1 : jobs;
 }

@@ -34,8 +34,12 @@ namespace cnv::par {
 // Number of hardware threads, always >= 1.
 int HardwareJobs();
 
+// Largest job count a pool accepts. A pool starts jobs - 1 threads, so an
+// unchecked `--jobs 2147483647` would try to start two billion of them.
+inline constexpr int kMaxJobs = 1024;
+
 // Resolves a user-facing `--jobs` value: 0 means "use the hardware", anything
-// else is clamped to >= 1.
+// else is clamped to >= 1. Throws std::invalid_argument above kMaxJobs.
 int ResolveJobs(int jobs);
 
 class WorkerPool {

@@ -78,10 +78,12 @@ bool ArgParser::TakeValue(const std::string& name, std::string* value) {
   return present;
 }
 
-bool ArgParser::IntValue(const std::string& name, int* out, int min_value) {
+bool ArgParser::IntValue(const std::string& name, int* out, int min_value,
+                         int max_value) {
   std::int64_t v = 0;
   if (!I64Value(name, &v, min_value)) return false;
   if (v > INT32_MAX) Fail(name + ": value out of range");
+  if (v > max_value) Fail(name + ": must be <= " + std::to_string(max_value));
   *out = static_cast<int>(v);
   return true;
 }

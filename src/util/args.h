@@ -34,9 +34,10 @@ class ArgParser {
   // Valued flags: consume `name value` or `name=value`, returning true when
   // present. The value is parsed strictly; a missing or malformed value is
   // fatal. When given more than once (either spelling), the last occurrence
-  // wins. `min_value` guards nonsensical counts (e.g. negative --jobs).
+  // wins. `min_value` guards nonsensical counts (e.g. negative --jobs) and
+  // `max_value` impossible ones (e.g. a --jobs no pool can start).
   bool IntValue(const std::string& name, int* out,
-                int min_value = INT32_MIN);
+                int min_value = INT32_MIN, int max_value = INT32_MAX);
   bool U64Value(const std::string& name, std::uint64_t* out);
   bool I64Value(const std::string& name, std::int64_t* out,
                 std::int64_t min_value = INT64_MIN);

@@ -14,12 +14,12 @@
 
 #include "gtest/gtest.h"
 #include "mck/parallel_explorer.h"
-#include "mck/toy_models.h"
 #include "model/combined_model.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
 #include "model/s3_model.h"
 #include "model/s4_model.h"
+#include "toy_models.h"
 
 namespace cnv::ckpt {
 namespace {

@@ -80,13 +80,16 @@ TEST(GridTest, SerialAndThreadBackendsAreByteIdentical) {
   ASSERT_TRUE(serial.complete);
   EXPECT_EQ(serial.exec.cells_run, 16u);
 
-  SquareGrid pooled_grid(16);
-  DistOptions pooled_opt;
-  pooled_opt.workers = 4;
-  const GridResult pooled = RunGrid(pooled_grid, pooled_opt);
-  ASSERT_TRUE(pooled.complete);
-  EXPECT_EQ(serial.payloads, pooled.payloads);
-  EXPECT_EQ(pooled_grid.calls(), 16);
+  for (const int workers : {2, 4, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    SquareGrid pooled_grid(16);
+    DistOptions pooled_opt;
+    pooled_opt.workers = workers;
+    const GridResult pooled = RunGrid(pooled_grid, pooled_opt);
+    ASSERT_TRUE(pooled.complete);
+    EXPECT_EQ(serial.payloads, pooled.payloads);
+    EXPECT_EQ(pooled_grid.calls(), 16);
+  }
 }
 
 TEST(GridTest, ChainedGridThreadsCarryInOrder) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mck/toy_models.h"
+#include "toy_models.h"
 
 namespace cnv::mck {
 namespace {
@@ -65,16 +65,6 @@ TEST(ExplorerTest, MaxStatesTruncates) {
   const auto r = Explore(m, BelowCap(m.cap), opt);
   EXPECT_TRUE(r.stats.truncated);
   EXPECT_LE(r.stats.states_visited, 10u);
-}
-
-TEST(ExplorerTest, MaxDepthTruncates) {
-  CounterModel m;
-  m.cap = 1000;
-  ExploreOptions opt;
-  opt.max_depth = 5;
-  const auto r = Explore(m, BelowCap(m.cap), opt);
-  EXPECT_TRUE(r.stats.truncated);
-  EXPECT_EQ(r.stats.states_visited, 6u);  // values 0..5 discovered
 }
 
 TEST(ExplorerTest, PetersonGuaranteesMutualExclusion) {

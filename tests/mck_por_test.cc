@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "mck/parallel_explorer.h"
-#include "mck/toy_models.h"
 #include "model/combined_model.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
 #include "model/s3_model.h"
 #include "model/s4_model.h"
+#include "toy_models.h"
 
 namespace cnv::mck {
 namespace {
@@ -59,7 +59,7 @@ TEST(PorTest, IndepWorkersPorCollapsesToOneSchedule) {
   // ample successor is fresh), so exactly one interleaving survives.
   EXPECT_EQ(por.stats.states_visited, 17u);  // K*L + 1
   EXPECT_GT(por.stats.ample_states, 0u);
-  // The >= 10x reduction-factor floor the bench report also asserts.
+  // The >= 10x reduction-factor floor the CI reduction job gates on.
   EXPECT_GE(full.stats.states_visited, 10 * por.stats.states_visited);
   EXPECT_EQ(ViolatedProps<IndepWorkersModel>(full.violations),
             ViolatedProps<IndepWorkersModel>(por.violations));

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mck/toy_models.h"
+#include "toy_models.h"
 
 namespace cnv::mck {
 namespace {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "mck/toy_models.h"
 #include "model/s1_model.h"
 #include "model/s3_model.h"
+#include "toy_models.h"
 
 namespace cnv::mck {
 namespace {

@@ -14,8 +14,8 @@
 #include <string>
 
 #include "mck/parallel_explorer.h"
-#include "mck/toy_models.h"
 #include "model/combined_model.h"
+#include "toy_models.h"
 
 namespace cnv::mck {
 namespace {

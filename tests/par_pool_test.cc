@@ -5,6 +5,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,6 +19,12 @@ TEST(WorkerPoolTest, HardwareJobsIsPositive) {
   EXPECT_EQ(ResolveJobs(1), 1);
   EXPECT_EQ(ResolveJobs(-3), 1);
   EXPECT_EQ(ResolveJobs(7), 7);
+}
+
+TEST(WorkerPoolTest, ResolveJobsRejectsCountsAboveTheCeiling) {
+  EXPECT_EQ(ResolveJobs(kMaxJobs), kMaxJobs);
+  EXPECT_THROW(ResolveJobs(kMaxJobs + 1), std::invalid_argument);
+  EXPECT_THROW(ResolveJobs(INT32_MAX), std::invalid_argument);
 }
 
 TEST(WorkerPoolTest, ParallelForCoversEveryIndexExactlyOnce) {

@@ -317,12 +317,15 @@ TEST(WheelPropertyTest, MatchesHeapOnReentrantChains) {
   // pattern — through both kernels.
   const auto drive = [](auto& sim, std::vector<int>& log) {
     for (int chain = 0; chain < 50; ++chain) {
+      // The pending event owns the chain; the closure refers back to itself
+      // weakly, so the last event frees it (a strong self-capture leaks).
       auto step = std::make_shared<std::function<void(int)>>();
-      *step = [&sim, &log, chain, step](int depth) {
+      *step = [&sim, &log, chain,
+               self = std::weak_ptr(step)](int depth) {
         log.push_back(chain * 100 + depth);
         if (depth < 20) {
           sim.ScheduleIn(depth % 3 == 0 ? 0 : depth,
-                         [step, depth] { (*step)(depth + 1); });
+                         [step = self.lock(), depth] { (*step)(depth + 1); });
         }
       };
       sim.ScheduleAt(chain * 7, [step] { (*step)(0); });

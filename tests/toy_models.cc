@@ -1,4 +1,4 @@
-#include "mck/toy_models.h"
+#include "toy_models.h"
 
 #include "mck/symmetry.h"
 

@@ -1,6 +1,6 @@
 // Small classic models used to test the checker itself: a bounded counter,
 // Peterson's mutual-exclusion algorithm, a lossy ping/ack channel, and a
-// deadlocking two-lock scheme. They double as engine microbenchmarks.
+// deadlocking two-lock scheme.
 #pragma once
 
 #include <array>

@@ -167,7 +167,7 @@ int ParseAndFinish(const std::vector<std::string>& args,
   const Argv a(args);
   ArgParser p(a.argc(), a.argv(), kUsage);
   int jobs = 0;
-  p.IntValue("--jobs", &jobs, 0);
+  p.IntValue("--jobs", &jobs, 0, /*max_value=*/64);
   std::uint64_t seed = 0;
   p.U64Value("--seed", &seed);
   p.Finish(max_positional);
@@ -187,6 +187,11 @@ TEST(ArgParserDeathTest, NonNumericJobsIsFatal) {
 TEST(ArgParserDeathTest, NegativeJobsIsFatal) {
   EXPECT_EXIT(ParseAndFinish({"prog", "--jobs", "-2"}),
               testing::ExitedWithCode(2), "usage: prog");
+}
+
+TEST(ArgParserDeathTest, JobsAboveCeilingIsFatal) {
+  EXPECT_EXIT(ParseAndFinish({"prog", "--jobs", "65"}),
+              testing::ExitedWithCode(2), "must be <= 64");
 }
 
 TEST(ArgParserDeathTest, NegativeSeedIsFatal) {
