@@ -119,10 +119,8 @@ int main(int argc, char** argv) {
                   : "some issues remain!\n");
 
   // Write the full markdown report for humans.
-  core::PipelineOptions ropt;
-  const auto report = core::RunPipeline(ropt);
-  std::ofstream("cnetverifier_report.md")
-      << core::RenderMarkdown(report, ropt);
+  const auto report = core::RunPipeline();
+  std::ofstream("cnetverifier_report.md") << core::RenderMarkdown(report);
   std::printf("\nfull report written to cnetverifier_report.md "
               "(%zu finding(s) confirmed)\n",
               report.confirmed.size());

@@ -45,8 +45,7 @@ PipelineReport RunPipeline(const PipelineOptions& options) {
   return report;
 }
 
-std::string RenderMarkdown(const PipelineReport& report,
-                           const PipelineOptions& options) {
+std::string RenderMarkdown(const PipelineReport& report) {
   std::string out;
   out += "# CNetVerifier diagnosis report\n\n";
   out += report.with_solutions
@@ -87,12 +86,10 @@ std::string RenderMarkdown(const PipelineReport& report,
                 static_cast<unsigned long long>(
                     report.screening.total_transitions));
 
-  if (options.include_counterexamples) {
-    out += "\n## Counterexamples\n";
-    for (const auto& cell : report.screening.cells) {
-      for (const auto& cx : cell.counterexamples) {
-        out += "\n```\n[" + cell.cell + "]\n" + cx + "```\n";
-      }
+  out += "\n## Counterexamples\n";
+  for (const auto& cell : report.screening.cells) {
+    for (const auto& cx : cell.counterexamples) {
+      out += "\n```\n[" + cell.cell + "]\n" + cx + "```\n";
     }
   }
 

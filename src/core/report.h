@@ -15,8 +15,6 @@ namespace cnv::core {
 struct PipelineOptions {
   bool with_solutions = false;
   std::uint64_t seed = 1;
-  // Include the screening counterexample traces in the rendering.
-  bool include_counterexamples = true;
 };
 
 struct PipelineReport {
@@ -35,7 +33,6 @@ PipelineReport RunPipeline(const PipelineOptions& options = {});
 
 // Renders the report as markdown (Table 1-style summary, per-carrier
 // validation evidence, screening statistics, counterexamples).
-std::string RenderMarkdown(const PipelineReport& report,
-                           const PipelineOptions& options = {});
+std::string RenderMarkdown(const PipelineReport& report);
 
 }  // namespace cnv::core

@@ -25,10 +25,6 @@ struct ValidationResult {
 struct ValidationOptions {
   stack::SolutionConfig solutions;  // all-off reproduces the findings
   std::uint64_t seed = 1;
-  // Force the S6 race so the bounded run demonstrates the failure path
-  // (its natural frequency, 2.6% of CSFB calls, is measured by the user
-  // study instead).
-  bool force_s6_race = true;
 };
 
 class ValidationRunner {

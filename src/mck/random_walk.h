@@ -21,7 +21,6 @@ namespace cnv::mck {
 struct WalkOptions {
   std::uint64_t walks = 1000;
   std::uint64_t max_steps_per_walk = 200;
-  bool first_violation_per_property = true;
 };
 
 struct WalkStats {
@@ -65,9 +64,7 @@ WalkResult<M> RandomWalk(const M& model,
 
   auto check = [&](const State& s, const std::vector<Action>& trace) {
     for (const auto& p : properties) {
-      if (options.first_violation_per_property && violated.contains(p.name)) {
-        continue;
-      }
+      if (violated.contains(p.name)) continue;
       if (!p.holds(s)) {
         violated.insert(p.name);
         result.violations.push_back({p.name, trace, s});
@@ -94,10 +91,7 @@ WalkResult<M> RandomWalk(const M& model,
       check(s, trace);
     }
     ++result.stats.walks_done;
-    if (options.first_violation_per_property &&
-        violated.size() == properties.size()) {
-      break;
-    }
+    if (violated.size() == properties.size()) break;
   }
   result.stats.distinct_states = distinct.size();
   return result;

@@ -17,20 +17,23 @@
 namespace cnv::mck {
 
 // Sorts the first `n` blocks of a fixed-size component array into the
-// canonical (ascending) order. Blocks need operator<; ties are fine (stable
-// order does not matter for a sort into a total preorder of equal keys).
+// canonical (ascending) order; `n` beyond N means all N. Blocks need
+// operator<; ties are fine (stable order does not matter for a sort into a
+// total preorder of equal keys).
 template <typename Block, std::size_t N>
 void SortBlocks(std::array<Block, N>& blocks, std::size_t n) {
+  n = std::min(n, N);
   std::sort(blocks.begin(), blocks.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 // Orbit size of a sorted block sequence under the full symmetric group:
 // n! / prod over equal-block groups of (group size)!. Blocks need
 // operator==; the sequence must already be sorted so equal blocks are
-// adjacent.
+// adjacent. `n` beyond N means all N.
 template <typename Block, std::size_t N>
 std::uint64_t MultisetOrbitSize(const std::array<Block, N>& blocks,
                                 std::size_t n) {
+  n = std::min(n, N);
   std::uint64_t orbit = 1;
   std::uint64_t run = 1;  // length of the equal-block run ending at i
   for (std::size_t i = 1; i < n; ++i) {

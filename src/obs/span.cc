@@ -1,5 +1,6 @@
 #include "obs/span.h"
 
+#include <array>
 #include <map>
 #include <optional>
 
@@ -7,105 +8,6 @@
 #include "util/time.h"
 
 namespace cnv::obs {
-
-namespace {
-
-bool Contains(const std::string& hay, const std::string& needle) {
-  return hay.find(needle) != std::string::npos;
-}
-
-// Marker table for the non-outage procedures. Matching is constrained by
-// the generating module so e.g. EMM "Attach Request sent" never collides
-// with GMM "GPRS Attach Request sent".
-struct Marker {
-  const char* module;
-  const char* needle;  // substring of the record description
-};
-
-struct Rule {
-  SpanKind kind;
-  std::vector<Marker> starts;
-  std::vector<Marker> retries;
-  std::vector<Marker> successes;
-  std::vector<Marker> failures;
-};
-
-const std::vector<Rule>& Rules() {
-  static const std::vector<Rule> rules = {
-      {SpanKind::kAttach,
-       {{"EMM", "Attach Request sent"}},
-       {{"EMM", "Attach Request retransmitted"}},
-       {{"EMM", "Attach Accept received"}},
-       {{"EMM", "Attach Reject received"}}},
-      {SpanKind::kGprsAttach,
-       {{"GMM", "GPRS Attach Request sent"}},
-       {{"GMM", "GPRS Attach Request retransmitted"}},
-       {{"GMM", "GPRS Attach Accept received"}},
-       {{"GMM", "GMM procedure abandoned"}}},
-      {SpanKind::kLocationUpdate,
-       {{"MM", "Location Updating Request sent"}},
-       {{"MM", "Location Updating Request retransmitted"}},
-       {{"MM", "Location Updating Accept received"}},
-       {{"MM", "Location Updating Reject received"},
-        {"MM", "location update abandoned"}}},
-      {SpanKind::kRoutingUpdate,
-       {{"GMM", "Routing Area Update Request sent"}},
-       {{"GMM", "Routing Area Update Request retransmitted"}},
-       {{"GMM", "Routing Area Update Accept received"}},
-       {{"GMM", "GMM procedure abandoned"}}},
-      {SpanKind::kTrackingUpdate,
-       {{"EMM", "Tracking Area Update Request sent"}},
-       {{"EMM", "TAU retransmitted"}},
-       {{"EMM", "Tracking Area Update Accept received"}},
-       {{"EMM", "Tracking Area Update Reject received"}}},
-      {SpanKind::kPdpActivation,
-       {{"SM", "Activate PDP Context Request sent"}},
-       {{"SM", "Activate PDP Context Request retransmitted"}},
-       {{"SM", "Activate PDP Context Accept received"}},
-       {{"SM", "PDP activation abandoned"}}},
-      {SpanKind::kCall,
-       {{"CM/CC", "user dials an outgoing call"},
-        {"EMM", "Extended Service Request (CSFB) sent"},
-        {"EMM", "VoLTE call setup"}},
-       {{"MM", "CM Service Request re-requested"}},
-       {{"CM/CC", "a call is established"},
-        {"EMM", "VoLTE call established"}},
-       {{"MM", "CM Service Reject received"},
-        {"MM", "CM service abandoned"}}},
-  };
-  return rules;
-}
-
-bool Matches(const trace::TraceRecord& r, const std::vector<Marker>& ms) {
-  for (const auto& m : ms) {
-    if (r.module == m.module && Contains(r.description, m.needle)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string ToString(SpanKind k) {
-  switch (k) {
-    case SpanKind::kAttach:
-      return "attach";
-    case SpanKind::kGprsAttach:
-      return "gprs_attach";
-    case SpanKind::kLocationUpdate:
-      return "location_update";
-    case SpanKind::kRoutingUpdate:
-      return "routing_update";
-    case SpanKind::kTrackingUpdate:
-      return "tracking_update";
-    case SpanKind::kPdpActivation:
-      return "pdp_activation";
-    case SpanKind::kCall:
-      return "call";
-    case SpanKind::kOutage:
-      return "outage";
-  }
-  return "?";
-}
 
 std::string ToString(SpanOutcome o) {
   switch (o) {
@@ -122,41 +24,45 @@ std::string ToString(SpanOutcome o) {
 std::vector<ProcedureSpan> StitchSpans(
     const std::vector<trace::TraceRecord>& records) {
   std::vector<ProcedureSpan> out;
-  const auto& rules = Rules();
-  // One open slot per rule; outages are per-property, so keyed by name.
-  std::vector<std::optional<ProcedureSpan>> open(rules.size());
+  // One open slot per procedure; outages are per-property, so keyed by name.
+  constexpr std::size_t kProcedures =
+      static_cast<std::size_t>(SpanKind::kOutage);
+  std::array<std::optional<ProcedureSpan>, kProcedures> open;
   std::map<std::string, ProcedureSpan> open_outages;
 
   for (const auto& r : records) {
-    if (r.type == trace::TraceType::kRecovery && r.module == "MONITOR") {
-      constexpr const char* kBegins = " outage begins";
-      const auto b = r.description.find(kBegins);
-      if (b != std::string::npos) {
+    const trace::EventRow* row = trace::Classify(r.module, r.description);
+    if (row == nullptr || row->role == trace::SpanRole::kNone) continue;
+
+    if (row->spans == trace::SpanBit(SpanKind::kOutage)) {
+      if (r.type != trace::TraceType::kRecovery) continue;
+      // The description reads "<property><needle>...".
+      std::string prop =
+          r.description.substr(0, r.description.find(row->needle));
+      if (row->role == trace::SpanRole::kStart) {
         ProcedureSpan s;
         s.kind = SpanKind::kOutage;
         s.start = r.time;
-        s.detail = r.description.substr(0, b);  // the property name
-        open_outages[s.detail] = s;
+        s.detail = prop;
+        open_outages[std::move(prop)] = s;
         continue;
       }
-      constexpr const char* kRecovered = " recovered after";
-      const auto e = r.description.find(kRecovered);
-      if (e != std::string::npos) {
-        const std::string prop = r.description.substr(0, e);
-        const auto it = open_outages.find(prop);
-        if (it != open_outages.end()) {
-          it->second.end = r.time;
-          it->second.outcome = SpanOutcome::kSuccess;
-          out.push_back(it->second);
-          open_outages.erase(it);
-        }
+      const auto it = open_outages.find(prop);
+      if (it != open_outages.end()) {
+        it->second.end = r.time;
+        it->second.outcome = SpanOutcome::kSuccess;
+        out.push_back(it->second);
+        open_outages.erase(it);
       }
       continue;
     }
 
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      const Rule& rule = rules[i];
-      if (Matches(r, rule.starts)) {
+    // A row names more than one procedure only for a shared failure: it
+    // closes the first of them that is open.
+    for (std::size_t i = 0; i < kProcedures; ++i) {
+      const auto kind = static_cast<SpanKind>(i);
+      if ((row->spans & trace::SpanBit(kind)) == 0) continue;
+      if (row->role == trace::SpanRole::kStart) {
         if (open[i]) {
           // The stack restarted the procedure: the superseded attempt
           // never completed.
@@ -166,25 +72,24 @@ std::vector<ProcedureSpan> StitchSpans(
           out.push_back(*open[i]);
         }
         ProcedureSpan s;
-        s.kind = rule.kind;
+        s.kind = kind;
         s.start = r.time;
         open[i] = s;
         break;
       }
       if (!open[i]) continue;
-      if (Matches(r, rule.retries)) {
+      if (row->role == trace::SpanRole::kRetry) {
         ++open[i]->retries;
         break;
       }
-      const bool ok = Matches(r, rule.successes);
-      if (ok || Matches(r, rule.failures)) {
-        open[i]->end = r.time;
-        open[i]->outcome = ok ? SpanOutcome::kSuccess : SpanOutcome::kFailure;
-        open[i]->detail = r.description;
-        out.push_back(*open[i]);
-        open[i].reset();
-        break;
-      }
+      open[i]->end = r.time;
+      open[i]->outcome = row->role == trace::SpanRole::kSuccess
+                             ? SpanOutcome::kSuccess
+                             : SpanOutcome::kFailure;
+      open[i]->detail = r.description;
+      out.push_back(*open[i]);
+      open[i].reset();
+      break;
     }
   }
 

@@ -14,21 +14,13 @@
 
 #include "obs/metrics.h"
 #include "trace/record.h"
+#include "trace/vocab.h"
 
 namespace cnv::obs {
 
-enum class SpanKind : std::uint8_t {
-  kAttach,          // EMM attach (4G)
-  kGprsAttach,      // GMM attach (3G PS)
-  kLocationUpdate,  // MM LAU (3G CS)
-  kRoutingUpdate,   // GMM RAU (3G PS)
-  kTrackingUpdate,  // EMM TAU (4G)
-  kPdpActivation,   // SM PDP context activation (3G PS)
-  kCall,            // CM/CC call setup: dial -> established (CSFB or VoLTE)
-  kOutage,          // RecoveryMonitor outage window per property
-};
-
-std::string ToString(SpanKind k);
+// The procedures (and the Chrome-trace thread order) are part of the
+// trace-event vocabulary, trace/vocab.h.
+using trace::SpanKind;
 
 enum class SpanOutcome : std::uint8_t {
   kSuccess,
@@ -51,11 +43,13 @@ struct ProcedureSpan {
   bool operator==(const ProcedureSpan&) const = default;
 };
 
-// Scans the records in order and pairs procedure starts with their ends.
-// A start marker arriving while the same-kind span is open closes the open
-// span as kFailure (the stack restarted the procedure); spans still open at
-// the end of the log are emitted with outcome kOpen. Output is ordered by
-// span end time (open spans last, by start time), deterministically.
+// Scans the records in order and pairs procedure starts with their ends:
+// each record's span procedure and role are the columns of the row
+// trace::Classify matches. A start arriving while the same-kind span is
+// open closes the open span as kFailure (the stack restarted the
+// procedure); spans still open at the end of the log are emitted with
+// outcome kOpen. Output is ordered by span end time (open spans last, by
+// start time), deterministically.
 std::vector<ProcedureSpan> StitchSpans(
     const std::vector<trace::TraceRecord>& records);
 

@@ -2,7 +2,6 @@
 
 #include <string_view>
 
-#include "conf/abstract.h"
 #include "util/strings.h"
 #include "util/time.h"
 
@@ -42,49 +41,13 @@ std::string FormatAlertLog(const std::vector<Alert>& alerts) {
   return out;
 }
 
-namespace {
-
-bool Contains(std::string_view haystack, std::string_view needle) {
-  return haystack.find(needle) != std::string_view::npos;
-}
-
-}  // namespace
-
 Observation Observe(std::string_view module, std::string_view description,
                     SimTime time, std::string* text) {
   Observation o;
   o.time = time;
-  // Power-on is not part of conf's abstraction vocabulary, so it is matched
-  // on the raw record.
-  if (module == "UE" && Contains(description, "device powers on")) {
-    o.power_on = true;
-    return o;
-  }
-  o.kind = conf::MatchAbstractKind(module, description);
-  if (!o.kind) return o;
-  using conf::AbstractKind;
-  switch (*o.kind) {
-    case AbstractKind::kTauReject:
-      if (Contains(description, "no EPS bearer context activated")) {
-        o.facts |= Observation::kNoEpsBearer;
-      }
-      if (Contains(description, "implicitly detached")) {
-        o.facts |= Observation::kImplicitlyDetached;
-      }
-      break;
-    case AbstractKind::kNetworkDetach:
-      if (Contains(description, "Tracking Area Update Reject")) {
-        o.facts |= Observation::kTauRejectDetach;
-      }
-      if (Contains(description, "network Detach Request")) {
-        o.facts |= Observation::kNetworkDetachRequest;
-      }
-      break;
-    case AbstractKind::kCallDialed:
-      if (module == "CM/CC") o.facts |= Observation::kCmLayerDial;
-      break;
-    default:
-      break;
+  if (const trace::EventRow* row = trace::Classify(module, description)) {
+    o.kind = row->kind;
+    o.facts = row->facts;
   }
   if (o.NeedsText()) text->assign(TrimView(description));
   return o;
@@ -102,7 +65,7 @@ void FindingMonitors::Step(const Observation& o, std::string_view text,
   // A power-on is a session boundary: whatever episode the previous capture
   // ended in (e.g. stranded in 3G after a CSFB call) must not bleed into
   // the new one.
-  if (o.power_on) {
+  if (o.Has(Observation::kPowerOn)) {
     *this = FindingMonitors(stream_);
     return;
   }
@@ -112,7 +75,7 @@ void FindingMonitors::Step(const Observation& o, std::string_view text,
     out->push_back(Alert{k, stream_, o.time, ordinal, std::move(detail)});
   };
 
-  using conf::AbstractKind;
+  using trace::AbstractKind;
   switch (*o.kind) {
     case AbstractKind::kCsfbFallback:
       in_3g_ = true;

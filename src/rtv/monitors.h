@@ -1,9 +1,9 @@
 // Online property monitors: the paper's S1-S6 findings recast as streaming
-// automata over one trace stream. Each record is abstracted through conf's
-// kRules mapping table (conf::MatchAbstractKind) and stepped through a set
-// of small per-stream state machines; the moment a finding's signature
-// completes, a typed Alert is emitted — instead of probing defect counters
-// after the run, as the batch harness does.
+// automata over one trace stream. Each record is classified once against
+// the trace-event vocabulary (trace::Classify, trace/vocab.h) and stepped
+// through a set of small per-stream state machines; the moment a finding's
+// signature completes, a typed Alert is emitted — instead of probing defect
+// counters after the run, as the batch harness does.
 //
 // The signatures (also documented in DESIGN.md "Runtime verification"):
 //
@@ -21,17 +21,16 @@
 //   S6  A location update disrupted by an inter-system switch, followed by
 //       a network-originated Detach Request.
 //
-// Monitors see the abstract kind *and* a few facts of the raw record:
-// causes ("implicitly detached" vs "no EPS bearer context activated") and
-// the dialing module (CM/CC vs an EMM extended service request)
-// distinguish findings that share an abstract event.
+// Monitors see the row's abstract kind *and* its facts (trace::EventFact):
+// causes, the detach path and the dialing module distinguish findings that
+// share an abstract event, and a power-on marks a session boundary.
 //
-// Each record is read in two steps. Observe() is stateless: it abstracts
-// the record and extracts those facts into a trivially-copyable
-// Observation, so the gateway runs it on its ingest thread and ships only
-// the Observation through its ring. FindingMonitors::Step(Observation)
-// runs the per-stream automata. The offline Step(TraceRecord) is exactly
-// Observe + Step, so every finding is defined once for both paths.
+// Each record is read in two steps. Observe() is stateless: it classifies
+// the record into a trivially-copyable Observation, so the gateway runs it
+// on its ingest thread and ships only the Observation through its ring.
+// FindingMonitors::Step(Observation) runs the per-stream automata. The
+// offline Step(TraceRecord) is exactly Observe + Step, so every finding is
+// defined once for both paths.
 #pragma once
 
 #include <cstdint>
@@ -41,35 +40,26 @@
 #include <type_traits>
 #include <vector>
 
-#include "conf/abstract.h"
 #include "rtv/alert.h"
 #include "trace/record.h"
+#include "trace/vocab.h"
 
 namespace cnv::rtv {
 
 // What the automata read of one record.
 struct Observation {
-  // The description facts the automata test, one bit each. Evaluated only
-  // for the abstract kinds whose automata read them.
-  enum Fact : std::uint8_t {
-    kNoEpsBearer = 1 << 0,           // "no EPS bearer context activated"
-    kImplicitlyDetached = 1 << 1,    // "implicitly detached"
-    kTauRejectDetach = 1 << 2,       // "Tracking Area Update Reject"
-    kNetworkDetachRequest = 1 << 3,  // "network Detach Request"
-    kCmLayerDial = 1 << 4,           // module "CM/CC"
-  };
+  using enum trace::EventFact;
 
   SimTime time = 0;
-  std::optional<conf::AbstractKind> kind;  // nullopt: outside the vocabulary
-  bool power_on = false;  // "device powers on": a session boundary
-  std::uint8_t facts = 0;
+  std::optional<trace::AbstractKind> kind;  // nullopt: no model counterpart
+  std::uint8_t facts = 0;                   // trace::EventFact bits
 
-  bool Has(Fact f) const { return (facts & f) != 0; }
+  bool Has(trace::EventFact f) const { return (facts & f) != 0; }
   // The two overload kinds quote the record's trimmed description in their
   // alert detail; no other kind reads the description text.
   bool NeedsText() const {
-    return kind == conf::AbstractKind::kStormBegins ||
-           kind == conf::AbstractKind::kCongestionBackoff;
+    return kind == trace::AbstractKind::kStormBegins ||
+           kind == trace::AbstractKind::kCongestionBackoff;
   }
 };
 static_assert(std::is_trivially_copyable_v<Observation>);

@@ -185,13 +185,14 @@ void CompileAllWalkViolations(const M& m, const std::string& property,
       return m.Properties();
     }
   }();
+  // A walk reports the first violation of each property, so the variety
+  // comes from the seeds.
   int compiled = 0;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     cnv::Rng rng(seed);
     mck::WalkOptions wopt;
     wopt.walks = 16;
     wopt.max_steps_per_walk = 48;
-    wopt.first_violation_per_property = false;
     const auto result = mck::RandomWalk(m, props, rng, wopt);
     for (const auto& v : result.violations) {
       if (v.property != property) continue;

@@ -50,18 +50,10 @@ TEST(ReportTest, MarkdownReflectsCarrierAsymmetryForS3) {
   EXPECT_NE(s3_row.find("| - | observed |"), std::string::npos);
 }
 
-TEST(ReportTest, CounterexamplesCanBeOmitted) {
-  const auto report = RunPipeline();
-  PipelineOptions opt;
-  opt.include_counterexamples = false;
-  const auto md = RenderMarkdown(report, opt);
-  EXPECT_EQ(md.find("## Counterexamples"), std::string::npos);
-}
-
 TEST(ReportTest, CleanVerdictText) {
   PipelineOptions opt;
   opt.with_solutions = true;
-  const auto md = RenderMarkdown(RunPipeline(opt), opt);
+  const auto md = RenderMarkdown(RunPipeline(opt));
   EXPECT_NE(md.find("No problematic protocol interactions confirmed"),
             std::string::npos);
   EXPECT_NE(md.find("remedies enabled"), std::string::npos);

@@ -105,7 +105,7 @@ TEST(WorkerPoolTest, BusySecondsTracksEveryWorkerMonotonically) {
   ASSERT_EQ(before.size(), 2u);
   pool.ParallelEach(64, [&](int, std::size_t) {
     volatile std::uint64_t x = 0;
-    for (int i = 0; i < 1000; ++i) x += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 1000; ++i) x = x + static_cast<std::uint64_t>(i);
   });
   const std::vector<double> after = pool.BusySeconds();
   ASSERT_EQ(after.size(), 2u);

@@ -136,7 +136,7 @@ TEST(ObserveTest, ExtractsOnlyWhatTheAutomataRead) {
       "Tracking Area Update Reject received (cause: implicitly detached)",
       Seconds(3), &text);
   EXPECT_EQ(reject.time, Seconds(3));
-  EXPECT_EQ(reject.kind, conf::AbstractKind::kTauReject);
+  EXPECT_EQ(reject.kind, trace::AbstractKind::kTauReject);
   EXPECT_TRUE(reject.Has(Observation::kImplicitlyDetached));
   EXPECT_FALSE(reject.Has(Observation::kNoEpsBearer));
   EXPECT_FALSE(reject.NeedsText());
@@ -144,11 +144,11 @@ TEST(ObserveTest, ExtractsOnlyWhatTheAutomataRead) {
 
   const Observation dial =
       Observe("CM/CC", "user dials an outgoing call", 0, &text);
-  EXPECT_EQ(dial.kind, conf::AbstractKind::kCallDialed);
+  EXPECT_EQ(dial.kind, trace::AbstractKind::kCallDialed);
   EXPECT_TRUE(dial.Has(Observation::kCmLayerDial));
 
   const Observation power = Observe("UE", "device powers on (4G)", 0, &text);
-  EXPECT_TRUE(power.power_on);
+  EXPECT_TRUE(power.Has(Observation::kPowerOn));
   EXPECT_FALSE(power.kind.has_value());
 
   const Observation storm = Observe(

@@ -30,7 +30,7 @@ bool TraceContains(Testbed& tb, const std::string& needle) {
 }
 
 TEST(OverloadTest, LegacyCoreNeverQueues) {
-  Testbed tb({.profile = OpI(), .seed = 7});  // overload disabled
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});  // overload disabled
   tb.storm().MassAttach(Millis(10), 1000, Millis(1));
   tb.ue().PowerOn(nas::System::k4G);
   tb.Run(Seconds(10));
@@ -123,7 +123,7 @@ TEST(OverloadTest, PagingFloodSurvivesPriorityShedAtTheMsc) {
 }
 
 TEST(OverloadTest, ScreeningRejectsMalformedWithoutStateChange) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   tb.ue().PowerOn(nas::System::k4G);
   tb.Run(Seconds(5));
   ASSERT_EQ(tb.ue().emm_state(), UeDevice::EmmState::kRegistered);
@@ -147,7 +147,7 @@ TEST(OverloadTest, ScreeningRejectsMalformedWithoutStateChange) {
 }
 
 TEST(OverloadTest, ReplayCacheDropsDuplicateUids) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   nas::Message m;
   m.kind = nas::MsgKind::kAttachComplete;
   m.protocol = nas::Protocol::kEmm;
@@ -176,7 +176,7 @@ TEST(OverloadTest, DrainedAfterFindsTheFirstCatchUp) {
 TEST(OverloadTest, HssOpBudgetShedsOverBudgetLocationOps) {
   // Core elements stay legacy (zero queueing); only the HSS gets an op
   // budget of 1 location op per 60 s window.
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   OverloadConfig budget;
   budget.enabled = true;
   budget.policy = AdmissionPolicy::kRejectBackoff;

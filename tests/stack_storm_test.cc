@@ -31,7 +31,7 @@ TEST(StormTest, SameSeedSameStormSameTrace) {
 }
 
 TEST(StormTest, MassAttachInjectsExactlyCount) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   tb.storm().MassAttach(Millis(10), 123, Millis(1));
   tb.Run(Seconds(2));
   EXPECT_EQ(tb.storm().injected(), 123u);
@@ -39,7 +39,7 @@ TEST(StormTest, MassAttachInjectsExactlyCount) {
 }
 
 TEST(StormTest, AdversarialReplaySlotsCountTwice) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   // Corpus slots 3 and 6 of every 7 are replays (two injections each):
   // 7 slots -> 9 messages.
   tb.storm().AdversarialNas(Millis(10), 7, Millis(10));
@@ -48,7 +48,7 @@ TEST(StormTest, AdversarialReplaySlotsCountTwice) {
 }
 
 TEST(StormTest, LastInjectionAtIsTheLatestBurstSlot) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   EXPECT_EQ(tb.storm().last_injection_at(), 0);
   tb.storm().MassAttach(Seconds(1), 10, Millis(100));  // ends at 1.9 s
   tb.storm().PagingFlood(Seconds(3), 5, Millis(10));   // ends at 3.04 s
@@ -56,7 +56,7 @@ TEST(StormTest, LastInjectionAtIsTheLatestBurstSlot) {
 }
 
 TEST(StormTest, BurstsAnnounceThemselvesInTheTrace) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   tb.storm().MassAttach(Millis(10), 5, Millis(1));
   tb.storm().TaPingPong(Millis(100), 5, Millis(1));
   tb.storm().PagingFlood(Millis(200), 5, Millis(1));
@@ -70,7 +70,7 @@ TEST(StormTest, BurstsAnnounceThemselvesInTheTrace) {
 }
 
 TEST(StormTest, AdversarialCorpusIsScreenedWithoutStateCorruption) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   tb.ue().PowerOn(nas::System::k4G);
   tb.Run(Seconds(5));
   ASSERT_EQ(tb.ue().emm_state(), UeDevice::EmmState::kRegistered);
@@ -94,7 +94,7 @@ TEST(StormTest, AdversarialCorpusIsScreenedWithoutStateCorruption) {
 }
 
 TEST(StormTest, TaPingPongAlternatesTrackingAreas) {
-  Testbed tb({.profile = OpI(), .seed = 7});
+  Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   tb.storm().TaPingPong(Millis(10), 50, Millis(1));
   tb.Run(Seconds(2));
   EXPECT_EQ(tb.storm().injected(), 50u);
