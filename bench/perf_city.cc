@@ -1,13 +1,12 @@
 // City-scale event-kernel benchmark: drives the CityEngine population
 // workload (busy-hour attach front, paging, drive-route location updates,
-// far-future guard timers) through the sharded timer-wheel kernel and, for
-// comparison, through the seed binary-heap kernel on the same workload.
+// far-future guard timers) through the sharded timer-wheel kernel.
 //
 // The sweep reports events/sec, wall seconds, bytes/UE and the determinism
-// digest per population size; at the baseline comparison size it prints the
-// wheel-vs-heap speedup. Digests are checked serial-vs-parallel on every
-// wheel run, so a perf gain that broke determinism fails loudly here before
-// any golden does.
+// digest per population size. Digests are checked serial-vs-parallel on
+// every run, so a perf gain that broke determinism fails loudly here before
+// any golden does. The retired single-heap kernel's 5.6x comparison at 100k
+// UEs stays frozen in the committed BENCH_perf_city.json.
 //
 // Usage:  ./perf_city [options]
 //   --bench-json PATH   machine-readable report (default BENCH_perf_city.json)
@@ -15,9 +14,7 @@
 //   --full              extend the sweep to 1M UEs
 //   --ues N             single run at N UEs (1..10,000,000) instead of the
 //                       sweep
-//   --jobs N            worker threads for wheel runs (0 = hardware, at
-//                       most 1024)
-//   --baseline          single run uses the heap kernel
+//   --jobs N            worker threads (0 = hardware, at most 1024)
 //   --emit-trace        single run prints its sampled QXDM trace to stdout
 //   --overload          single run starves attach admission (storm/backoff)
 //   --seed S            workload seed (default 1)
@@ -49,7 +46,6 @@ double Now() {
 struct CityOutcome {
   std::string name;
   std::uint32_t ues = 0;
-  std::string kernel;
   int jobs = 1;
   stack::CityReport report;
   double wall_seconds = 0;
@@ -67,9 +63,8 @@ stack::CityConfig ConfigFor(std::uint32_t ues, std::uint64_t seed) {
   cfg.seed = seed;
   // Busy-hour density: sessions every ~30 s, pages every ~45 s, cell dwell
   // ~1 min on the drive routes. This is the load regime the paper measures
-  // (peak-hour metro signalling), and the regime where kernel choice
-  // matters — hundreds of thousands of events in flight keep the seed
-  // heap's log(n) pops and tombstone churn on every critical path.
+  // (peak-hour metro signalling): hundreds of thousands of events in
+  // flight.
   cfg.activity_mean_s = 30.0;
   cfg.paging_mean_s = 45.0;
   cfg.dwell_mean_s = 60.0;
@@ -78,34 +73,29 @@ stack::CityConfig ConfigFor(std::uint32_t ues, std::uint64_t seed) {
   return cfg;
 }
 
-// Events/sec counts productive (non-tombstone) executions only, so the two
-// kernels are scored on identical numerators for a given workload: the heap
-// is not credited for popping tombstones, and the wheel is not credited for
-// the handful of stale entries its reaper misses.
+// Events/sec counts productive (non-tombstone) executions only: the wheel
+// is not credited for the handful of stale entries its reaper misses.
 double ProductiveEps(const stack::CityReport& r, double wall) {
   if (wall <= 0) return 0.0;
   return static_cast<double>(r.events_executed - r.stale_events) / wall;
 }
 
 CityOutcome RunCity(const std::string& name, const stack::CityConfig& cfg,
-                    stack::CityKernelMode mode, int jobs,
-                    bool check_determinism) {
+                    int jobs) {
   CityOutcome out;
   out.name = name;
   out.ues = cfg.ues;
-  out.kernel = mode == stack::CityKernelMode::kWheel ? "wheel" : "heap";
-  out.jobs = mode == stack::CityKernelMode::kWheel ? jobs : 1;
+  out.jobs = jobs;
 
   par::WorkerPool pool(out.jobs);
-  stack::CityEngine engine(cfg, mode);
+  stack::CityEngine engine(cfg);
   const double t0 = Now();
   out.report = engine.Run(out.jobs > 1 ? &pool : nullptr);
   out.wall_seconds = Now() - t0;
   out.events_per_sec = ProductiveEps(out.report, out.wall_seconds);
 
-  if (check_determinism && mode == stack::CityKernelMode::kWheel &&
-      out.jobs > 1) {
-    stack::CityEngine serial(cfg, mode);
+  if (out.jobs > 1) {
+    stack::CityEngine serial(cfg);
     const stack::CityReport sr = serial.Run(nullptr);
     out.digest_checked = true;
     out.digest_ok = sr.digest == out.report.digest &&
@@ -117,9 +107,9 @@ CityOutcome RunCity(const std::string& name, const stack::CityConfig& cfg,
 
 void PrintRow(const CityOutcome& o) {
   std::printf(
-      "%-22s %8u UEs  %-5s jobs=%-2d %9.3fs  %12.0f ev/s  %9llu ev  "
+      "%-22s %8u UEs  wheel jobs=%-2d %9.3fs  %12.0f ev/s  %9llu ev  "
       "%5.1f B/UE  digest=%016llx%s\n",
-      o.name.c_str(), o.ues, o.kernel.c_str(), o.jobs, o.wall_seconds,
+      o.name.c_str(), o.ues, o.jobs, o.wall_seconds,
       o.events_per_sec, (unsigned long long)o.report.events_executed,
       o.report.bytes_per_ue, (unsigned long long)o.report.digest,
       o.digest_checked ? (o.digest_ok ? "  [serial==parallel]"
@@ -130,8 +120,8 @@ void PrintRow(const CityOutcome& o) {
 std::string JsonRow(const CityOutcome& o) {
   const auto& r = o.report;
   return "    {\"name\": \"" + o.name + "\", \"ues\": " +
-         std::to_string(o.ues) + ", \"kernel\": \"" + o.kernel +
-         "\", \"jobs\": " + std::to_string(o.jobs) +
+         std::to_string(o.ues) + ", \"kernel\": \"wheel\", \"jobs\": " +
+         std::to_string(o.jobs) +
          ", \"wall_seconds\": " + std::to_string(o.wall_seconds) +
          ", \"events_per_sec\": " + std::to_string(o.events_per_sec) +
          ", \"events_executed\": " + std::to_string(r.events_executed) +
@@ -163,12 +153,11 @@ int main(int argc, char** argv) {
   args::ArgParser parser(
       argc, argv,
       "usage: perf_city [--bench-json PATH] [--quick] [--full] [--ues N] "
-      "[--jobs N] [--baseline] [--emit-trace] [--overload] [--seed S]");
+      "[--jobs N] [--emit-trace] [--overload] [--seed S]");
   std::string json_path = "BENCH_perf_city.json";
   parser.StrValue("--bench-json", &json_path);
   const bool quick = parser.Flag("--quick");
   const bool full = parser.Flag("--full");
-  const bool baseline = parser.Flag("--baseline");
   const bool emit_trace = parser.Flag("--emit-trace");
   const bool overload = parser.Flag("--overload");
   int single_ues = 0;
@@ -178,9 +167,9 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   parser.U64Value("--seed", &seed);
   parser.Finish(0);
-  const int wheel_jobs = par::ResolveJobs(jobs);
+  const int resolved_jobs = par::ResolveJobs(jobs);
 
-  // Single-run mode: one population, optionally heap kernel / trace tap.
+  // Single-run mode: one population, optionally with a trace tap.
   if (single_ues > 0) {
     stack::CityConfig cfg =
         ConfigFor(static_cast<std::uint32_t>(single_ues), seed);
@@ -192,10 +181,8 @@ int main(int argc, char** argv) {
       cfg.storm_threshold = 30;
       cfg.storm_fraction = 0.9;
     }
-    const auto mode =
-        baseline ? stack::CityKernelMode::kHeap : stack::CityKernelMode::kWheel;
-    par::WorkerPool pool(baseline ? 1 : wheel_jobs);
-    stack::CityEngine engine(cfg, mode);
+    par::WorkerPool pool(resolved_jobs);
+    stack::CityEngine engine(cfg);
     if (emit_trace) {
       engine.set_trace_sink([](const trace::TraceRecord& r) {
         std::printf("%s\n", trace::FormatRecord(r).c_str());
@@ -207,7 +194,6 @@ int main(int argc, char** argv) {
     CityOutcome o;
     o.name = "single";
     o.ues = static_cast<std::uint32_t>(single_ues);
-    o.kernel = baseline ? "heap" : "wheel";
     o.jobs = pool.jobs();
     o.report = rep;
     o.wall_seconds = wall;
@@ -222,49 +208,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Sweep mode. The comparison size carries the wheel-vs-heap speedup claim.
+  // Sweep mode.
   std::vector<std::uint32_t> sizes;
-  std::uint32_t compare_ues;
   if (quick) {
     sizes = {10'000, 25'000};
-    compare_ues = 10'000;
   } else {
     sizes = {10'000, 50'000, 100'000};
     if (full) sizes.push_back(1'000'000);
-    compare_ues = 100'000;
   }
 
   std::printf("city busy-hour sweep (10 min horizon, jobs=%d)\n\n",
-              wheel_jobs);
+              resolved_jobs);
   std::vector<CityOutcome> rows;
   for (const std::uint32_t n : sizes) {
-    rows.push_back(RunCity("wheel @ " + std::to_string(n),
-                           ConfigFor(n, seed), stack::CityKernelMode::kWheel,
-                           wheel_jobs, /*check_determinism=*/true));
+    rows.push_back(RunCity("wheel @ " + std::to_string(n), ConfigFor(n, seed),
+                           resolved_jobs));
     PrintRow(rows.back());
     if (!rows.back().digest_ok) {
       std::fprintf(stderr, "determinism broken at %u UEs\n", n);
       return 1;
     }
   }
-  rows.push_back(RunCity("heap  @ " + std::to_string(compare_ues),
-                         ConfigFor(compare_ues, seed),
-                         stack::CityKernelMode::kHeap, 1,
-                         /*check_determinism=*/false));
-  PrintRow(rows.back());
 
-  double wheel_eps = 0, heap_eps = 0;
-  for (const auto& o : rows) {
-    if (o.ues == compare_ues && o.kernel == "wheel") wheel_eps = o.events_per_sec;
-    if (o.ues == compare_ues && o.kernel == "heap") heap_eps = o.events_per_sec;
-  }
-  const double speedup = heap_eps > 0 ? wheel_eps / heap_eps : 0;
-  std::printf("\nwheel-vs-heap speedup @ %u UEs: %.2fx\n", compare_ues,
-              speedup);
-
-  std::string json = "{\n  \"compare_ues\": " + std::to_string(compare_ues) +
-                     ",\n  \"jobs\": " + std::to_string(wheel_jobs) +
-                     ",\n  \"speedup\": " + std::to_string(speedup) +
+  std::string json = "{\n  \"jobs\": " + std::to_string(resolved_jobs) +
                      ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) json += ",\n";

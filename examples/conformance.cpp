@@ -8,9 +8,10 @@
 //                       [--json FILE] [--checkpoint-dir DIR] [--resume]
 //                       [--reduce]
 //   --seeds N    testbed/walk seeds per (scenario, carrier) group
-//                (default 64)
+//                (default 64, at most 1,000,000)
 //   --seed-base S
-//                first seed of the range (default 1)
+//                first seed of the range (default 1); the range must not
+//                wrap past 2^64 - 1
 //   --walks W    random walks per cell on the model side (default 32)
 //   --jobs N     run cells on N workers (default 1 = serial). The report
 //                is byte-identical at any N.
@@ -29,6 +30,7 @@
 //              1 = complete sweep with unexplained divergences;
 //              75 = interrupted (resume with --checkpoint-dir/--resume).
 #include <cstdio>
+#include <string>
 
 #include "ckpt/manifest.h"
 #include "conf/diff.h"
@@ -60,7 +62,9 @@ int main(int argc, char** argv) {
   if (opt.resume && opt.checkpoint_dir.empty()) {
     parser.Fail("--resume requires --checkpoint-dir");
   }
-  if (opt.seeds == 0) parser.Fail("--seeds must be >= 1");
+  if (const std::string error = conf::CheckOptions(opt); !error.empty()) {
+    parser.Fail(error);
+  }
 
   ckpt::CancelToken cancel;
   ckpt::InstallSignalDrain(&cancel);

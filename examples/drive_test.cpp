@@ -7,9 +7,10 @@
 #include <cstdio>
 #include <functional>
 
+#include "obs/span.h"
 #include "sim/radio.h"
 #include "stack/testbed.h"
-#include "trace/analyze.h"
+#include "util/stats.h"
 
 using namespace cnv;
 
@@ -75,11 +76,18 @@ int main() {
   }
 
   std::printf("\n--- measurements derived from the collected trace ---\n");
-  const auto& rec = tb.traces().records();
-  const auto lau = trace::IntervalSecondsBetween(
-      rec, "Location Updating Request sent", "Location Updating Accept");
-  const auto rau = trace::IntervalSecondsBetween(
-      rec, "Routing Area Update Request sent", "Routing Area Update Accept");
+  // Figure 8's update durations: the completed location-update (LAU) and
+  // routing-area-update (RAU) procedure spans stitched from the trace.
+  Samples lau;
+  Samples rau;
+  for (const obs::ProcedureSpan& s : obs::StitchSpans(tb.traces().records())) {
+    if (s.outcome != obs::SpanOutcome::kSuccess) continue;
+    if (s.kind == obs::SpanKind::kLocationUpdate) {
+      lau.Add(ToSeconds(s.Duration()));
+    } else if (s.kind == obs::SpanKind::kRoutingUpdate) {
+      rau.Add(ToSeconds(s.Duration()));
+    }
+  }
   std::printf("location updates: %s\n", SummaryLine(lau, "s").c_str());
   std::printf("routing updates:  %s\n", SummaryLine(rau, "s").c_str());
   std::printf("call setups:      %s\n",

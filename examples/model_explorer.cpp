@@ -8,13 +8,10 @@
 // property verdict with its counterexample.
 //
 // Build and run:  ./model_explorer [output.dot] [--model s3|combined]
-//                                  [--ues N] [--jobs N]
-//                                  [--por] [--symmetry]
+//                                  [--ues N] [--por] [--symmetry]
 //                                  [--checkpoint-dir DIR]
 //                                  [--checkpoint-every N] [--resume]
 //   --ues N   UEs in the combined model, 2..4 (default 2).
-//   --jobs N  explore on N workers (default 0 = hardware concurrency,
-//             1 = serial). Stats and counterexamples are identical at any N.
 //   --por / --symmetry
 //             enable partial-order and/or symmetry reduction. Sound for the
 //             checked properties: the same violations are found, from a
@@ -24,7 +21,7 @@
 //             frontier, stats) under DIR at wave boundaries; with --resume,
 //             exploration restarts from the newest good snapshot and the
 //             result — violations, traces, stats — is byte-identical to an
-//             uninterrupted run, at any --jobs.
+//             uninterrupted run.
 //   --checkpoint-every N
 //             snapshot only after >= N newly discovered states since the
 //             last snapshot (default 0 = every wave boundary)
@@ -39,18 +36,15 @@
 #include "mck/reachability.h"
 #include "model/combined_model.h"
 #include "model/s3_model.h"
-#include "par/pool.h"
 #include "util/args.h"
 
 using namespace cnv;
 
 namespace {
 
-// Explores `m` on the pool, optionally checkpointed under `checkpoint_dir`.
-// The config digest covers the model tag and the reduction flags — a
-// snapshot of a reduced run must not resume an unreduced one (the visited
-// sets differ) — but not --jobs: a snapshot written serially resumes on any
-// worker count.
+// Explores `m`, optionally checkpointed under `checkpoint_dir`. The config
+// digest covers the model tag and the reduction flags: a snapshot of a
+// reduced run must not resume an unreduced one (the visited sets differ).
 template <typename M>
 mck::ParallelExploreResult<M> RunExplore(
     const M& m, const mck::PropertySet<typename M::State>& props,
@@ -95,16 +89,16 @@ mck::ParallelExploreResult<M> RunExplore(
 template <typename M>
 void PrintStats(const mck::ParallelExploreResult<M>& result) {
   std::printf(
-      "explored %llu states, %llu transitions (%d job(s), %llu waves)\n",
+      "explored %llu states, %llu transitions (1 job(s), %llu waves)\n",
       (unsigned long long)result.stats.states_visited,
-      (unsigned long long)result.stats.transitions, result.par.jobs,
+      (unsigned long long)result.stats.transitions,
       (unsigned long long)result.par.waves);
   std::printf(
       "wall: %.3fs  throughput: %.0f states/s  frontier peak: %llu  "
-      "hash occupancy: %.2f  utilization: %.2f\n",
+      "hash occupancy: %.2f\n",
       result.stats.elapsed_wall_seconds, result.stats.StatesPerSecond(),
       (unsigned long long)result.stats.frontier_peak,
-      result.stats.hash_occupancy, result.par.utilization);
+      result.stats.hash_occupancy);
   if (result.stats.represented_states > result.stats.states_visited) {
     std::printf(
         "reduction: %llu representatives stand for %llu concrete states "
@@ -126,15 +120,13 @@ int main(int argc, char** argv) {
   args::ArgParser parser(
       argc, argv,
       "usage: model_explorer [output.dot] [--model s3|combined] [--ues N]\n"
-      "                      [--jobs N] [--por] [--symmetry]\n"
+      "                      [--por] [--symmetry]\n"
       "                      [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "                      [--resume]");
   std::string model_name = "s3";
   parser.StrValue("--model", &model_name);
   int ues = 2;
   parser.IntValue("--ues", &ues, 2);
-  int jobs = 0;
-  parser.IntValue("--jobs", &jobs, 0, par::kMaxJobs);
   const bool por = parser.Flag("--por");
   const bool symmetry = parser.Flag("--symmetry");
   std::string checkpoint_dir;
@@ -157,7 +149,6 @@ int main(int argc, char** argv) {
   }
 
   mck::ParallelExploreOptions opt_explore;
-  opt_explore.jobs = jobs;
   opt_explore.base.reduction.por = por;
   opt_explore.base.reduction.symmetry = symmetry;
 
@@ -188,7 +179,7 @@ int main(int argc, char** argv) {
 
   model::S3Model m;  // cell-reselection policy: the S3 configuration
 
-  // 1. Exhaustive screening on the worker pool, optionally checkpointed.
+  // 1. Exhaustive screening, optionally checkpointed.
   const auto result = RunExplore(m, m.Properties(), opt_explore, "s3",
                                  checkpoint_dir, checkpoint_every, resume);
   PrintStats(result);

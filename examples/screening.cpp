@@ -3,12 +3,8 @@
 // per-cell exploration statistics, violated properties and classified
 // findings.
 //
-// Usage:  ./screening [--jobs N] [--walks W] [--seed S] [--solutions]
+// Usage:  ./screening [--walks W] [--seed S] [--solutions]
 //                     [--checkpoint-dir DIR] [--resume] [--reduce]
-//   --jobs N     explore each cell on N workers (default 0 = hardware
-//                concurrency, 1 = serial). Findings, violated properties
-//                and counterexamples are byte-identical at any N; only the
-//                wall-clock lines differ between runs.
 //   --walks W    random walks per cell on top of the exhaustive pass
 //                (default 200)
 //   --seed S     RNG seed for the random walks (default 1)
@@ -28,7 +24,6 @@
 
 #include "ckpt/manifest.h"
 #include "core/screening.h"
-#include "par/pool.h"
 #include "util/args.h"
 
 using namespace cnv;
@@ -36,16 +31,14 @@ using namespace cnv;
 int main(int argc, char** argv) {
   args::ArgParser parser(
       argc, argv,
-      "usage: screening [--jobs N] [--walks W] [--seed S] [--solutions]\n"
+      "usage: screening [--walks W] [--seed S] [--solutions]\n"
       "                 [--checkpoint-dir DIR] [--resume] [--reduce]");
   core::ScreeningOptions opt;
-  opt.jobs = 0;
   opt.with_solutions = parser.Flag("--solutions");
   if (parser.Flag("--reduce")) {
     opt.reduction.por = true;
     opt.reduction.symmetry = true;
   }
-  parser.IntValue("--jobs", &opt.jobs, 0, par::kMaxJobs);
   parser.U64Value("--walks", &opt.random_walks);
   parser.U64Value("--seed", &opt.seed);
   parser.StrValue("--checkpoint-dir", &opt.checkpoint_dir);

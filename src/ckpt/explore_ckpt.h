@@ -64,8 +64,8 @@ std::string EncodeSnapshot(const mck::ExploreSnapshot<M>& snap) {
 
 // Rejects a payload that is truncated, has trailing bytes, or fails the
 // structural checks below — including any node whose cached hash is not
-// HashValue(state), so a stale or foreign snapshot can never route states
-// to the wrong shard or corrupt the rebuilt visited tables.
+// HashValue(state), so a stale or foreign snapshot can never corrupt the
+// rebuilt visited table.
 template <typename M>
   requires CheckpointableModel<M>
 bool DecodeSnapshot(std::string_view payload, mck::ExploreSnapshot<M>* snap) {
@@ -132,7 +132,7 @@ struct ResumeStatus {
 //   mck::ExploreSnapshot<Model> snap;
 //   const auto resume = cp.TryLoad(&snap);          // when --resume
 //   auto* hooks = cp.hooks(resume.loaded ? &snap : nullptr);
-//   auto result = mck::ParallelExplore(m, props, opt, exec, hooks);
+//   auto result = mck::ParallelExplore(m, props, opt, nullptr, hooks);
 template <typename M>
   requires CheckpointableModel<M>
 class ExploreCheckpointer {

@@ -1,7 +1,9 @@
 #include "conf/diff.h"
 
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "conf/compile.h"
 #include "dist/coordinator.h"
@@ -251,8 +253,25 @@ bool DecodeCell(std::string_view payload, DiffCell* cell) {
 
 }  // namespace
 
+std::string CheckOptions(const DiffOptions& options) {
+  if (options.seeds < 1 || options.seeds > kMaxSeeds) {
+    return "seeds must be in [1, " + std::to_string(kMaxSeeds) + "], got " +
+           std::to_string(options.seeds);
+  }
+  if (options.seed_base > std::numeric_limits<std::uint64_t>::max() -
+                              options.seeds) {
+    return "seed_base + seeds must not exceed 2^64 - 1, got seed_base " +
+           std::to_string(options.seed_base);
+  }
+  return "";
+}
+
 DifferentialDriver::DifferentialDriver(DiffOptions options)
-    : options_(options) {}
+    : options_(options) {
+  if (const std::string error = CheckOptions(options_); !error.empty()) {
+    throw std::invalid_argument(error);
+  }
+}
 
 std::uint64_t DifferentialDriver::ConfigDigest() const {
   ckpt::DigestBuilder d;

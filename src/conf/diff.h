@@ -39,6 +39,15 @@ struct DiffOptions {
   mck::ReductionOptions reduction;
 };
 
+// Largest `seeds` a sweep accepts. The bound keeps the cell count
+// (scenario-carrier groups x seeds) far from wrapping.
+inline constexpr std::uint64_t kMaxSeeds = 1'000'000;
+
+// Empty when `options` describe a sweep the driver can run; otherwise the
+// reason it cannot: `seeds` outside [1, kMaxSeeds], or a seed range
+// [seed_base, seed_base + seeds) that wraps past 2^64 - 1.
+std::string CheckOptions(const DiffOptions& options);
+
 struct DiffCell {
   Scenario scenario = Scenario::kS1;
   std::string carrier;
@@ -71,6 +80,7 @@ struct DiffReport {
 
 class DifferentialDriver {
  public:
+  // Throws std::invalid_argument when CheckOptions(options) is non-empty.
   explicit DifferentialDriver(DiffOptions options);
 
   std::uint64_t ConfigDigest() const;

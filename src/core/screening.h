@@ -27,17 +27,14 @@ struct ScreeningOptions {
   // the paper's scenario sampling. Walks per cell.
   std::uint64_t random_walks = 200;
   std::uint64_t seed = 1;
-  // Workers for the exhaustive passes (0 = hardware concurrency, 1 =
-  // serial). Cells run in catalog order either way — the random-walk
-  // sampling consumes one shared RNG stream — and exploration results are
-  // byte-identical at any worker count.
+  // No longer affects exploration; perfbench/bench.cc still sets it.
   int jobs = 1;
   // Crash safety: when checkpoint_dir is set, each completed catalog cell is
   // persisted (result plus the post-cell RNG state) together with a
   // manifest. With resume, completed cells replay from their blobs — the
   // shared RNG stream picks up exactly where the blob left it, so the final
   // report is byte-identical to an uninterrupted run. The config digest
-  // excludes `jobs`, so a resume may use a different worker count.
+  // excludes `jobs`.
   std::string checkpoint_dir;
   bool resume = false;
   // Self-healing: per-cell watchdog + bounded retries. A retried cell

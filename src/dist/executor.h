@@ -1,19 +1,12 @@
 // The one in-process dispatch implementation of the distributed execution
-// core. Every parallel runner — the grid coordinator's thread backend,
-// mck::ParallelExplore's wave phases, and anything else that needs
-// deterministic fan-out — dispatches through an Executor rather than
-// wiring its own pool, so slice determinism, drain semantics and busy
+// core. The grid coordinator's thread backend dispatches through an
+// Executor rather than wiring its own pool, so drain semantics and busy
 // accounting live in exactly one place.
 //
 // The Executor wraps par::WorkerPool (the low-level thread primitive) and
-// re-exports its two deterministic shapes:
-//
-//   ParallelFor        contiguous slices of [0, n); the split depends only
-//                      on (n, jobs) — the shape wave-synchronized
-//                      algorithms need for byte-identical merges.
-//   ParallelEachUntil  dynamically claimed indices with a graceful drain —
-//                      the shape for irregular cell grids, where results
-//                      are merged by index so scheduling never shows.
+// re-exports its dispatch: dynamically claimed indices (ParallelEach), with
+// a graceful drain (ParallelEachUntil) — the shape for irregular cell
+// grids, where results are merged by index so scheduling never shows.
 #pragma once
 
 #include <atomic>
@@ -33,12 +26,6 @@ class Executor {
   explicit Executor(int jobs = 0) : pool_(jobs) {}
 
   int jobs() const { return pool_.jobs(); }
-
-  void ParallelFor(
-      std::size_t n,
-      const std::function<void(int, std::size_t, std::size_t)>& fn) {
-    pool_.ParallelFor(n, fn);
-  }
 
   void ParallelEach(std::size_t n,
                     const std::function<void(int, std::size_t)>& fn) {

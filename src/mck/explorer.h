@@ -19,8 +19,8 @@
 // options, stats and their deterministic views, results, wave-boundary
 // snapshots and trace formatting. The one engine — breadth-first search in
 // depth-synchronized waves, which yields shortest counterexamples — lives
-// in mck/parallel_explorer.h: `ParallelExplore`, and `Explore`, which is
-// ParallelExplore at one job over a single visited-table shard.
+// in mck/parallel_explorer.h: `Explore`, and `ParallelExplore`, which also
+// reports the wave count.
 //
 // Wave semantics: the whole frontier at depth d is expanded before any
 // state at depth d+1, states are interned in expansion order, each property
@@ -29,8 +29,6 @@
 // take effect at deterministic points — truncation accepts new states in
 // expansion order up to the cap, then finishes counting the wave's
 // transitions and stops.
-// Every job count reproduces these semantics, which is why results are
-// byte-identical at any worker count.
 #pragma once
 
 #include <concepts>
@@ -104,7 +102,7 @@ struct ExploreStats {
 };
 
 // Canonical deterministic view of ExploreStats: every field that must be
-// identical across replays, job counts and checkpoint/resume boundaries —
+// identical across replays and checkpoint/resume boundaries —
 // and nothing wall-clock. The determinism suites compare these views
 // instead of hand-picking fields per test, so a new wall-clock field can
 // never silently leak into a byte-identity comparison.
@@ -120,10 +118,9 @@ struct ExploreStatsView {
   bool operator==(const ExploreStatsView&) const = default;
 };
 
-// `include_occupancy = false` zeroes hash_occupancy on the view — for
-// comparisons across shard counts (Explore's single table against
-// ParallelExplore's sharded one), where the load factors legitimately
-// differ.
+// `include_occupancy = false` zeroes hash_occupancy on the view. Every
+// exploration now uses one table, so no comparison needs it; it no longer
+// affects exploration and stays because perfbench/bench.cc passes it.
 inline ExploreStatsView DeterministicView(const ExploreStats& s,
                                           bool include_occupancy = true) {
   return {s.states_visited,
@@ -172,9 +169,9 @@ struct ExploreResult {
 // A snapshot captures the complete deterministic search state at a wave
 // boundary: discovered states in global discovery ("rank") order with their
 // cached hashes and back-pointers, the current frontier as ranks, carried
-// stats, and the violations committed so far. Rank order is the serial
-// (jobs = 1) interning order, which every job count reproduces — so a
-// snapshot resumes at any job count with byte-identical final results.
+// stats, and the violations committed so far. Rank order is the engine's
+// interning order, so a resumed run ends byte-identical to an
+// uninterrupted one.
 
 inline constexpr std::uint64_t kNoParentRank = ~0ull;
 

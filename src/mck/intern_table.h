@@ -14,9 +14,7 @@
 //   * capacity can be pre-reserved from the caller's max_states bound.
 //
 // Open addressing with linear probing over a power-of-two slot array at a max
-// load factor of 0.75. Slot *placement* uses the low hash bits; the parallel
-// explorer routes states to shards by the *top* hash bits, so per-shard
-// tables keep full low-bit entropy (see mck/parallel_explorer.h).
+// load factor of 0.75. Slot placement uses the low hash bits.
 //
 // The table layout is an implementation detail: iteration order is never
 // exposed, so it cannot leak nondeterminism into exploration results.
@@ -58,49 +56,12 @@ class InternTable {
     ++size_;
   }
 
-  // Removes the entry recorded as (hash, index); it must be present. Uses
-  // backward-shift deletion so probe chains stay intact with no tombstones.
-  void Erase(std::uint64_t hash, std::int64_t index) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(hash) & mask;
-    while (slots_[i].hash != hash || slots_[i].index != index) {
-      i = (i + 1) & mask;
-    }
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask;
-      if (slots_[j].index < 0) break;
-      const std::size_t home = static_cast<std::size_t>(slots_[j].hash) & mask;
-      // Slot j may fill the hole at i only if i lies on j's probe path,
-      // i.e. i is cyclically within [home, j).
-      const bool movable =
-          (i <= j) ? (home <= i || home > j) : (home <= i && home > j);
-      if (movable) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
-    }
-    slots_[i] = {0, -1};
-    --size_;
-  }
-
   // Grows the slot array to hold at least `expected` entries within the load
   // factor. Existing entries are rehashed from their *cached* hashes.
   void Reserve(std::size_t expected) {
     std::size_t capacity = 8;
     while (capacity * 3 < expected * 4) capacity <<= 1;
     if (capacity > slots_.size()) Rebuild(capacity);
-  }
-
-  // Rebuilds at the smallest power-of-two capacity, no smaller than
-  // `floor`, that holds size() entries — the capacity the table would have
-  // if the entries erased since it had `floor` slots had never been
-  // inserted. Undoes the growth a batch of inserts caused when the batch is
-  // rolled back, so occupancy does not depend on the rollback.
-  void ShrinkToFit(std::size_t floor) {
-    std::size_t capacity = floor;
-    while (capacity * 3 < size_ * 4) capacity <<= 1;
-    if (capacity < slots_.size()) Rebuild(capacity);
   }
 
   std::size_t size() const { return size_; }

@@ -23,10 +23,8 @@
 //       every candidate successor is already visited is fully expanded, so
 //       an enabled action can never be deferred forever around a cycle.
 //       "Visited at wave start" over-approximates "fully expanded", which
-//       only costs reduction, never soundness — and it is exactly the
-//       predicate the jobs = 1 path and the multi-worker path can evaluate
-//       identically (the multi-worker expand phase probes the frozen
-//       pre-wave table), preserving byte-identity at any job count.
+//       only costs reduction, never soundness, and it does not depend on
+//       the order in which the wave's states are expanded.
 //
 // Candidate components are tried in ascending component order, so the
 // chosen ample set is a deterministic function of the state alone.

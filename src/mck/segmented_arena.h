@@ -1,5 +1,5 @@
-// Segmented node arena: the explorer's per-shard storage for states and
-// their back-pointer metadata.
+// Segmented node arena: the explorer's storage for states and their
+// back-pointer metadata.
 //
 // An append-only sequence whose growth never copies. Segment k holds
 // `base << k` entries, where `base` is the caller's reserve hint rounded
@@ -13,8 +13,8 @@
 // lies in [base << k, base << (k + 1)) for segment k. Segments are
 // allocated lazily on the first push that needs them and entries are
 // constructed in place, so an unused tail reservation costs no resident
-// memory. pop_back works across segment edges (the explorer's beyond-cap
-// rollback needs it); emptied segments stay allocated for reuse.
+// memory. pop_back works across segment edges (the destructor empties the
+// arena through it); emptied segments stay allocated for reuse.
 #pragma once
 
 #include <algorithm>

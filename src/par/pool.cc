@@ -84,19 +84,6 @@ void WorkerPool::RunOnAll(const std::function<void(int)>& body) {
   done_cv_.wait(lock, [&] { return pending_ == 0; });
 }
 
-void WorkerPool::ParallelFor(
-    std::size_t n,
-    const std::function<void(int, std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t jobs = static_cast<std::size_t>(jobs_);
-  RunOnAll([&fn, n, jobs](int worker) {
-    const std::size_t w = static_cast<std::size_t>(worker);
-    const std::size_t begin = n * w / jobs;
-    const std::size_t end = n * (w + 1) / jobs;
-    if (begin < end) fn(worker, begin, end);
-  });
-}
-
 void WorkerPool::ParallelEach(std::size_t n,
                               const std::function<void(int, std::size_t)>& fn) {
   ParallelEachUntil(n, fn, nullptr);

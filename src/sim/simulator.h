@@ -12,7 +12,7 @@
 // generation no longer matches, so neither Cancel() nor Step() does any
 // hashing. Pop order is exactly (time, seq): byte-identical event order to
 // the retired heap kernel, FIFO tie-break at equal timestamps included
-// (sim/heap_ref.h keeps that kernel as a differential oracle).
+// (tests/heap_ref.h keeps that kernel as a differential oracle).
 #pragma once
 
 #include <cstddef>

@@ -30,7 +30,7 @@
 // and migrate into the wheels as time approaches.
 //
 // Ordering contract: entries pop in exact (time, seq) lexicographic order —
-// byte-identical to the retired binary-heap kernel (sim/heap_ref.h), FIFO
+// byte-identical to the retired binary-heap kernel (tests/heap_ref.h), FIFO
 // tie-break at equal timestamps included. A draining level-0 slot spans
 // many timestamps, so the drain buffer is sorted by (time, seq); a handler
 // that schedules back into the tick currently draining parks its entry in

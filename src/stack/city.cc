@@ -65,9 +65,8 @@ enum : std::uint8_t { kDereg = 0, kAttaching, kRegistered, kBackoff };
 
 }  // namespace
 
-CityEngine::CityEngine(const CityConfig& cfg, CityKernelMode mode)
+CityEngine::CityEngine(const CityConfig& cfg, CityKernelMode)
     : cfg_(cfg),
-      mode_(mode),
       shards_(cfg.cells),
       resume_(cfg.cells, 0),
       stalls_(cfg.cells, 0),
@@ -80,10 +79,6 @@ CityEngine::CityEngine(const CityConfig& cfg, CityKernelMode mode)
   ggen_ = arena_.AllocArray<std::atomic<std::uint16_t>>(cfg_.ues);
   cell_ = arena_.AllocArray<std::uint32_t>(cfg_.ues);
   draws_ = arena_.AllocArray<std::uint32_t>(cfg_.ues);
-  if (mode_ == CityKernelMode::kHeap) {
-    guard_id_ = arena_.AllocArray<std::uint64_t>(cfg_.ues);
-    heap_ = std::make_unique<sim::ReferenceHeapSimulator>();
-  }
   for (std::uint32_t c = 0; c < cfg_.cells; ++c) {
     shards_[c].sink = std::make_unique<trace::SamplingSink>(
         cfg_.sample_every, cfg_.seed,
@@ -91,9 +86,7 @@ CityEngine::CityEngine(const CityConfig& cfg, CityKernelMode mode)
           shards_[c].tracebuf.push_back(r);
           trace_flag_[c] = 1;
         });
-    if (mode_ == CityKernelMode::kWheel) {
-      shards_[c].wheel.SetReaper(&CityEngine::ReapDead, this);
-    }
+    shards_[c].wheel.SetReaper(&CityEngine::ReapDead, this);
   }
 
   // Busy-hour intensity, tabulated per simulated second: a Gaussian bump
@@ -138,33 +131,15 @@ SimTime CityEngine::ExpDraw(std::uint32_t ue, double mean_seconds) {
 void CityEngine::ScheduleUe(Shard& s, SimTime t, std::uint8_t kind,
                             std::uint32_t ue, std::uint16_t tag) {
   const std::uint64_t payload = Pack(kind, ue, tag);
-  if (mode_ == CityKernelMode::kWheel) {
-    s.wheel.Schedule(t, s.next_seq++, payload);
-  } else {
-    const auto id = heap_->ScheduleAt(t, [this, payload] {
-      Shard& owner = shards_[cell_[UeOf(payload)]];
-      Execute(owner, heap_->now(), payload);
-    });
-    if (kind == kGuardExpiry) guard_id_[ue] = id;
-  }
+  s.wheel.Schedule(t, s.next_seq++, payload);
   ++s.scheduled;
 }
 
 void CityEngine::Send(Shard& s, std::uint32_t dst, SimTime t,
                       std::uint8_t kind, std::uint32_t ue, std::uint16_t tag) {
   const std::uint64_t payload = Pack(kind, ue, tag);
-  if (mode_ == CityKernelMode::kWheel) {
-    s.outbox.push_back(Msg{t, dst, s.id, s.msg_seq++, payload});
-    out_flag_[s.id] = 1;
-  } else {
-    // No windows in heap mode: same latency, scheduled directly — but the
-    // event must execute in the *destination* shard's context (cell_[ue]
-    // still points at the source until the arrival runs).
-    heap_->ScheduleAt(t, [this, dst, payload] {
-      Execute(shards_[dst], heap_->now(), payload);
-    });
-    ++s.scheduled;
-  }
+  s.outbox.push_back(Msg{t, dst, s.id, s.msg_seq++, payload});
+  out_flag_[s.id] = 1;
 }
 
 void CityEngine::ArmGuard(Shard& s, std::uint32_t ue, SimTime expiry) {
@@ -180,10 +155,6 @@ void CityEngine::CancelGuard(Shard& s, std::uint32_t ue) {
       static_cast<std::uint16_t>(ggen_[ue].load(std::memory_order_relaxed) + 1),
       std::memory_order_relaxed);
   ++s.cancelled;
-  if (mode_ == CityKernelMode::kHeap) {
-    heap_->Cancel(guard_id_[ue]);
-    guard_id_[ue] = 0;
-  }
 }
 
 void CityEngine::Execute(Shard& s, SimTime t, std::uint64_t payload) {
@@ -516,11 +487,6 @@ void CityEngine::RunWheel(par::WorkerPool* pool) {
   }
 }
 
-void CityEngine::RunHeap() {
-  heap_->RunUntil(cfg_.horizon);
-  FlushTraces();
-}
-
 CityReport CityEngine::BuildReport() const {
   CityReport r;
   std::uint64_t digest = 14695981039346656037ull;
@@ -569,11 +535,7 @@ CityReport CityEngine::BuildReport() const {
 
 CityReport CityEngine::Run(par::WorkerPool* pool) {
   SeedPopulation();
-  if (mode_ == CityKernelMode::kWheel) {
-    RunWheel(pool);
-  } else {
-    RunHeap();
-  }
+  RunWheel(pool);
   return BuildReport();
 }
 

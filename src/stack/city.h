@@ -25,10 +25,6 @@
 //     bumps the tag and lets stale entries fall out when their tick drains.
 //   * Sampled tracing: a trace::SamplingSink admits 1-in-N UEs whose whole
 //     protocol history is recorded; storm/overload onsets bypass sampling.
-//
-// The same protocol logic also runs on the retired single-heap kernel
-// (CityKernelMode::kHeap, sim/heap_ref.h) so bench/perf_city can report the
-// wheel's events/sec against the seed design on an identical workload.
 #pragma once
 
 #include <atomic>
@@ -38,7 +34,6 @@
 #include <vector>
 
 #include "par/pool.h"
-#include "sim/heap_ref.h"
 #include "sim/wheel.h"
 #include "trace/record.h"
 #include "trace/sampler.h"
@@ -79,10 +74,9 @@ struct CityConfig {
   std::uint32_t storm_threshold = 50;
 };
 
-enum class CityKernelMode {
-  kWheel,  // sharded timer wheels, epoch-tag cancellation, parallel windows
-  kHeap,   // seed kernel: one global binary heap + hash-set cancellation
-};
+// No longer selects anything: the sharded timer-wheel kernel is the only
+// one. Kept because perfbench/bench.cc constructs engines with kWheel.
+enum class CityKernelMode { kWheel };
 
 struct CityReport {
   // Kernel accounting (summed over shards).
@@ -105,8 +99,7 @@ struct CityReport {
   std::uint64_t storms_flagged = 0;
 
   // Determinism digest over the executed event stream (per-shard FNV-1a,
-  // combined in cell order). Byte-identical across --jobs values for the
-  // wheel kernel; the heap kernel digests its global order instead.
+  // combined in cell order). Byte-identical across --jobs values.
   std::uint64_t digest = 0;
 
   // Trace accounting.
@@ -122,14 +115,15 @@ struct CityReport {
   std::uint64_t shard_stalls = 0;  // cell-windows skipped: no event due
   std::uint64_t cross_cell_messages = 0;
 
-  // Wheel-tier usage aggregated over shards (wheel mode only; peaks are
+  // Wheel-tier usage aggregated over shards (peaks are
   // sums of per-shard peaks, an upper bound on the global peak).
   sim::TimerWheel::Stats wheel;
 };
 
 class CityEngine {
  public:
-  CityEngine(const CityConfig& cfg, CityKernelMode mode);
+  explicit CityEngine(const CityConfig& cfg,
+                      CityKernelMode = CityKernelMode::kWheel);
   ~CityEngine();
   CityEngine(const CityEngine&) = delete;
   CityEngine& operator=(const CityEngine&) = delete;
@@ -231,13 +225,11 @@ class CityEngine {
   }
 
   void RunWheel(par::WorkerPool* pool);
-  void RunHeap();
   void MergeWindow();
   void FlushTraces();
   CityReport BuildReport() const;
 
   const CityConfig cfg_;
-  const CityKernelMode mode_;
   std::function<void(const trace::TraceRecord&)> trace_sink_;
 
   Arena arena_;
@@ -253,7 +245,6 @@ class CityEngine {
   std::atomic<std::uint16_t>* ggen_ = nullptr;   // invalidates the armed guard
   std::uint32_t* cell_ = nullptr;
   std::uint32_t* draws_ = nullptr;   // counter-hash draw index
-  std::uint64_t* guard_id_ = nullptr;  // heap mode: EventId for real Cancel
 
   std::vector<Shard> shards_;
   std::vector<double> intensity_;  // per-second busy-hour multiplier table
@@ -267,7 +258,6 @@ class CityEngine {
   std::vector<std::uint64_t> stalls_;     // windows skipped per cell
   std::vector<std::uint8_t> out_flag_;    // outbox non-empty
   std::vector<std::uint8_t> trace_flag_;  // tracebuf non-empty
-  std::unique_ptr<sim::ReferenceHeapSimulator> heap_;  // kHeap only
   std::vector<Msg> merge_scratch_;
   std::uint64_t windows_ = 0;
   std::uint64_t cross_cell_messages_ = 0;

@@ -1,6 +1,6 @@
 // Kill-and-resume suite for exploration checkpoints: a snapshot captured at
-// a wave boundary must resume — serially or in parallel at any job count —
-// to results byte-identical to the uninterrupted run, on every toy model and
+// a wave boundary must resume — through Explore or ParallelExplore — to
+// results byte-identical to the uninterrupted run, on every toy model and
 // every screening model. Also covers the snapshot codec's structural
 // validation and the ExploreCheckpointer last-good rotation under file
 // damage (truncation, flipped bytes, config mismatch).
@@ -66,8 +66,9 @@ void ExpectSameViolations(const M& m, const std::vector<mck::Violation<M>>& a,
 // The core kill-and-resume property. Runs the model serially with snapshot
 // hooks, picks a mid-exploration snapshot (simulating the last checkpoint
 // before a crash), round-trips it through the binary codec, and resumes
-// serially and at jobs 1 and 4 — every result must match the uninterrupted
-// baseline on the full deterministic view, hash_occupancy included.
+// through Explore and ParallelExplore — every result must match the
+// uninterrupted baseline on the full deterministic view, hash_occupancy
+// included, and ParallelExplore's wave count too.
 template <typename M>
 void ExpectResumeIdentical(const M& m,
                            const mck::PropertySet<typename M::State>& props,
@@ -100,18 +101,14 @@ void ExpectResumeIdentical(const M& m,
   EXPECT_EQ(DeterministicView(serial.stats), DeterministicView(baseline.stats));
   ExpectSameViolations(m, serial.violations, baseline.violations);
 
-  for (const int jobs : {1, 4}) {
-    SCOPED_TRACE("resume jobs=" + std::to_string(jobs));
-    mck::ParallelExploreOptions opt;
-    opt.base = base;
-    opt.jobs = jobs;
-    const auto uninterrupted = mck::ParallelExplore(m, props, opt);
-    const auto resumed = mck::ParallelExplore(m, props, opt, nullptr, &resume);
-    EXPECT_EQ(DeterministicView(resumed.stats),
-              DeterministicView(uninterrupted.stats));
-    EXPECT_EQ(resumed.par.waves, uninterrupted.par.waves);
-    ExpectSameViolations(m, resumed.violations, uninterrupted.violations);
-  }
+  mck::ParallelExploreOptions opt;
+  opt.base = base;
+  const auto uninterrupted = mck::ParallelExplore(m, props, opt);
+  const auto resumed = mck::ParallelExplore(m, props, opt, nullptr, &resume);
+  EXPECT_EQ(DeterministicView(resumed.stats),
+            DeterministicView(uninterrupted.stats));
+  EXPECT_EQ(resumed.par.waves, uninterrupted.par.waves);
+  ExpectSameViolations(m, resumed.violations, uninterrupted.violations);
 }
 
 TEST(ExploreResumeTest, CounterModels) {
@@ -251,7 +248,7 @@ TEST(SnapshotCodecTest, RejectsStructurallyInvalidSnapshots) {
 TEST(SnapshotCodecTest, RejectsNodeWhoseHashIsNotHashValue) {
   // A snapshot whose cached hashes disagree with the running build's
   // HashValue (a stale layout, or another model's file) would route states
-  // to the wrong shard and never find them again; decoding refuses it.
+  // to the wrong table slots and never find them again; decoding refuses it.
   using M = model::CombinedModel;
   const M m;
   std::vector<mck::ExploreSnapshot<M>> snaps;

@@ -3,7 +3,10 @@
 // --jobs count, and checkpoint/resume to the exact same report.
 #include "conf/diff.h"
 
+#include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "ckpt/manifest.h"
@@ -99,6 +102,25 @@ TEST(DiffDriverTest, ConfigDigestSeparatesSweepShapes) {
   EXPECT_NE(da, DifferentialDriver(b).ConfigDigest());
   EXPECT_NE(da, DifferentialDriver(c).ConfigDigest());
   EXPECT_EQ(da, DifferentialDriver(a).ConfigDigest());
+}
+
+TEST(DiffDriverTest, RejectsSeedRangesThatWrap) {
+  DiffOptions opt = SmallOptions();
+  EXPECT_EQ(CheckOptions(opt), "");
+  // 8 groups x 2^61 seeds is 2^64 cells: the count wrapped to 0.
+  for (const std::uint64_t seeds :
+       {std::uint64_t{0}, kMaxSeeds + 1, std::uint64_t{1} << 61}) {
+    SCOPED_TRACE("seeds=" + std::to_string(seeds));
+    opt.seeds = seeds;
+    EXPECT_FALSE(CheckOptions(opt).empty());
+    EXPECT_THROW(DifferentialDriver{opt}, std::invalid_argument);
+  }
+  // The last seed of the range must stay representable.
+  opt.seeds = kMaxSeeds;
+  opt.seed_base = std::numeric_limits<std::uint64_t>::max() - kMaxSeeds;
+  EXPECT_NO_THROW(DifferentialDriver{opt});
+  ++opt.seed_base;
+  EXPECT_THROW(DifferentialDriver{opt}, std::invalid_argument);
 }
 
 TEST(DiffDriverTest, JsonReportIsWellFormed) {

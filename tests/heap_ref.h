@@ -1,15 +1,10 @@
 // The seed event kernel — a single binary heap with an unordered_set of
-// cancelled ids — kept verbatim after the timer-wheel rewrite for two jobs:
-//
-//   1. Differential oracle: the queue-discipline property suite
-//      (tests/sim_wheel_test.cc) replays randomized schedule / cancel /
-//      equal-timestamp workloads through this kernel and the wheel-backed
-//      Simulator side by side and asserts identical execution order, clock
-//      positions, accounting, and TimerStats.
-//   2. Benchmark baseline: bench/perf_city drives the same city workload
-//      through this kernel to measure what the hierarchical wheel buys.
-//
-// Nothing in the production stack links against it.
+// cancelled ids — kept verbatim after the timer-wheel rewrite as a
+// differential oracle: the queue-discipline property suite
+// (tests/sim_wheel_test.cc) replays randomized schedule / cancel /
+// equal-timestamp workloads through this kernel and the wheel-backed
+// Simulator side by side and asserts identical execution order, clock
+// positions, accounting, and TimerStats. Nothing outside the tests uses it.
 #pragma once
 
 #include <algorithm>

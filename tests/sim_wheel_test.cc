@@ -6,7 +6,7 @@
 //      seed's derived (queue size minus tombstone set) accounting.
 //   2. Differential property tests — randomized schedule / cancel /
 //      equal-timestamp / guard-timer workloads replayed through the
-//      reference heap kernel (sim/heap_ref.h) and the wheel-backed
+//      reference heap kernel (tests/heap_ref.h) and the wheel-backed
 //      Simulator side by side, asserting identical execution order, clock
 //      positions, accounting, and TimerStats.
 
@@ -20,7 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/heap_ref.h"
+#include "heap_ref.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
 #include "sim/wheel.h"

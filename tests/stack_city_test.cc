@@ -4,9 +4,9 @@
 //   * Serial-vs-parallel byte-identity: the same config run with no pool
 //     and with a WorkerPool must produce the same digest, the same counter
 //     block, and the same trace stream, record for record.
-//   * Wheel-vs-heap equivalence: the sharded wheel kernel and the seed
-//     binary-heap kernel drive the identical workload; every protocol
-//     counter and the productive event count must agree exactly.
+//   * Wheel-vs-heap equivalence: on the workload the seed binary-heap
+//     kernel ran before its removal, every protocol counter and the
+//     productive event count must equal the outcomes it recorded.
 //   * Struct-of-arrays footprint: bytes/UE is measured off the arena and
 //     must stay small and flat as the population grows.
 //   * Overload model: a capacity-starved config must reject attaches into
@@ -106,17 +106,27 @@ TEST(CityDeterminismTest, SeedChangesTheRun) {
 }
 
 TEST(CityKernelTest, WheelMatchesHeapOnProtocolOutcomes) {
-  const CityConfig cfg = SmallCity(10'000);
-  const Capture wheel = RunCapture(cfg, CityKernelMode::kWheel, nullptr);
-  const Capture heap = RunCapture(cfg, CityKernelMode::kHeap, nullptr);
+  // What the retired single-heap kernel produced on this workload, recorded
+  // before it was deleted. Tombstone handling differs by design (the heap
+  // popped what the wheel reaps), so executed counts differ — but the
+  // productive event stream and every protocol outcome must agree exactly.
+  CityReport heap;
+  heap.attaches_started = 10765;
+  heap.attaches_completed = 9974;
+  heap.guard_expiries = 682;
+  heap.sessions = 56511;
+  heap.pagings = 39686;
+  heap.handovers = 10716;
+  heap.location_updates = 10713;
+  constexpr std::uint64_t kHeapProductiveEvents = 206594;
+  constexpr std::uint64_t kHeapTraceEmitted = 160;
 
-  // Tombstone handling differs by design (the heap pops what the wheel
-  // reaps), so executed counts differ — but the productive event stream
-  // and every protocol outcome must agree exactly.
+  const Capture wheel =
+      RunCapture(SmallCity(10'000), CityKernelMode::kWheel, nullptr);
   EXPECT_EQ(wheel.report.events_executed - wheel.report.stale_events,
-            heap.report.events_executed - heap.report.stale_events);
-  ExpectCountersEqual(wheel.report, heap.report);
-  EXPECT_EQ(wheel.report.trace_emitted, heap.report.trace_emitted);
+            kHeapProductiveEvents);
+  ExpectCountersEqual(wheel.report, heap);
+  EXPECT_EQ(wheel.report.trace_emitted, kHeapTraceEmitted);
 }
 
 TEST(CityKernelTest, WheelStatsAccountForTheRun) {
