@@ -3,20 +3,14 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <string>
 
+#include "stack/scenarios.h"
 #include "stack/testbed.h"
 
 namespace cnv::bench {
 
-inline void RunUntil(stack::Testbed& tb, const std::function<bool()>& pred,
-                     SimDuration limit) {
-  const SimTime deadline = tb.sim().now() + limit;
-  while (!pred() && tb.sim().now() < deadline) {
-    tb.Run(Millis(100));
-  }
-}
+using stack::scenario::RunUntil;
 
 inline void Banner(const std::string& title, const std::string& paper_ref) {
   std::printf("==============================================================\n");

@@ -6,20 +6,15 @@
 //
 // Build and run:  ./csfb_call_flow
 #include <cstdio>
-#include <functional>
 
+#include "stack/scenarios.h"
 #include "stack/testbed.h"
 #include "trace/qxdm.h"
 
 using namespace cnv;
+using stack::scenario::RunUntil;
 
 namespace {
-
-void RunUntil(stack::Testbed& tb, const std::function<bool()>& pred,
-              SimDuration limit) {
-  const SimTime deadline = tb.sim().now() + limit;
-  while (!pred() && tb.sim().now() < deadline) tb.Run(Millis(100));
-}
 
 void Scenario(bool with_fix) {
   std::printf("==============================================\n");

@@ -5,24 +5,15 @@
 //
 // Build and run:  ./drive_test
 #include <cstdio>
-#include <functional>
 
 #include "obs/span.h"
 #include "sim/radio.h"
+#include "stack/scenarios.h"
 #include "stack/testbed.h"
 #include "util/stats.h"
 
 using namespace cnv;
-
-namespace {
-
-void RunUntil(stack::Testbed& tb, const std::function<bool()>& pred,
-              SimDuration limit) {
-  const SimTime deadline = tb.sim().now() + limit;
-  while (!pred() && tb.sim().now() < deadline) tb.Run(Millis(100));
-}
-
-}  // namespace
+using stack::scenario::RunUntil;
 
 int main() {
   std::printf("Drive test: Route-2 (28.3 mi), carrier OP-II\n\n");

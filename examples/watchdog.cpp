@@ -19,6 +19,9 @@
 //   --snapshot-every N  refresh --metrics-json every N records while running
 //   --quiet             suppress live per-alert lines (final report only)
 //
+// An --alert-log or --metrics-json file that cannot be written prints
+// "failed to write FILE" and exits 1.
+//
 // SIGINT/SIGTERM drain gracefully — also in `-` (stdin-follow) mode, where
 // the watchdog may sit forever in a blocked read: the feed loop polls, so a
 // signal is noticed within one poll tick even if no bytes ever arrive. On
@@ -178,12 +181,18 @@ int main(int argc, char** argv) {
   }
 
   if (!alert_log_path.empty()) {
-    obs::WriteFile(alert_log_path, gateway.AlertLog());
+    if (!obs::WriteFile(alert_log_path, gateway.AlertLog())) {
+      std::fprintf(stderr, "failed to write %s\n", alert_log_path.c_str());
+      return 1;
+    }
     std::fprintf(stderr, "alert log written to %s\n", alert_log_path.c_str());
   }
   if (!metrics_path.empty()) {
-    obs::WriteFile(metrics_path,
-                   gateway.registry().ToJson(gateway.last_record_time()));
+    if (!obs::WriteFile(metrics_path, gateway.registry().ToJson(
+                                          gateway.last_record_time()))) {
+      std::fprintf(stderr, "failed to write %s\n", metrics_path.c_str());
+      return 1;
+    }
     std::fprintf(stderr, "metrics written to %s\n", metrics_path.c_str());
   }
   if (interrupted) {

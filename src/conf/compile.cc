@@ -36,16 +36,6 @@ bool SameAction(const S4Model::Action& a, const S4Model::Action& b) {
   return a.kind == b.kind;
 }
 
-template <typename M>
-mck::PropertySet<typename M::State> PropsOf(const M& m) {
-  if constexpr (requires { M::Properties(); }) {
-    (void)m;
-    return M::Properties();
-  } else {
-    return m.Properties();
-  }
-}
-
 // Replays the counterexample through the model: every action must be
 // enabled where it appears, and the final state must actually violate the
 // claimed property. Returns the final state, or nullopt with `error` set.
@@ -72,7 +62,7 @@ std::optional<typename M::State> ValidateTrace(const M& m,
     s = m.apply(s, a);
     ++step;
   }
-  for (const auto& p : PropsOf(m)) {
+  for (const auto& p : m.Properties()) {
     if (p.name != v.property) continue;
     if (p.holds(s)) {
       *error = "trace does not end in a state violating " + v.property +

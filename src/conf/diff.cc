@@ -1,14 +1,11 @@
 #include "conf/diff.h"
 
-#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 
-#include "conf/compile.h"
+#include "conf/crosscheck.h"
 #include "dist/coordinator.h"
-#include "mck/parallel_explorer.h"
-#include "mck/random_walk.h"
 #include "obs/json.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -20,134 +17,13 @@ namespace {
 constexpr Scenario kScenarios[] = {Scenario::kS1, Scenario::kS2, Scenario::kS3,
                                    Scenario::kS4};
 
-// One (scenario, carrier) group: the carrier-configured model's exhaustive
-// verdict (ground truth), a per-cell random-walk closure over the same
-// model, and the canonical replay script compiled from the scenario's
-// counterexample.
+// One (scenario, carrier) group: the scenario's model side configured from
+// the carrier (ground truth, walk closure, canonical script), shared by
+// every cell of the group.
 struct GroupSpec {
-  Scenario scenario = Scenario::kS1;
   stack::CarrierProfile carrier;
-  std::string property;
-  bool model_violation = false;
-  bool script_ok = false;
-  std::string script_error;
-  ScenarioScript script;
-  std::function<bool(Rng&, std::uint64_t walks)> walk;
+  ScenarioCheck check;
 };
-
-// Compiles the canonical replay script for a scenario: the defect-enabled
-// model's first counterexample. For S3 this is always the cell-reselection
-// model — the script encodes the *user behavior* (data session, CSFB call,
-// hang-up), which is what gets replayed on both carriers; the differential
-// verdict comes from comparing outcomes, not from expecting reproduction.
-CompileResult CanonicalScript(Scenario s, const mck::ExploreOptions& eopt) {
-  switch (s) {
-    case Scenario::kS1: {
-      model::S1Model m;
-      const auto r = mck::Explore(m, model::S1Model::Properties(), eopt);
-      const auto* v = r.FindViolation(model::kPacketServiceOk);
-      if (v == nullptr) return {};
-      return CompileS1(m, *v);
-    }
-    case Scenario::kS2: {
-      model::S2Model m;
-      const auto r = mck::Explore(m, model::S2Model::Properties(), eopt);
-      const auto* v = r.FindViolation(model::kPacketServiceOk);
-      if (v == nullptr) return {};
-      return CompileS2(m, *v);
-    }
-    case Scenario::kS3: {
-      model::S3Model::Config cfg;
-      cfg.policy = model::SwitchPolicy::kCellReselection;
-      model::S3Model m(cfg);
-      const auto r = mck::Explore(m, m.Properties(), eopt);
-      const auto* v = r.FindViolation(model::kMmOk);
-      if (v == nullptr) return {};
-      return CompileS3(m, *v);
-    }
-    case Scenario::kS4: {
-      model::S4Model m;
-      const auto r = mck::Explore(m, model::S4Model::Properties(), eopt);
-      const auto* v = r.FindViolation(model::kCallServiceOk);
-      if (v == nullptr) return {};
-      return CompileS4(m, *v);
-    }
-  }
-  return {};
-}
-
-template <typename M>
-std::function<bool(Rng&, std::uint64_t)> MakeWalk(M m, std::string property) {
-  return [m = std::move(m), property = std::move(property)](
-             Rng& rng, std::uint64_t walks) {
-    mck::WalkOptions wopt;
-    wopt.walks = walks;
-    wopt.max_steps_per_walk = 64;
-    mck::PropertySet<typename M::State> props;
-    if constexpr (requires { M::Properties(); }) {
-      props = M::Properties();
-    } else {
-      props = m.Properties();
-    }
-    return !mck::RandomWalk(m, props, rng, wopt).Holds(property);
-  };
-}
-
-GroupSpec BuildGroup(Scenario s, const stack::CarrierProfile& carrier,
-                     const mck::ReductionOptions& reduction) {
-  GroupSpec g;
-  g.scenario = s;
-  g.carrier = carrier;
-  mck::ExploreOptions eopt;
-  eopt.reduction = reduction;
-  const CompileResult compiled = CanonicalScript(s, eopt);
-  g.script_ok = compiled.ok;
-  g.script_error = compiled.error;
-  g.script = compiled.script;
-
-  switch (s) {
-    case Scenario::kS1: {
-      model::S1Model m;
-      g.property = model::kPacketServiceOk;
-      g.model_violation =
-          !mck::Explore(m, model::S1Model::Properties(), eopt)
-               .Holds(g.property);
-      g.walk = MakeWalk(m, g.property);
-      break;
-    }
-    case Scenario::kS2: {
-      model::S2Model m;
-      g.property = model::kPacketServiceOk;
-      g.model_violation =
-          !mck::Explore(m, model::S2Model::Properties(), eopt)
-               .Holds(g.property);
-      g.walk = MakeWalk(m, g.property);
-      break;
-    }
-    case Scenario::kS3: {
-      // The model is configured *from the carrier*: its CSFB return policy
-      // decides whether the stuck-in-3G state is reachable at all.
-      model::S3Model::Config cfg;
-      cfg.policy = carrier.csfb_return_policy;
-      model::S3Model m(cfg);
-      g.property = model::kMmOk;
-      g.model_violation =
-          !mck::Explore(m, m.Properties(), eopt).Holds(g.property);
-      g.walk = MakeWalk(m, g.property);
-      break;
-    }
-    case Scenario::kS4: {
-      model::S4Model m;
-      g.property = model::kCallServiceOk;
-      g.model_violation =
-          !mck::Explore(m, model::S4Model::Properties(), eopt)
-               .Holds(g.property);
-      g.walk = MakeWalk(m, g.property);
-      break;
-    }
-  }
-  return g;
-}
 
 // The cell's random-walk seed: FNV-1a over the length-prefixed tag,
 // scenario and carrier names, then the testbed seed (host-endian words).
@@ -167,7 +43,7 @@ std::uint64_t WalkSeed(const GroupSpec& g, std::uint64_t seed) {
     bytes(s.data(), s.size());
   };
   str("conf-walk");
-  str(ToString(g.scenario));
+  str(ToString(g.check.scenario));
   str(g.carrier.name);
   word(seed);
   return h;
@@ -175,55 +51,52 @@ std::uint64_t WalkSeed(const GroupSpec& g, std::uint64_t seed) {
 
 DiffCell RunCell(const GroupSpec& g, std::uint64_t seed, std::uint64_t walks) {
   DiffCell cell;
-  cell.scenario = g.scenario;
+  cell.scenario = g.check.scenario;
   cell.carrier = g.carrier.name;
   cell.seed = seed;
-  cell.model_violation = g.model_violation;
+  cell.model_violation = g.check.model_violation;
 
   Rng rng(WalkSeed(g, seed));
-  cell.walk_violation = g.walk(rng, walks);
-
-  if (!g.script_ok) {
-    cell.verdict = Verdict::kBadCounterexample;
-    cell.explained = false;
-    cell.note = g.script_error;
-    return cell;
-  }
+  cell.walk_violation = g.check.walk(rng, walks);
 
   ReplayOptions ropt;
   ropt.seed = seed;
-  const ReplayOutcome outcome = Replay(g.script, g.carrier, ropt);
-  cell.sim_probe = outcome.HasProbe(g.scenario);
-
-  if (cell.model_violation == cell.sim_probe) {
-    cell.verdict =
-        cell.sim_probe ? Verdict::kConfirmed : Verdict::kAgreedAbsent;
-    cell.explained = true;
-  } else if (cell.model_violation) {
-    cell.verdict = Verdict::kModelOnlyDivergence;
-    cell.explained = false;
-    cell.note = outcome.awaits_satisfied
-                    ? "replay finished without the finding probe"
-                    : "replay stalled at: " + outcome.first_missed_await;
-  } else {
-    cell.verdict = Verdict::kSimOnlyDivergence;
-    if (g.scenario == Scenario::kS3 &&
-        g.carrier.csfb_return_policy !=
-            model::SwitchPolicy::kCellReselection &&
-        !outcome.counters.stranded_in_3g_now &&
-        outcome.counters.stuck_in_3g_max_s > 0.0) {
-      // The probe tripped on a slow operator-controlled return (the
-      // Table 6 latency tail, up to 52.6 s on OP-I) — an operational
-      // outlier, not the reselection defect the model rules out.
-      cell.explained = true;
-      cell.note = Format(
-          "CSFB return took %.1f s (Table 6 latency tail), device did "
-          "return to 4G",
-          outcome.counters.stuck_in_3g_max_s);
-    } else {
+  const CrossCheckResult r = CrossCheck(g.check, g.carrier, ropt);
+  cell.sim_probe = r.probe;
+  cell.verdict = r.verdict;
+  const ReplayCounters& counters = r.outcome.counters;
+  switch (r.verdict) {
+    case Verdict::kConfirmed:
+    case Verdict::kAgreedAbsent:
+      break;
+    case Verdict::kModelOnlyDivergence:
       cell.explained = false;
-      cell.note = "simulator reproduced a defect the model rules out";
-    }
+      cell.note = r.outcome.awaits_satisfied
+                      ? "replay finished without the finding probe"
+                      : "replay stalled at: " + r.outcome.first_missed_await;
+      break;
+    case Verdict::kSimOnlyDivergence:
+      if (g.check.scenario == Scenario::kS3 &&
+          g.carrier.csfb_return_policy !=
+              model::SwitchPolicy::kCellReselection &&
+          !counters.stranded_in_3g_now && counters.stuck_in_3g_max_s > 0.0) {
+        // The probe tripped on a slow operator-controlled return (the
+        // Table 6 latency tail, up to 52.6 s on OP-I) — an operational
+        // outlier, not the reselection defect the model rules out.
+        cell.explained = true;
+        cell.note = Format(
+            "CSFB return took %.1f s (Table 6 latency tail), device did "
+            "return to 4G",
+            counters.stuck_in_3g_max_s);
+      } else {
+        cell.explained = false;
+        cell.note = "simulator reproduced a defect the model rules out";
+      }
+      break;
+    default:
+      cell.explained = false;
+      cell.note = r.detail;
+      break;
   }
   if (cell.model_violation && !cell.walk_violation) {
     if (!cell.note.empty()) cell.note += "; ";
@@ -265,7 +138,10 @@ DiffReport DifferentialDriver::Run() const {
   std::vector<GroupSpec> groups;
   for (const Scenario s : kScenarios) {
     for (const auto& carrier : {stack::OpI(), stack::OpII()}) {
-      groups.push_back(BuildGroup(s, carrier, options_.reduction));
+      groups.push_back({carrier,
+                        BuildScenarioCheck(s, carrier.csfb_return_policy,
+                                           /*model_solutions=*/false,
+                                           options_.reduction)});
     }
   }
 
@@ -286,7 +162,7 @@ DiffReport DifferentialDriver::Run() const {
         cells[i] = conf::RunCell(group_of(i), seed_of(i), options_.walks);
       },
       [&](std::size_t i) {
-        return ToString(group_of(i).scenario) + " x " +
+        return ToString(group_of(i).check.scenario) + " x " +
                group_of(i).carrier.name + " seed=" +
                std::to_string(seed_of(i));
       });

@@ -1,10 +1,12 @@
 // Randomized differential driver: sweeps seeds × carrier profiles, running
 // the screening models (exhaustive exploration as ground truth plus a
 // seeded random walk per cell) side by side with simulator replays of the
-// compiled counterexample scripts, and classifies every cell into a
-// conf::Verdict. Divergences are either explained (a known cause, e.g. a
-// random-walk sampling miss or the Table 6 CSFB return-latency tail) or
-// unexplained — the sweep's headline number, expected to be zero.
+// compiled counterexample scripts. Every cell is one conf::CrossCheck
+// (conf/crosscheck.h) at the cell's seed, so a confirmed cell has also
+// passed the refinement check. Divergences are either explained (a known
+// cause, e.g. the Table 6 CSFB return-latency tail) or unexplained — the
+// sweep's headline number, expected to be zero. A random walk that misses a
+// violation the exhaustive pass finds is a sampling artifact, counted apart.
 //
 // The sweep is parallel with the same discipline as the campaign runner:
 // cells are position-indexed, so the report is byte-identical at any --jobs

@@ -90,10 +90,8 @@ ReplayOutcome Replay(const ScenarioScript& script,
                      const ReplayOptions& options) {
   stack::TestbedConfig cfg;
   cfg.profile = profile;
-  if (script.isolate_background_faults) {
-    cfg.profile.lu_failure_prob = 0.0;
-    cfg.profile.pdp_deact_in_3g_prob = 0.0;
-  }
+  cfg.profile.lu_failure_prob = 0.0;
+  cfg.profile.pdp_deact_in_3g_prob = 0.0;
   cfg.solutions = options.solutions;
   cfg.seed = options.seed;
   stack::Testbed tb(cfg);
@@ -182,16 +180,12 @@ ReplayOutcome Replay(const ScenarioScript& script,
   }
 
   outcome.probes = fault::RecoveryMonitor::ProbeFindings(tb);
-  outcome.counters.detaches_no_eps_bearer = tb.ue().detaches_no_eps_bearer();
-  outcome.counters.stale_attach_detaches = tb.mme().stale_attach_detaches();
-  outcome.counters.deferred_call_requests = tb.ue().deferred_call_requests();
   if (!tb.ue().stuck_in_3g_seconds().Empty()) {
     outcome.counters.stuck_in_3g_max_s = tb.ue().stuck_in_3g_seconds().Max();
   }
   outcome.counters.stranded_in_3g_now =
       tb.ue().serving() == nas::System::k3G &&
       tb.ue().awaiting_cell_reselection();
-  outcome.counters.out_of_service = tb.ue().out_of_service();
   outcome.records = tb.traces().records();
   return outcome;
 }

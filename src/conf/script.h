@@ -66,11 +66,6 @@ struct ScenarioScript {
   // return policy (S3 under cell reselection). Replaying on a carrier with
   // a different policy is a carrier mismatch, not a model/sim divergence.
   std::optional<model::SwitchPolicy> required_policy;
-  // Compiled scripts schedule their faults explicitly, so the carrier's
-  // background fault probabilities (random LU failures, spontaneous PDP
-  // deactivations) are zeroed during replay — mirroring how the paper's
-  // validation experiments isolate one defect at a time.
-  bool isolate_background_faults = true;
   std::vector<ScriptStep> steps;
   // The model counterexample this was compiled from (mck::FormatTrace).
   std::string source;
@@ -86,12 +81,8 @@ std::string FormatScript(const ScenarioScript& s);
 // that exceeded the 10 s stuck-in-3G threshold is the Table 6 latency tail,
 // not the S3 reselection defect).
 struct ReplayCounters {
-  std::uint64_t detaches_no_eps_bearer = 0;
-  std::uint64_t stale_attach_detaches = 0;
-  std::uint64_t deferred_call_requests = 0;
   double stuck_in_3g_max_s = 0.0;
   bool stranded_in_3g_now = false;
-  bool out_of_service = false;
 };
 
 struct ReplayOutcome {
@@ -112,7 +103,11 @@ struct ReplayOptions {
 };
 
 // Executes the script on a fresh Testbed with the given carrier profile.
-// Deterministic for a fixed (script, profile, options) triple.
+// Scripts schedule their faults explicitly, so the carrier's background
+// fault probabilities (random LU failures, spontaneous PDP deactivations)
+// are zeroed — mirroring how the paper's validation experiments isolate one
+// defect at a time. Deterministic for a fixed (script, profile, options)
+// triple.
 ReplayOutcome Replay(const ScenarioScript& script,
                      const stack::CarrierProfile& profile,
                      const ReplayOptions& options = {});

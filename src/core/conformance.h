@@ -1,23 +1,20 @@
 // Conformance phase: closes the paper's screening -> validation loop
-// automatically. For each S1–S4 finding the runner explores the screening
-// model, compiles the counterexample into a simulator script
-// (conf/compile.h), replays it on a carrier-profiled testbed, and
-// cross-checks the two sides: the replay must reproduce the same finding
-// probe AND its abstracted trace must refine the model counterexample.
-// Every cross-check ends in a machine-readable conf::Verdict — divergences
+// automatically. For each S1–S4 finding the runner runs the shared
+// cross-check (conf/crosscheck.h) at one seed: explore the screening model,
+// compile the counterexample into a simulator script, replay it on a
+// carrier-profiled testbed, and require both the same finding probe AND an
+// abstracted trace that refines the model counterexample. Every
+// cross-check ends in a machine-readable conf::Verdict — divergences
 // (model-only, sim-only, refinement or carrier mismatches, damaged
 // counterexamples) are first-class results, never silent passes.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "conf/verdict.h"
 #include "core/findings.h"
-#include "mck/reduction.h"
-#include "model/vocab.h"
 #include "stack/carrier.h"
 #include "stack/testbed.h"
 
@@ -32,19 +29,6 @@ struct ConformanceOptions {
   // §8 remedies enabled in the screening models (model side only). A fixed
   // model over an unfixed stack surfaces as a sim-only divergence.
   bool model_solutions = false;
-  // Overrides the S3 model's carrier-derived CSFB return policy; replaying
-  // a reselection counterexample on a release-with-redirect carrier is how
-  // the carrier-mismatch verdict is exercised.
-  std::optional<model::SwitchPolicy> s3_policy;
-  // Test hook: keep only the first N counterexample steps before
-  // compiling (0 = intact). A truncated trace no longer ends in a
-  // violating state and must be rejected as kBadCounterexample.
-  std::size_t truncate_trace = 0;
-  // State-space reductions applied on the model-side explorations. The
-  // S1–S4 slices are single-UE models with trivial reduction specs, so
-  // enabling --por/--symmetry here is a sound no-op on results — the sweep
-  // must stay green either way (pinned by the conformance CI step).
-  mck::ReductionOptions reduction;
 };
 
 struct ConformanceResult {
@@ -73,8 +57,7 @@ class ConformanceRunner {
   std::vector<ConformanceResult> RunAll(
       const stack::CarrierProfile& profile) const;
 
-  // The divergence lattice shared with the validation phase: model verdict
-  // x observed reproduction x trace refinement -> verdict.
+  // conf::Classify, the divergence lattice of every cross-check.
   static conf::Verdict Classify(bool model_violation, bool sim_observed,
                                 bool refined);
 

@@ -66,135 +66,75 @@ struct CellSpec {
   std::function<ScenarioCellResult(Rng&)> run;
 };
 
+template <typename M>
+CellSpec Row(std::string name, typename M::Config cfg, FindingId finding,
+             const ScreeningOptions& options) {
+  auto run = [name, cfg, finding, options](Rng& rng) {
+    const M m(cfg);
+    return ExploreCell(name, m, m.Properties(), finding, rng, options);
+  };
+  return {std::move(name), std::move(run)};
+}
+
 std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
   const bool fix = options.with_solutions;
-  std::vector<CellSpec> catalog;
 
-  // --- S1 cells: inter-system context sharing.
-  {
-    model::S1Model::Config cfg;
-    cfg.fix_keep_context = fix;
-    cfg.fix_reactivate_bearer = fix;
-    catalog.push_back(
-        {"S1 model / inter-system switches x all PDP deactivation causes",
-         [cfg, options](Rng& rng) {
-      model::S1Model m(cfg);
-      return ExploreCell(
-          "S1 model / inter-system switches x all PDP deactivation causes", m,
-          model::S1Model::Properties(), FindingId::kS1, rng, options);
-    }});
-  }
-  {
-    model::S1Model::Config cfg;
-    cfg.allow_user_data_toggle = false;
-    cfg.fix_keep_context = fix;
-    cfg.fix_reactivate_bearer = fix;
-    catalog.push_back(
-        {"S1 model / network-initiated deactivations only",
-         [cfg, options](Rng& rng) {
-      model::S1Model m(cfg);
-      return ExploreCell("S1 model / network-initiated deactivations only", m,
-                         model::S1Model::Properties(), FindingId::kS1, rng,
-                         options);
-    }});
-  }
+  // S1: inter-system context sharing.
+  model::S1Model::Config s1;
+  s1.fix_keep_context = fix;
+  s1.fix_reactivate_bearer = fix;
+  model::S1Model::Config s1_network = s1;
+  s1_network.allow_user_data_toggle = false;
 
-  // --- S2 cells: unreliable RRC under the attach procedure.
-  {
-    model::S2Model::Config cfg;
-    cfg.allow_duplicate = false;
-    cfg.reliable_shim = fix;
-    catalog.push_back(
-        {"S2 model / lost signaling (Figure 5a)",
-         [cfg, options](Rng& rng) {
-      model::S2Model m(cfg);
-      return ExploreCell("S2 model / lost signaling (Figure 5a)", m,
-                         model::S2Model::Properties(), FindingId::kS2, rng,
-                         options);
-    }});
-  }
-  {
-    model::S2Model::Config cfg;
-    cfg.allow_loss = false;
-    cfg.reliable_shim = fix;
-    catalog.push_back(
-        {"S2 model / duplicate signaling (Figure 5b)",
-         [cfg, options](Rng& rng) {
-      model::S2Model m(cfg);
-      return ExploreCell("S2 model / duplicate signaling (Figure 5b)", m,
-                         model::S2Model::Properties(), FindingId::kS2, rng,
-                         options);
-    }});
-  }
-  {
-    model::S2Model::Config cfg;
-    cfg.reliable_shim = fix;
-    catalog.push_back(
-        {"S2 model / loss + duplication combined",
-         [cfg, options](Rng& rng) {
-      model::S2Model m(cfg);
-      return ExploreCell("S2 model / loss + duplication combined", m,
-                         model::S2Model::Properties(), FindingId::kS2, rng,
-                         options);
-    }});
-  }
+  // S2: unreliable RRC under the attach procedure.
+  model::S2Model::Config s2;
+  s2.reliable_shim = fix;
+  model::S2Model::Config s2_loss = s2;
+  s2_loss.allow_duplicate = false;
+  model::S2Model::Config s2_duplicate = s2;
+  s2_duplicate.allow_loss = false;
 
-  // --- S3 cells: every inter-system switching option (Figure 6a).
+  // S4: CS-only, PS-only and combined HOL blocking.
+  model::S4Model::Config s4;
+  s4.decoupled = fix;
+  model::S4Model::Config s4_cs = s4;
+  s4_cs.model_ps = false;
+  model::S4Model::Config s4_ps = s4;
+  s4_ps.model_cs = false;
+
+  using model::S1Model;
+  using model::S2Model;
+  using model::S3Model;
+  using model::S4Model;
+  std::vector<CellSpec> catalog = {
+      Row<S1Model>(
+          "S1 model / inter-system switches x all PDP deactivation causes", s1,
+          FindingId::kS1, options),
+      Row<S1Model>("S1 model / network-initiated deactivations only",
+                   s1_network, FindingId::kS1, options),
+      Row<S2Model>("S2 model / lost signaling (Figure 5a)", s2_loss,
+                   FindingId::kS2, options),
+      Row<S2Model>("S2 model / duplicate signaling (Figure 5b)", s2_duplicate,
+                   FindingId::kS2, options),
+      Row<S2Model>("S2 model / loss + duplication combined", s2,
+                   FindingId::kS2, options),
+  };
+  // S3: every inter-system switching option (Figure 6a).
   for (const auto policy : {model::SwitchPolicy::kReleaseWithRedirect,
                             model::SwitchPolicy::kHandover,
                             model::SwitchPolicy::kCellReselection}) {
-    model::S3Model::Config cfg;
-    cfg.policy = policy;
-    cfg.fix_csfb_tag = fix;
-    catalog.push_back(
-        {"S3 model / " + model::ToString(policy),
-         [cfg, policy, options](Rng& rng) {
-      model::S3Model m(cfg);
-      return ExploreCell("S3 model / " + model::ToString(policy), m,
-                         m.Properties(), FindingId::kS3, rng, options);
-    }});
+    S3Model::Config s3;
+    s3.policy = policy;
+    s3.fix_csfb_tag = fix;
+    catalog.push_back(Row<S3Model>("S3 model / " + model::ToString(policy),
+                                   s3, FindingId::kS3, options));
   }
-
-  // --- S4 cells: CS-only, PS-only and combined HOL blocking.
-  {
-    model::S4Model::Config cfg;
-    cfg.model_ps = false;
-    cfg.decoupled = fix;
-    catalog.push_back(
-        {"S4 model / CS domain (CM over MM)",
-         [cfg, options](Rng& rng) {
-      model::S4Model m(cfg);
-      return ExploreCell("S4 model / CS domain (CM over MM)", m,
-                         model::S4Model::Properties(), FindingId::kS4, rng,
-                         options);
-    }});
-  }
-  {
-    model::S4Model::Config cfg;
-    cfg.model_cs = false;
-    cfg.decoupled = fix;
-    catalog.push_back(
-        {"S4 model / PS domain (SM over GMM)",
-         [cfg, options](Rng& rng) {
-      model::S4Model m(cfg);
-      return ExploreCell("S4 model / PS domain (SM over GMM)", m,
-                         model::S4Model::Properties(), FindingId::kS4, rng,
-                         options);
-    }});
-  }
-  {
-    model::S4Model::Config cfg;
-    cfg.decoupled = fix;
-    catalog.push_back(
-        {"S4 model / both domains",
-         [cfg, options](Rng& rng) {
-      model::S4Model m(cfg);
-      return ExploreCell("S4 model / both domains", m,
-                         model::S4Model::Properties(), FindingId::kS4, rng,
-                         options);
-    }});
-  }
-
+  catalog.push_back(Row<S4Model>("S4 model / CS domain (CM over MM)", s4_cs,
+                                 FindingId::kS4, options));
+  catalog.push_back(Row<S4Model>("S4 model / PS domain (SM over GMM)", s4_ps,
+                                 FindingId::kS4, options));
+  catalog.push_back(Row<S4Model>("S4 model / both domains", s4,
+                                 FindingId::kS4, options));
   return catalog;
 }
 

@@ -1,7 +1,6 @@
 #include "core/validation.h"
 
-#include <functional>
-
+#include "stack/scenarios.h"
 #include "stack/testbed.h"
 #include "trace/analyze.h"
 #include "util/strings.h"
@@ -10,27 +9,12 @@ namespace cnv::core {
 
 namespace {
 
-void RunUntil(stack::Testbed& tb, const std::function<bool()>& pred,
-              SimDuration limit) {
-  const SimTime deadline = tb.sim().now() + limit;
-  while (!pred() && tb.sim().now() < deadline) {
-    tb.Run(Millis(100));
-  }
-}
+using stack::scenario::EstablishCall;
+using stack::scenario::RunUntil;
 
 void AttachIn4g(stack::Testbed& tb) {
   tb.ue().PowerOn(nas::System::k4G);
   tb.Run(Seconds(2));
-}
-
-void DriveCallToActive(stack::Testbed& tb) {
-  tb.ue().Dial();
-  RunUntil(tb,
-           [&] {
-             return tb.ue().call_state() ==
-                    stack::UeDevice::CallState::kActive;
-           },
-           Minutes(2));
 }
 
 }  // namespace
@@ -107,7 +91,7 @@ ValidationResult ValidationRunner::RunS3(
   AttachIn4g(tb);
   tb.ue().StartDataSession(0.2);  // the paper's 200 kbps UDP session
   tb.Run(Seconds(1));
-  DriveCallToActive(tb);
+  EstablishCall(tb);
   tb.Run(Seconds(10));
   tb.ue().HangUp();
   tb.Run(Minutes(2));
@@ -136,7 +120,7 @@ ValidationResult ValidationRunner::RunS4(
   tb.Run(Seconds(15));
   tb.ue().CrossAreaBoundary();
   tb.Run(Millis(200));
-  DriveCallToActive(tb);
+  EstablishCall(tb);
 
   ValidationResult r{FindingId::kS4, profile.name, false, ""};
   r.observed = tb.ue().deferred_service_requests() > 0;
@@ -165,7 +149,7 @@ ValidationResult ValidationRunner::RunS5(
       tb.ue().CurrentPsRateMbps(sim::Direction::kDownlink, 12);
   const double ul_before =
       tb.ue().CurrentPsRateMbps(sim::Direction::kUplink, 12);
-  DriveCallToActive(tb);
+  EstablishCall(tb);
   const double dl_during =
       tb.ue().CurrentPsRateMbps(sim::Direction::kDownlink, 12);
   const double ul_during =
@@ -193,7 +177,7 @@ ValidationResult ValidationRunner::RunS6(
   cfg.profile.lu_failure_prob = 1.0;
   stack::Testbed tb(cfg);
   AttachIn4g(tb);
-  DriveCallToActive(tb);
+  EstablishCall(tb);
   tb.Run(Seconds(10));
   tb.ue().HangUp();
   RunUntil(tb, [&] { return tb.ue().serving() == nas::System::k4G; },

@@ -34,56 +34,6 @@ void HarvestSimulator(Registry& reg, const sim::Simulator& sim) {
   reg.GetCounter("sim.timers_cancelled").Increment(ts.cancelled);
 }
 
-void HarvestTimerWheel(Registry& reg, const sim::TimerWheel::Stats& stats,
-                       const std::string& prefix) {
-  for (int level = 0; level < sim::TimerWheel::kLevels; ++level) {
-    const std::string tier = prefix + ".l" + std::to_string(level);
-    reg.GetCounter(tier + ".inserts").Increment(stats.inserts[level]);
-    reg.GetGauge(tier + ".occupancy")
-        .Set(static_cast<double>(stats.occupancy[level]));
-    reg.GetGauge(tier + ".occupancy_peak")
-        .Set(static_cast<double>(stats.peak_occupancy[level]));
-  }
-  reg.GetCounter(prefix + ".overflow.inserts")
-      .Increment(stats.overflow_inserts);
-  reg.GetGauge(prefix + ".overflow.occupancy")
-      .Set(static_cast<double>(stats.overflow_occupancy));
-  reg.GetGauge(prefix + ".overflow.occupancy_peak")
-      .Set(static_cast<double>(stats.overflow_peak));
-  reg.GetCounter(prefix + ".cascaded").Increment(stats.cascaded);
-  reg.GetCounter(prefix + ".migrated").Increment(stats.migrated);
-  reg.GetCounter(prefix + ".sorted_ticks").Increment(stats.sorted_ticks);
-  reg.GetCounter(prefix + ".reaped").Increment(stats.reaped);
-}
-
-void HarvestCity(Registry& reg, const stack::CityReport& r) {
-  reg.GetCounter("city.events_executed").Increment(r.events_executed);
-  reg.GetCounter("city.events_scheduled").Increment(r.events_scheduled);
-  reg.GetCounter("city.events_cancelled").Increment(r.events_cancelled);
-  reg.GetCounter("city.stale_events").Increment(r.stale_events);
-  reg.GetCounter("city.attaches_started").Increment(r.attaches_started);
-  reg.GetCounter("city.attaches_completed").Increment(r.attaches_completed);
-  reg.GetCounter("city.attaches_rejected").Increment(r.attaches_rejected);
-  reg.GetCounter("city.guard_expiries").Increment(r.guard_expiries);
-  reg.GetCounter("city.backoffs_armed").Increment(r.backoffs_armed);
-  reg.GetCounter("city.sessions").Increment(r.sessions);
-  reg.GetCounter("city.pagings").Increment(r.pagings);
-  reg.GetCounter("city.handovers").Increment(r.handovers);
-  reg.GetCounter("city.location_updates").Increment(r.location_updates);
-  reg.GetCounter("city.taus").Increment(r.taus);
-  reg.GetCounter("city.storms_flagged").Increment(r.storms_flagged);
-  reg.GetCounter("city.windows").Increment(r.windows);
-  reg.GetCounter("city.shard_stalls").Increment(r.shard_stalls);
-  reg.GetCounter("city.cross_cell_messages")
-      .Increment(r.cross_cell_messages);
-  reg.GetCounter("city.trace_emitted").Increment(r.trace_emitted);
-  reg.GetCounter("city.trace_dropped").Increment(r.trace_dropped);
-  reg.GetCounter("city.digest").Increment(r.digest);
-  reg.GetGauge("city.arena_bytes").Set(static_cast<double>(r.arena_bytes));
-  reg.GetGauge("city.bytes_per_ue").Set(r.bytes_per_ue);
-  HarvestTimerWheel(reg, r.wheel, "city.wheel");
-}
-
 void HarvestTestbed(Registry& reg, stack::Testbed& tb) {
   HarvestSimulator(reg, tb.sim());
 
@@ -159,24 +109,6 @@ void HarvestTestbed(Registry& reg, stack::Testbed& tb) {
         .Increment(e.s.replay_dropped);
     reg.GetGauge(prefix + ".queue_peak")
         .Set(static_cast<double>(e.s.queue_peak));
-  }
-}
-
-void HarvestExploreStats(Registry& reg, const mck::ExploreStats& stats,
-                         const std::string& prefix, bool include_wall) {
-  reg.GetCounter(prefix + ".states_visited").Increment(stats.states_visited);
-  reg.GetCounter(prefix + ".transitions").Increment(stats.transitions);
-  reg.GetGauge(prefix + ".max_depth_reached")
-      .Set(static_cast<double>(stats.max_depth_reached));
-  reg.GetGauge(prefix + ".frontier_peak")
-      .Set(static_cast<double>(stats.frontier_peak));
-  reg.GetGauge(prefix + ".hash_occupancy").Set(stats.hash_occupancy);
-  reg.GetGauge(prefix + ".truncated").Set(stats.truncated ? 1 : 0);
-  if (include_wall) {
-    reg.GetGauge(prefix + ".elapsed_wall_seconds")
-        .Set(stats.elapsed_wall_seconds);
-    reg.GetGauge(prefix + ".states_per_sec_wall")
-        .Set(stats.StatesPerSecond());
   }
 }
 

@@ -102,10 +102,6 @@ class Simulator {
   // simultaneously pending events, not by the total scheduled over time.
   std::size_t HandlerSlots() const { return slots_.size(); }
 
-  // The underlying wheel, exposed read-only for per-tier occupancy
-  // telemetry (obs::HarvestTimerWheel).
-  const TimerWheel& wheel() const { return wheel_; }
-
   // Guard-timer bookkeeping, incremented by sim::Timer. Lives on the
   // simulator so every timer bound to this run aggregates into one place
   // the telemetry layer can read without extra wiring.

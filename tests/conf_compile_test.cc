@@ -50,7 +50,6 @@ TEST(CompileS1Test, CanonicalCounterexampleCompiles) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.script.scenario, Scenario::kS1);
   EXPECT_FALSE(r.script.required_policy.has_value());
-  EXPECT_TRUE(r.script.isolate_background_faults);
   // The script starts from a registered 4G device, visits 3G, loses the PDP
   // context there and switches back.
   ASSERT_GE(r.script.steps.size(), 2u);

@@ -7,7 +7,9 @@
 #include <set>
 #include <string>
 
+#include "conf/crosscheck.h"
 #include "gtest/gtest.h"
+#include "mck/parallel_explorer.h"
 #include "stack/carrier.h"
 
 namespace cnv::core {
@@ -81,29 +83,51 @@ TEST(ConformanceRunnerTest, ModelSideFixYieldsSimOnlyDivergence) {
 // release-with-redirect carrier: the counterexample cannot reproduce there
 // and the mismatch is reported as such, not as a divergence.
 TEST(ConformanceRunnerTest, WrongCarrierPolicyYieldsCarrierMismatch) {
-  ConformanceOptions opt;
-  opt.s3_policy = model::SwitchPolicy::kCellReselection;
-  const ConformanceRunner runner(opt);
   ASSERT_NE(stack::OpI().csfb_return_policy,
             model::SwitchPolicy::kCellReselection);
-  const auto res = runner.CrossCheck(FindingId::kS3, stack::OpI());
+  const conf::ScenarioCheck check = conf::BuildScenarioCheck(
+      conf::Scenario::kS3, model::SwitchPolicy::kCellReselection);
+  ASSERT_TRUE(check.model_violation);
+  const auto res = conf::CrossCheck(check, stack::OpI(), {});
   EXPECT_EQ(res.verdict, conf::Verdict::kCarrierMismatch) << res.detail;
-  EXPECT_TRUE(res.model_violation);
+  EXPECT_FALSE(res.probe);
   EXPECT_NE(res.detail.find("policy"), std::string::npos);
 }
 
 // A truncated counterexample no longer ends in a violating state; the
-// compiler must refuse it and the runner must surface that refusal.
+// compiler must refuse it and the cross-check must surface that refusal
+// without replaying anything.
 TEST(ConformanceRunnerTest, TruncatedCounterexampleYieldsBadCounterexample) {
-  ConformanceOptions opt;
-  opt.truncate_trace = 1;
-  const ConformanceRunner runner(opt);
-  for (const auto id : {FindingId::kS1, FindingId::kS3, FindingId::kS4}) {
-    const auto res = runner.CrossCheck(id, stack::OpI());
-    EXPECT_EQ(res.verdict, conf::Verdict::kBadCounterexample)
-        << ToString(id) << ": " << res.detail;
-    EXPECT_FALSE(res.detail.empty());
-  }
+  conf::ScenarioCheck check = conf::BuildScenarioCheck(
+      conf::Scenario::kS1, stack::OpI().csfb_return_policy);
+  const model::S1Model m;
+  const auto explored = mck::Explore(m, m.Properties());
+  const auto* found = explored.FindViolation(model::kPacketServiceOk);
+  ASSERT_NE(found, nullptr);
+  auto v = *found;
+  v.trace.resize(1);
+  check.compiled = conf::CompileS1(m, v);
+  ASSERT_FALSE(check.compiled.ok);
+  const auto res = conf::CrossCheck(check, stack::OpI(), {});
+  EXPECT_EQ(res.verdict, conf::Verdict::kBadCounterexample);
+  EXPECT_EQ(res.detail, check.compiled.error);
+  EXPECT_FALSE(res.detail.empty());
+  EXPECT_TRUE(res.outcome.records.empty());
+}
+
+// The probe fires but the abstracted trace lacks an event the
+// counterexample expects: same symptom, different mechanism.
+TEST(CrossCheckTest, UnrefinedTraceYieldsRefinementMismatch) {
+  conf::ScenarioCheck check = conf::BuildScenarioCheck(
+      conf::Scenario::kS1, stack::OpI().csfb_return_policy);
+  check.compiled.script.expected.push_back(conf::AbstractKind::kStormBegins);
+  const auto res = conf::CrossCheck(check, stack::OpI(), {});
+  EXPECT_EQ(res.verdict, conf::Verdict::kRefinementMismatch) << res.detail;
+  EXPECT_TRUE(res.probe);
+  EXPECT_FALSE(res.refined);
+  EXPECT_NE(res.detail.find(conf::ToString(conf::AbstractKind::kStormBegins)),
+            std::string::npos)
+      << res.detail;
 }
 
 // S3 on OP-I with matching model policy: both sides agree the defect is
