@@ -5,7 +5,7 @@
 // headline number is unexplained divergences — expected to be zero.
 //
 // Usage:  ./conformance [--seeds N] [--seed-base S] [--walks W] [--jobs N]
-//                       [--json FILE] [--reduce]
+//                       [--json FILE]
 //   --seeds N    testbed/walk seeds per (scenario, carrier) group
 //                (default 64, at most 1,000,000)
 //   --seed-base S
@@ -15,10 +15,6 @@
 //   --jobs N     run cells on N workers (default 1 = serial). The report
 //                is byte-identical at any N.
 //   --json FILE  also write the machine-readable report to FILE
-//   --reduce     explore the model side with partial-order + symmetry
-//                reduction enabled; the report is byte-identical to an
-//                unreduced sweep (the S1-S4 slices have trivial reduction
-//                specs).
 //
 // Exit status: 0 = complete sweep, zero unexplained divergences;
 //              1 = unexplained divergences, or a cell that threw.
@@ -35,13 +31,9 @@ int main(int argc, char** argv) {
   args::ArgParser parser(
       argc, argv,
       "usage: conformance [--seeds N] [--seed-base S] [--walks W] [--jobs N]\n"
-      "                   [--json FILE] [--reduce]");
+      "                   [--json FILE]");
   conf::DiffOptions opt;
   std::string json_path;
-  if (parser.Flag("--reduce")) {
-    opt.reduction.por = true;
-    opt.reduction.symmetry = true;
-  }
   parser.U64Value("--seeds", &opt.seeds);
   parser.U64Value("--seed-base", &opt.seed_base);
   parser.U64Value("--walks", &opt.walks);

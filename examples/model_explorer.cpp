@@ -13,7 +13,8 @@
 //   --por / --symmetry
 //             enable partial-order and/or symmetry reduction. Sound for the
 //             checked properties: the same violations are found, from a
-//             smaller state count (reported as the reduction factor).
+//             smaller state count (reported as the reduction factor), and
+//             each counterexample is still a concrete path.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -30,7 +31,7 @@ using namespace cnv;
 namespace {
 
 template <typename M>
-void PrintStats(const mck::ParallelExploreResult<M>& result) {
+void PrintStats(const mck::ExploreResult<M>& result) {
   std::printf(
       "explored %llu states, %llu transitions (1 job(s), %llu waves)\n",
       (unsigned long long)result.stats.states_visited,

@@ -3,16 +3,12 @@
 // per-cell exploration statistics, violated properties and classified
 // findings.
 //
-// Usage:  ./screening [--walks W] [--seed S] [--solutions] [--reduce]
+// Usage:  ./screening [--walks W] [--seed S] [--solutions]
 //   --walks W    random walks per cell on top of the exhaustive pass
 //                (default 200)
 //   --seed S     RNG seed for the random walks (default 1)
 //   --solutions  screen the §8 remedies instead of the standard behaviour
 //                (expected outcome: zero findings)
-//   --reduce     explore each cell with partial-order + symmetry reduction
-//                enabled. The S1-S4 slices carry trivial reduction specs,
-//                so the findings and counterexamples are byte-identical to
-//                an unreduced sweep (pinned by the `reduction` CI job).
 #include <cstdio>
 
 #include "core/screening.h"
@@ -23,13 +19,9 @@ using namespace cnv;
 int main(int argc, char** argv) {
   args::ArgParser parser(
       argc, argv,
-      "usage: screening [--walks W] [--seed S] [--solutions] [--reduce]");
+      "usage: screening [--walks W] [--seed S] [--solutions]");
   core::ScreeningOptions opt;
   opt.with_solutions = parser.Flag("--solutions");
-  if (parser.Flag("--reduce")) {
-    opt.reduction.por = true;
-    opt.reduction.symmetry = true;
-  }
   parser.U64Value("--walks", &opt.random_walks);
   parser.U64Value("--seed", &opt.seed);
   parser.Finish(0);

@@ -13,15 +13,13 @@ template <typename M>
 ScenarioCheck MakeCheck(Scenario s, M configured, const M& baseline,
                         std::string property,
                         CompileResult (*compile)(const M&,
-                                                 const mck::Violation<M>&),
-                        const mck::ExploreOptions& eopt) {
+                                                 const mck::Violation<M>&)) {
   ScenarioCheck check;
   check.scenario = s;
   check.property = property;
   check.model_violation =
-      !mck::Explore(configured, configured.Properties(), eopt)
-           .Holds(property);
-  const auto base = mck::Explore(baseline, baseline.Properties(), eopt);
+      !mck::Explore(configured, configured.Properties()).Holds(property);
+  const auto base = mck::Explore(baseline, baseline.Properties());
   if (const auto* v = base.FindViolation(property)) {
     check.compiled = compile(baseline, *v);
   } else {
@@ -50,23 +48,20 @@ Verdict Classify(bool model_violation, bool sim_observed, bool refined) {
 }
 
 ScenarioCheck BuildScenarioCheck(Scenario s, model::SwitchPolicy csfb_policy,
-                                 bool model_solutions,
-                                 const mck::ReductionOptions& reduction) {
-  mck::ExploreOptions eopt;
-  eopt.reduction = reduction;
+                                 bool model_solutions) {
   switch (s) {
     case Scenario::kS1: {
       model::S1Model::Config cfg;
       cfg.fix_keep_context = model_solutions;
       cfg.fix_reactivate_bearer = model_solutions;
       return MakeCheck(s, model::S1Model(cfg), model::S1Model(),
-                       model::kPacketServiceOk, &CompileS1, eopt);
+                       model::kPacketServiceOk, &CompileS1);
     }
     case Scenario::kS2: {
       model::S2Model::Config cfg;
       cfg.reliable_shim = model_solutions;
       return MakeCheck(s, model::S2Model(cfg), model::S2Model(),
-                       model::kPacketServiceOk, &CompileS2, eopt);
+                       model::kPacketServiceOk, &CompileS2);
     }
     case Scenario::kS3: {
       // The carrier's CSFB return policy decides whether the stuck-in-3G
@@ -79,13 +74,13 @@ ScenarioCheck BuildScenarioCheck(Scenario s, model::SwitchPolicy csfb_policy,
       model::S3Model::Config base;
       base.policy = model::SwitchPolicy::kCellReselection;
       return MakeCheck(s, model::S3Model(cfg), model::S3Model(base),
-                       model::kMmOk, &CompileS3, eopt);
+                       model::kMmOk, &CompileS3);
     }
     case Scenario::kS4: {
       model::S4Model::Config cfg;
       cfg.decoupled = model_solutions;
       return MakeCheck(s, model::S4Model(cfg), model::S4Model(),
-                       model::kCallServiceOk, &CompileS4, eopt);
+                       model::kCallServiceOk, &CompileS4);
     }
   }
   return {};

@@ -18,7 +18,6 @@
 #include "conf/compile.h"
 #include "conf/script.h"
 #include "conf/verdict.h"
-#include "mck/reduction.h"
 #include "model/vocab.h"
 #include "stack/carrier.h"
 #include "util/rng.h"
@@ -50,8 +49,7 @@ struct ScenarioCheck {
 // The per-scenario table: the only place the S1–S4 screening models are
 // wired to their properties, remedies and compilers.
 ScenarioCheck BuildScenarioCheck(Scenario s, model::SwitchPolicy csfb_policy,
-                                 bool model_solutions = false,
-                                 const mck::ReductionOptions& reduction = {});
+                                 bool model_solutions = false);
 
 struct CrossCheckResult {
   Verdict verdict = Verdict::kAgreedAbsent;

@@ -139,9 +139,7 @@ DiffReport DifferentialDriver::Run() const {
   for (const Scenario s : kScenarios) {
     for (const auto& carrier : {stack::OpI(), stack::OpII()}) {
       groups.push_back({carrier,
-                        BuildScenarioCheck(s, carrier.csfb_return_policy,
-                                           /*model_solutions=*/false,
-                                           options_.reduction)});
+                        BuildScenarioCheck(s, carrier.csfb_return_policy)});
     }
   }
 

@@ -20,7 +20,6 @@
 #include "conf/script.h"
 #include "conf/verdict.h"
 #include "dist/coordinator.h"
-#include "mck/reduction.h"
 
 namespace cnv::conf {
 
@@ -29,11 +28,6 @@ struct DiffOptions {
   std::uint64_t seed_base = 1;   // first testbed seed
   std::uint64_t walks = 32;      // random walks per cell (model side)
   int jobs = 1;                  // worker threads (1 = inline)
-  // State-space reductions for the model-side explorations (exhaustive
-  // passes and canonical-script compilation). The S1-S4 slices have
-  // trivial reduction specs, so the report is byte-identical with the
-  // flags on — the `reduction` CI job pins that.
-  mck::ReductionOptions reduction;
 };
 
 // Largest `seeds` a sweep accepts. The bound keeps the cell count

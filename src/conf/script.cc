@@ -64,19 +64,6 @@ std::string ToString(const ScriptStep& s) {
   return "?";
 }
 
-std::string FormatScript(const ScenarioScript& s) {
-  std::string out = "scenario " + ToString(s.scenario) + " script";
-  if (s.required_policy) {
-    out += " (requires " + model::ToString(*s.required_policy) + ")";
-  }
-  out += ":\n";
-  std::size_t step = 1;
-  for (const auto& st : s.steps) {
-    out += "  " + std::to_string(step++) + ". " + ToString(st) + "\n";
-  }
-  return out;
-}
-
 bool ReplayOutcome::HasProbe(Scenario s) const {
   const std::string id = ToString(s);
   for (const auto& p : probes) {

@@ -74,8 +74,6 @@ struct ScenarioScript {
   std::vector<AbstractKind> expected;
 };
 
-std::string FormatScript(const ScenarioScript& s);
-
 // Defect counters snapshot taken right after the script finishes; used by
 // the differential driver to explain divergences (e.g. an OP-I CSFB return
 // that exceeded the 10 s stuck-in-3G threshold is the Table 6 latency tail,

@@ -26,9 +26,7 @@ ScenarioCellResult ExploreCell(const std::string& name, const M& m,
   ScenarioCellResult cell;
   cell.cell = name;
 
-  mck::ExploreOptions eopt;
-  eopt.reduction = options.reduction;
-  const auto result = mck::Explore(m, props, eopt);
+  const auto result = mck::Explore(m, props);
   cell.stats = result.stats;
   for (const auto& v : result.violations) {
     cell.violated_properties.push_back(v.property);

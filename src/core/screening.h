@@ -28,11 +28,6 @@ struct ScreeningOptions {
   std::uint64_t seed = 1;
   // No longer affects exploration; perfbench/bench.cc still sets it.
   int jobs = 1;
-  // State-space reduction for the exhaustive passes (mck/reduction.h). The
-  // S1–S4 screening models declare single-component specs, so turning the
-  // flags on must not change any cell result — the `reduction` CI job pins
-  // that.
-  mck::ReductionOptions reduction;
 };
 
 struct ScenarioCellResult {

@@ -1,20 +1,20 @@
 // Graphviz export of a model's reachable state graph — handy for inspecting
 // small screening models (e.g. the Figure 6 RRC transitions) and for
-// documenting counterexample neighbourhoods.
+// documenting counterexample neighbourhoods. A rendering pass over the
+// engine's reachable graph: nodes by discovery rank, edges in expansion
+// order.
 #pragma once
 
 #include <functional>
-#include <queue>
 #include <string>
-#include <vector>
 
-#include "mck/explorer.h"
-#include "mck/intern_table.h"
+#include "mck/parallel_explorer.h"
 
 namespace cnv::mck {
 
 template <typename State>
 struct DotOptions {
+  // State cap, truncated by the engine's rule (0 = unlimited).
   std::size_t max_states = 500;
   // Node label; defaults to the node's discovery index.
   std::function<std::string(const State&)> label;
@@ -39,66 +39,25 @@ inline std::string DotEscape(const std::string& s) {
 template <CheckableModel M>
 std::string ExportDot(const M& model,
                       const DotOptions<typename M::State>& options = {}) {
-  using State = typename M::State;
-  using Action = typename M::Action;
-
-  // Cached-hash visited table over arena indices, pre-sized from the export
-  // bound: probe by (hash, value) first, append only on actual insertion.
-  std::vector<State> states;
-  states.reserve(options.max_states);
-  InternTable index(options.max_states);
-
-  std::string edges;
-  std::queue<std::int64_t> frontier;
-  bool truncated = false;
-
-  auto intern = [&](State s) -> std::pair<std::int64_t, bool> {
-    const std::uint64_t h = static_cast<std::uint64_t>(HashValue(s));
-    const std::int64_t found = index.Find(h, [&](std::int64_t i) {
-      return states[static_cast<std::size_t>(i)] == s;
-    });
-    if (found >= 0) return {found, false};
-    states.push_back(std::move(s));
-    const auto idx = static_cast<std::int64_t>(states.size()) - 1;
-    index.Insert(h, idx);
-    return {idx, true};
-  };
-
-  frontier.push(intern(model.initial()).first);
-  while (!frontier.empty() && !truncated) {
-    const auto idx = frontier.front();
-    frontier.pop();
-    for (const Action& a :
-         model.enabled(states[static_cast<std::size_t>(idx)])) {
-      auto [child, inserted] =
-          intern(model.apply(states[static_cast<std::size_t>(idx)], a));
-      edges += "  n" + std::to_string(idx) + " -> n" + std::to_string(child) +
-               " [label=\"" + internal::DotEscape(model.describe(a)) +
-               "\"];\n";
-      if (inserted) {
-        if (states.size() >= options.max_states) {
-          truncated = true;
-          break;
-        }
-        frontier.push(child);
-      }
-    }
-  }
-
+  const ReachableGraph<M> g = BuildReachableGraph(model, options.max_states);
   std::string out = "digraph model {\n  rankdir=LR;\n  node [shape=box];\n";
-  for (std::size_t i = 0; i < states.size(); ++i) {
+  for (std::size_t i = 0; i < g.states.size(); ++i) {
     out += "  n" + std::to_string(i) + " [label=\"";
-    out += options.label ? internal::DotEscape(options.label(states[i]))
+    out += options.label ? internal::DotEscape(options.label(g.states[i]))
                          : ("s" + std::to_string(i));
     out += "\"";
     if (i == 0) out += ", style=bold";
-    if (options.highlight && options.highlight(states[i])) {
+    if (options.highlight && options.highlight(g.states[i])) {
       out += ", style=filled, fillcolor=lightcoral";
     }
     out += "];\n";
   }
-  out += edges;
-  if (truncated) out += "  // truncated at max_states\n";
+  for (const auto& e : g.edges) {
+    out += "  n" + std::to_string(e.from) + " -> n" + std::to_string(e.to) +
+           " [label=\"" + internal::DotEscape(model.describe(e.action)) +
+           "\"];\n";
+  }
+  if (g.stats.truncated) out += "  // truncated at max_states\n";
   out += "}\n";
   return out;
 }

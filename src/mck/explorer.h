@@ -19,8 +19,8 @@
 // options, stats and their deterministic views, results and trace
 // formatting. The one engine — breadth-first search in depth-synchronized
 // waves, which yields shortest counterexamples — lives in
-// mck/parallel_explorer.h: `Explore`, and `ParallelExplore`, which also
-// reports the wave count.
+// mck/parallel_explorer.h, with its entry points `Explore`,
+// `ParallelExplore` and `BuildReachableGraph`.
 //
 // Wave semantics: the whole frontier at depth d is expanded before any
 // state at depth d+1, states are interned in expansion order, each property
@@ -66,6 +66,8 @@ struct ExploreOptions {
   ReductionOptions reduction;
 };
 
+// A concrete path, also under reduction: replaying `trace` from
+// model.initial() reaches `state`.
 template <typename M>
 struct Violation {
   std::string property;          // property name, or "deadlock"
@@ -146,10 +148,17 @@ inline std::ostream& operator<<(std::ostream& os, const ExploreStatsView& v) {
   return os << ToString(v);
 }
 
+struct ParallelExploreStats {
+  std::uint64_t waves = 0;  // expanded frontier waves; deterministic
+  // No longer affects exploration; always 0, read by perfbench/bench.cc.
+  double utilization = 0;
+};
+
 template <typename M>
 struct ExploreResult {
   std::vector<Violation<M>> violations;
   ExploreStats stats;
+  ParallelExploreStats par;
 
   const Violation<M>* FindViolation(const std::string& property) const {
     for (const auto& v : violations) {

@@ -1,7 +1,12 @@
 // The exploration engine: breadth-first search in depth-synchronized waves
-// (wave semantics in mck/explorer.h) over one visited table. `Explore`
-// below is the thin entry point most callers use; `ParallelExplore` also
-// reports the wave count.
+// (wave semantics in mck/explorer.h) over one visited table. Every entry
+// point runs the one loop, `internal::Search`, which reports each counted
+// transition to an edge sink given as a template parameter. `Explore` and
+// `ParallelExplore` (the same search under another options type) check
+// properties and pass a no-op sink. `BuildReachableGraph` records the
+// edges, with no properties and no reduction; the recoverability check
+// (mck/reachability.h) and the Graphviz export (mck/dot.h) are passes over
+// that graph.
 //
 // Storage: discovered states and their (parent, action) back-pointers live
 // in segmented arenas indexed by discovery rank, and a cached-hash intern
@@ -20,6 +25,7 @@
 #include <chrono>
 #include <concepts>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,12 +46,6 @@ struct ParallelExploreOptions {
   ExploreOptions base;
   // No longer affects exploration; perfbench/bench.cc still sets it.
   int jobs = 0;
-};
-
-struct ParallelExploreStats {
-  std::uint64_t waves = 0;  // expanded frontier waves; deterministic
-  // No longer affects exploration; always 0, read by perfbench/bench.cc.
-  double utilization = 0;
 };
 
 namespace internal {
@@ -72,41 +72,25 @@ struct NodeMeta {
   Action via{};
 };
 
-}  // namespace internal
-
-template <typename M>
-struct ParallelExploreResult {
-  std::vector<Violation<M>> violations;
-  ExploreStats stats;
-  ParallelExploreStats par;
-
-  const Violation<M>* FindViolation(const std::string& property) const {
-    for (const auto& v : violations) {
-      if (v.property == property) return &v;
-    }
-    return nullptr;
-  }
-  bool Holds(const std::string& property) const {
-    return FindViolation(property) == nullptr;
-  }
-};
-
-// Exhaustive BFS from the model's initial state.
-template <CheckableModel M>
-ParallelExploreResult<M> ParallelExplore(
-    const M& model, const PropertySet<typename M::State>& properties,
-    const ParallelExploreOptions& options = {},
-    // No longer affects exploration; perfbench/bench.cc still passes one.
-    dist::Executor* /*exec*/ = nullptr) {
+// Exhaustive BFS from the model's initial state. Calls
+// `on_edge(from, to, action, target)` for every transition it counts that
+// ends in an interned state, in expansion order: `from` and `to` are
+// discovery ranks (the root is 0) and `target` is the state of rank `to`.
+// A state's first reported edge is the one that discovered it, reported
+// right after the state is interned. Transitions into a state dropped at
+// the max_states cap are counted but not reported.
+template <CheckableModel M, typename EdgeSink>
+ExploreResult<M> Search(const M& model,
+                        const PropertySet<typename M::State>& properties,
+                        const ExploreOptions& options, EdgeSink&& on_edge) {
   using State = typename M::State;
   using Action = typename M::Action;
-  using NodeMeta = internal::NodeMeta<Action>;
+  using NodeMeta = NodeMeta<Action>;
 
   const auto wall_start = std::chrono::steady_clock::now();
-  const internal::ReductionEngine<M> red(model, options.base.reduction,
-                                         !properties.empty());
+  const ReductionEngine<M> red(model, options.reduction, !properties.empty());
 
-  const std::size_t hint = internal::ReserveHint(options.base.max_states);
+  const std::size_t hint = ReserveHint(options.max_states);
   SegmentedArena<State> states(hint);
   SegmentedArena<NodeMeta> meta(hint);
   InternTable table(hint);
@@ -126,19 +110,41 @@ ParallelExploreResult<M> ParallelExplore(
     table.Insert(hash, static_cast<std::int64_t>(rank));
     return rank;
   };
-  const auto reconstruct = [&](std::uint64_t rank) {
-    std::vector<Action> trace;
-    for (;;) {
-      const NodeMeta& m = meta[static_cast<std::size_t>(rank)];
-      if (m.parent == internal::kNoParentRank) break;
-      trace.push_back(m.via);
-      rank = m.parent;
+  // The counterexample ending at `rank`: the discovering actions from the
+  // root. Under symmetry those act on orbit representatives, so the path is
+  // replayed from the concrete initial state instead: each step takes the
+  // first enabled action whose canonical successor is the next state on the
+  // path, and the violating state is the concrete end state. The symmetry
+  // contract (mck/reduction.h) guarantees such an action exists.
+  const auto counterexample = [&](std::string property, std::uint64_t rank) {
+    std::vector<std::uint64_t> path;  // `rank` back to the root's child
+    for (std::uint64_t r = rank; meta[r].parent != kNoParentRank;
+         r = meta[r].parent) {
+      path.push_back(r);
     }
-    std::reverse(trace.begin(), trace.end());
-    return trace;
+    Violation<M> v{std::move(property), {}, states[rank]};
+    State at = model.initial();
+    for (auto r = path.rbegin(); r != path.rend(); ++r) {
+      Action via = meta[*r].via;
+      if (red.symmetry()) {
+        const std::vector<Action> enabled = model.enabled(at);
+        const auto hit = std::find_if(
+            enabled.begin(), enabled.end(), [&](const Action& a) {
+              return red.Canon(model.apply(at, a)) == states[*r];
+            });
+        if (hit == enabled.end()) {
+          throw std::logic_error("symmetry spec: no concrete counterexample");
+        }
+        via = *hit;
+        at = model.apply(at, via);
+      }
+      v.trace.push_back(via);
+    }
+    if (red.symmetry()) v.state = std::move(at);
+    return v;
   };
 
-  ParallelExploreResult<M> result;
+  ExploreResult<M> result;
   const std::uint32_t n_props = static_cast<std::uint32_t>(properties.size());
 
   // Committed violations by property index, plus the deadlock flag.
@@ -146,28 +152,27 @@ ParallelExploreResult<M> ParallelExplore(
   std::uint32_t violated_count = 0;
   bool deadlocked = false;
   const auto commit = [&](std::uint32_t p, std::uint64_t rank) {
-    const State& s = states[static_cast<std::size_t>(rank)];
     if (p == n_props) {
       deadlocked = true;
-      result.violations.push_back({"deadlock", reconstruct(rank), s});
+      result.violations.push_back(counterexample("deadlock", rank));
       return;
     }
     violated[p] = 1;
     ++violated_count;
-    result.violations.push_back({properties[p].name, reconstruct(rank), s});
+    result.violations.push_back(counterexample(properties[p].name, rank));
   };
   const auto all_violated = [&] {
     // An empty property set means "build the reachability graph", not "every
     // property is already violated" — keep exploring.
     return n_props != 0 && violated_count == n_props &&
-           !options.base.detect_deadlock;
+           !options.detect_deadlock;
   };
 
   std::uint64_t depth = 0;
   State init = red.Canon(model.initial());
   const std::uint64_t init_hash = static_cast<std::uint64_t>(HashValue(init));
   const std::uint64_t root =
-      intern(std::move(init), init_hash, internal::kNoParentRank, Action{});
+      intern(std::move(init), init_hash, kNoParentRank, Action{});
   for (std::uint32_t p = 0; p < n_props; ++p) {
     if (!properties[p].holds(states[root])) commit(p, root);
   }
@@ -199,8 +204,8 @@ ParallelExploreResult<M> ParallelExplore(
       const State& parent = states[static_cast<std::size_t>(parent_rank)];
       const std::vector<Action> actions = model.enabled(parent);
       if (actions.empty()) {
-        if (options.base.detect_deadlock && !deadlocked &&
-            !internal::IsFinal(model, parent)) {
+        if (options.detect_deadlock && !deadlocked &&
+            !IsFinal(model, parent)) {
           commit(n_props, parent_rank);
         }
         continue;
@@ -215,14 +220,18 @@ ParallelExploreResult<M> ParallelExplore(
         ++result.stats.transitions;
         State next = red.Canon(model.apply(parent, a));
         const std::uint64_t h = static_cast<std::uint64_t>(HashValue(next));
-        if (find(h, next) >= 0) continue;
-        if (options.base.max_states != 0 &&
-            states.size() >= options.base.max_states) {
+        if (const std::int64_t seen = find(h, next); seen >= 0) {
+          on_edge(parent_rank, static_cast<std::uint64_t>(seen), a,
+                  states[static_cast<std::size_t>(seen)]);
+          continue;
+        }
+        if (options.max_states != 0 && states.size() >= options.max_states) {
           truncated = true;
           continue;
         }
         const std::uint64_t rank = intern(std::move(next), h, parent_rank, a);
         const State& s = states[static_cast<std::size_t>(rank)];
+        on_edge(parent_rank, rank, a, s);
         for (std::uint32_t p = 0; p < n_props; ++p) {
           if (violated[p] == 0 && !properties[p].holds(s)) commit(p, rank);
         }
@@ -253,15 +262,56 @@ ParallelExploreResult<M> ParallelExplore(
   return result;
 }
 
-// Exhaustive exploration: ParallelExplore without the wave count.
+}  // namespace internal
+
+// Exhaustive property-checking exploration.
 template <CheckableModel M>
 ExploreResult<M> Explore(const M& model,
                          const PropertySet<typename M::State>& properties,
                          const ExploreOptions& options = {}) {
-  ParallelExploreOptions popt;
-  popt.base = options;
-  ParallelExploreResult<M> r = ParallelExplore(model, properties, popt);
-  return {std::move(r.violations), r.stats};
+  return internal::Search(model, properties, options, [](auto&&...) {});
+}
+
+// Explore under another options type.
+template <CheckableModel M>
+ExploreResult<M> ParallelExplore(
+    const M& model, const PropertySet<typename M::State>& properties,
+    const ParallelExploreOptions& options = {},
+    // No longer affects exploration; perfbench/bench.cc still passes one.
+    dist::Executor* /*exec*/ = nullptr) {
+  return Explore(model, properties, options.base);
+}
+
+// A model's full reachable state graph: no properties, no reduction.
+template <typename M>
+struct ReachableGraph {
+  struct Edge {
+    std::uint64_t from = 0;  // discovery ranks
+    std::uint64_t to = 0;
+    typename M::Action action{};
+  };
+  std::vector<typename M::State> states;  // by discovery rank; [0] is initial
+  std::vector<Edge> edges;                // every transition, expansion order
+  ExploreStats stats;
+};
+
+// The reachable graph, truncated by the engine's rule at `max_states`
+// (0 = unlimited).
+template <CheckableModel M>
+ReachableGraph<M> BuildReachableGraph(const M& model,
+                                      std::uint64_t max_states) {
+  ReachableGraph<M> g;
+  g.states.push_back(model.initial());
+  const auto record = [&g](std::uint64_t from, std::uint64_t to,
+                           const typename M::Action& a,
+                           const typename M::State& target) {
+    if (to == g.states.size()) g.states.push_back(target);
+    g.edges.push_back({from, to, a});
+  };
+  ExploreOptions options;
+  options.max_states = max_states;
+  g.stats = internal::Search(model, {}, options, record).stats;
+  return g;
 }
 
 }  // namespace cnv::mck

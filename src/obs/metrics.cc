@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/json.h"
-#include "util/strings.h"
 
 namespace cnv::obs {
 
@@ -46,30 +45,6 @@ Histogram& Registry::GetHistogram(const std::string& name,
 bool Registry::Has(const std::string& name) const {
   return counters_.contains(name) || gauges_.contains(name) ||
          histograms_.contains(name);
-}
-
-std::string Registry::SummaryTable() const {
-  std::string out = "metric                                              value\n";
-  for (const auto& [name, c] : counters_) {
-    out += Format("%-48s  %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c.value()));
-  }
-  for (const auto& [name, g] : gauges_) {
-    out += Format("%-48s  %s\n", name.c_str(), JsonNumber(g.value()).c_str());
-  }
-  for (const auto& [name, h] : histograms_) {
-    if (h.Count() == 0) {
-      out += Format("%-48s  (no observations)\n", name.c_str());
-      continue;
-    }
-    out += Format("%-48s  n=%llu sum=%s p50=%s p95=%s max=%s\n", name.c_str(),
-                  static_cast<unsigned long long>(h.Count()),
-                  JsonNumber(h.Sum()).c_str(),
-                  JsonNumber(h.Percentile(50)).c_str(),
-                  JsonNumber(h.Percentile(95)).c_str(),
-                  JsonNumber(h.samples().Max()).c_str());
-  }
-  return out;
 }
 
 std::string Registry::ToJson(SimTime at) const {

@@ -90,10 +90,6 @@ class Registry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  // Human-readable end-of-run table, name-sorted, histograms rendered as
-  // count/sum/p50/p95/max.
-  std::string SummaryTable() const;
-
   // One JSON snapshot object:
   //   {"sim_time_us":N,"counters":{...},"gauges":{...},"histograms":{...}}
   // Deterministic: name-sorted, fixed number formatting.

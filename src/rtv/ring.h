@@ -101,8 +101,6 @@ class SpscRing {
     return tail >= head ? tail - head : 0;
   }
 
-  bool EmptyApprox() const { return SizeApprox() == 0; }
-
  private:
   std::vector<T> slots_;
   const std::size_t mask_;

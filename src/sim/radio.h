@@ -26,7 +26,6 @@ class RssiProfile {
   // Interpolated RSSI at `mile` (clamped to the profile's ends).
   double At(double mile) const;
 
-  double StartMile() const { return anchors_.front().mile; }
   double EndMile() const { return anchors_.back().mile; }
 
  private:

@@ -31,9 +31,6 @@ class Hss {
   void Provision(const Subscription& sub) {
     subscribers_[sub.imsi.value] = sub;
   }
-  bool IsProvisioned(nas::Imsi imsi) const {
-    return subscribers_.contains(imsi.value);
-  }
 
   // Registration reports from the serving elements.
   void UpdateLocation(nas::Imsi imsi, nas::System system);

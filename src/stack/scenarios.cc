@@ -39,32 +39,4 @@ bool EstablishCall(Testbed& tb) {
                   Minutes(2));
 }
 
-bool ProvokeS1(Testbed& tb, nas::PdpDeactCause cause) {
-  if (!AttachIn4g(tb)) return false;
-  tb.ue().SwitchTo3g(model::SwitchReason::kMobility);
-  if (!RunUntil(tb, [&] { return tb.ue().pdp_active(); }, Minutes(1))) {
-    return false;
-  }
-  tb.sgsn().DeactivatePdp(cause);
-  tb.Run(Seconds(1));
-  return !tb.ue().pdp_active();
-}
-
-bool CsfbCallRoundTrip(Testbed& tb, SimDuration hold) {
-  if (!EstablishCall(tb)) return false;
-  tb.Run(hold);
-  tb.ue().HangUp();
-  RunUntil(tb, [&] { return tb.ue().serving() == nas::System::k4G; },
-           Minutes(1));
-  if (tb.ue().serving() == nas::System::k3G &&
-      tb.ue().data_session_active()) {
-    // The S3 stuck condition: the session pins the RRC state.
-    tb.ue().StopDataSession();
-    RunUntil(tb, [&] { return tb.ue().serving() == nas::System::k4G; },
-             Minutes(2));
-  }
-  RunUntil(tb, [&] { return !tb.ue().out_of_service(); }, Minutes(2));
-  return tb.ue().serving() == nas::System::k4G;
-}
-
 }  // namespace cnv::stack::scenario

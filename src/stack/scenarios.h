@@ -24,14 +24,4 @@ bool AttachIn3g(Testbed& tb);
 // Dials and waits until the call is active (through CSFB when on 4G).
 bool EstablishCall(Testbed& tb);
 
-// The S1 precondition: attached in 4G, switched to 3G with data, PDP
-// context deactivated by the network with `cause`.
-bool ProvokeS1(Testbed& tb, nas::PdpDeactCause cause =
-                                nas::PdpDeactCause::kRegularDeactivation);
-
-// Full CSFB call: dial in 4G, hold `hold` of talk time, hang up, and wait
-// for the device to settle back on 4G (ending the data session if it is
-// what keeps the device stranded). Returns whether 4G was reached.
-bool CsfbCallRoundTrip(Testbed& tb, SimDuration hold = Seconds(10));
-
 }  // namespace cnv::stack::scenario

@@ -12,22 +12,4 @@ std::optional<SimTime> TimeOfFirst(const std::vector<TraceRecord>& records,
   return std::nullopt;
 }
 
-std::size_t CountContaining(const std::vector<TraceRecord>& records,
-                            const std::string& needle) {
-  std::size_t n = 0;
-  for (const auto& r : records) {
-    if (r.description.find(needle) != std::string::npos) ++n;
-  }
-  return n;
-}
-
-std::vector<TraceRecord> FilterByModule(
-    const std::vector<TraceRecord>& records, const std::string& module) {
-  std::vector<TraceRecord> out;
-  for (const auto& r : records) {
-    if (r.module == module) out.push_back(r);
-  }
-  return out;
-}
-
 }  // namespace cnv::trace

@@ -17,12 +17,4 @@ std::optional<SimTime> TimeOfFirst(const std::vector<TraceRecord>& records,
                                    const std::string& needle,
                                    SimTime from = 0);
 
-// Number of records whose description contains `needle`.
-std::size_t CountContaining(const std::vector<TraceRecord>& records,
-                            const std::string& needle);
-
-// Records whose module matches exactly (e.g. all "MM" items).
-std::vector<TraceRecord> FilterByModule(
-    const std::vector<TraceRecord>& records, const std::string& module);
-
 }  // namespace cnv::trace

@@ -42,16 +42,6 @@ class SamplingSink {
     return h % every_ == 0;
   }
 
-  // Forwards `r` if `key` is admitted; otherwise counts it as dropped.
-  void Offer(std::uint64_t key, const TraceRecord& r) {
-    if (Admits(key)) {
-      ++emitted_;
-      out_(r);
-    } else {
-      ++dropped_;
-    }
-  }
-
   // Counts `n` records that were suppressed before construction (the caller
   // checked Admits() first). Keeps sampled-vs-dropped accounting honest
   // without paying for record objects nobody will see.

@@ -51,9 +51,6 @@ class Arena {
 
   // Bytes handed out (the payload figure reported as bytes/UE).
   std::size_t TotalBytes() const { return total_; }
-  // Bytes reserved from the OS, including chunk slack.
-  std::size_t ReservedBytes() const { return reserved_; }
-  std::size_t ChunkCount() const { return chunks_.size(); }
 
  private:
   void NewChunk(std::size_t size) {
@@ -61,14 +58,12 @@ class Arena {
     std::memset(chunks_.back().get(), 0, size);
     chunk_size_ = size;
     used_ = 0;
-    reserved_ += size;
   }
 
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   std::size_t chunk_size_ = 0;
   std::size_t used_ = 0;
   std::size_t total_ = 0;
-  std::size_t reserved_ = 0;
 };
 
 }  // namespace cnv

@@ -9,8 +9,6 @@
 
 namespace cnv {
 
-std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
-
 std::string_view TrimView(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
@@ -34,16 +32,6 @@ std::string Format(const char* fmt, ...) {
   std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
   va_end(args2);
   return out;
-}
-
-std::string PadLeft(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
-std::string PadRight(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return s + std::string(width - s.size(), ' ');
 }
 
 // Defined here (declared in time.h) to keep util a single small library.

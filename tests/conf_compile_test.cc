@@ -236,8 +236,11 @@ TEST(CompileTest, ScriptsFormatDeterministically) {
   const auto b = CompileS1(m, v);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
-  EXPECT_EQ(FormatScript(a.script), FormatScript(b.script));
-  EXPECT_FALSE(FormatScript(a.script).empty());
+  ASSERT_EQ(a.script.steps.size(), b.script.steps.size());
+  ASSERT_FALSE(a.script.steps.empty());
+  for (std::size_t i = 0; i < a.script.steps.size(); ++i) {
+    EXPECT_EQ(ToString(a.script.steps[i]), ToString(b.script.steps[i]));
+  }
 }
 
 }  // namespace

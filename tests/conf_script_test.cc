@@ -48,17 +48,6 @@ TEST(ScriptToStringTest, DuplicatePolicyStepNamesBothDirections) {
   EXPECT_NE(rejects, accepts);
 }
 
-TEST(FormatScriptTest, IncludesStepsAndRequiredPolicy) {
-  ScenarioScript script;
-  script.scenario = Scenario::kS3;
-  script.required_policy = model::SwitchPolicy::kCellReselection;
-  script.steps = {Step(Op::kPowerOn4g), Step(Op::kDial), RunFor(5'000)};
-  const std::string text = FormatScript(script);
-  EXPECT_NE(text.find("S3"), std::string::npos);
-  EXPECT_NE(text.find("dial"), std::string::npos);
-  EXPECT_NE(text.find("requires"), std::string::npos);
-}
-
 // The duplicate-attach recipe (Figure 5b) as a hand-built script: hold the
 // first Attach Request past its retransmission, let the MME reject the
 // reprocessed stale copy.

@@ -31,7 +31,7 @@ void ExpectMatchesSerial(const M& m,
   const ExploreResult<M> serial = Explore(m, props, base);
   ParallelExploreOptions opt;
   opt.base = base;
-  const ParallelExploreResult<M> par = ParallelExplore(m, props, opt);
+  const ExploreResult<M> par = ParallelExplore(m, props, opt);
 
   EXPECT_EQ(DeterministicView(par.stats), DeterministicView(serial.stats));
   ASSERT_EQ(par.violations.size(), serial.violations.size());

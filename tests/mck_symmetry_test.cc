@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
 #include <stdexcept>
@@ -141,6 +142,46 @@ TEST(SymmetryTest, SymmetryReducedParallelMatchesSerial) {
 }
 
 // --- combined N=2 exhaustive with both reductions (the acceptance gate) -----
+
+// The engine explores orbit representatives, but every counterexample it
+// reports is a concrete path: from the model's own initial state each
+// action is enabled in turn, and the path ends in the reported state, which
+// violates the property.
+TEST(SymmetryTest, CounterexamplesReplayFromTheInitialState) {
+  for (int ues = 2; ues <= 4; ++ues) {
+    CombinedModel::Config cfg;
+    cfg.ues = ues;
+    const CombinedModel m(cfg);
+    const auto props = m.Properties();
+    for (const bool por : {false, true}) {
+      ExploreOptions opt = SymOnly();
+      opt.reduction.por = por;
+      const auto r = Explore(m, props, opt);
+      ASSERT_FALSE(r.violations.empty());
+      for (const auto& v : r.violations) {
+        SCOPED_TRACE(std::to_string(ues) + " UEs, por=" + std::to_string(por) +
+                     "\n" + FormatTrace(m, v));
+        CombinedModel::State s = m.initial();
+        for (const auto& a : v.trace) {
+          const auto enabled = m.enabled(s);
+          ASSERT_TRUE(std::any_of(enabled.begin(), enabled.end(),
+                                  [&](const CombinedModel::Action& e) {
+                                    return e.kind == a.kind && e.ue == a.ue;
+                                  }))
+              << m.describe(a);
+          s = m.apply(s, a);
+        }
+        EXPECT_TRUE(s == v.state);
+        const auto p = std::find_if(props.begin(), props.end(),
+                                    [&](const auto& q) {
+                                      return q.name == v.property;
+                                    });
+        ASSERT_NE(p, props.end());
+        EXPECT_FALSE(p->holds(s));
+      }
+    }
+  }
+}
 
 TEST(SymmetryTest, CombinedN2ExhaustiveUnderBothReductions) {
   const CombinedModel m;

@@ -79,18 +79,6 @@ TEST(RegistryTest, JsonSnapshotIsNameSortedAndDeterministic) {
   EXPECT_NE(j1.find("\"bucket_counts\":[1,1,0]"), std::string::npos);
 }
 
-TEST(RegistryTest, SummaryTableListsEveryMetric) {
-  Registry reg;
-  reg.GetCounter("runs.total").Increment(3);
-  reg.GetGauge("frontier.peak").Set(17);
-  reg.GetHistogram("lat", {1.0}).Observe(0.5);
-  const std::string table = reg.SummaryTable();
-  EXPECT_NE(table.find("runs.total"), std::string::npos);
-  EXPECT_NE(table.find("frontier.peak"), std::string::npos);
-  EXPECT_NE(table.find("lat"), std::string::npos);
-  EXPECT_NE(table.find("n=1"), std::string::npos);
-}
-
 TEST(JsonTest, EscapesControlCharactersAndQuotes) {
   EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");

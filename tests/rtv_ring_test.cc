@@ -26,7 +26,7 @@ TEST(RingCapacityForTest, RoundsUpToPowersOfTwo) {
 
 TEST(SpscRingTest, PushPopSingleThreaded) {
   SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.EmptyApprox());
+  EXPECT_EQ(ring.SizeApprox(), 0u);
   EXPECT_TRUE(ring.TryPush(1));
   EXPECT_TRUE(ring.TryPush(2));
   EXPECT_EQ(ring.SizeApprox(), 2u);

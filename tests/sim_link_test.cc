@@ -136,7 +136,6 @@ TEST(RadioTest, ProfileValidation) {
 
 TEST(RadioTest, Route1MatchesFigure7Shape) {
   const auto p = Route1Profile();
-  EXPECT_DOUBLE_EQ(p.StartMile(), 0.0);
   EXPECT_DOUBLE_EQ(p.EndMile(), 15.0);
   // The paper reports -73 dBm at 9.5 mi and -87 dBm at 13.2 mi.
   EXPECT_NEAR(p.At(9.5), -73.0, 0.1);

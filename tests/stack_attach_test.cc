@@ -3,6 +3,7 @@
 
 #include "stack/testbed.h"
 #include "trace/analyze.h"
+#include "trace_count.h"
 
 namespace cnv::stack {
 namespace {

@@ -14,12 +14,6 @@ void RunUntil(Testbed& tb, const std::function<bool()>& pred,
   while (!pred() && tb.sim().now() < deadline) tb.Run(Millis(100));
 }
 
-TEST(HssTest, SubscriberIsProvisioned) {
-  Testbed tb({});
-  EXPECT_TRUE(tb.hss().IsProvisioned(tb.imsi()));
-  EXPECT_FALSE(tb.hss().IsProvisioned(nas::Imsi{42}));
-}
-
 TEST(HssTest, AttachRegistersIn4g) {
   Testbed tb({});
   EXPECT_EQ(tb.hss().CurrentSystem(tb.imsi()), nas::System::kNone);

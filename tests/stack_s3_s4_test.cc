@@ -5,7 +5,7 @@
 #include <functional>
 
 #include "stack/testbed.h"
-#include "trace/analyze.h"
+#include "trace_count.h"
 
 namespace cnv::stack {
 namespace {

@@ -18,34 +18,6 @@ TEST(ScenariosTest, AttachIn3gRegistersBothDomains) {
   EXPECT_TRUE(tb.sgsn().registered());
 }
 
-TEST(ScenariosTest, ProvokeS1LeavesNoPdpContext) {
-  Testbed tb({});
-  ASSERT_TRUE(scenario::ProvokeS1(tb));
-  EXPECT_FALSE(tb.ue().pdp_active());
-  EXPECT_FALSE(tb.sgsn().pdp_active());
-  EXPECT_EQ(tb.ue().serving(), nas::System::k3G);
-  // The detach then follows on the next return to 4G.
-  tb.ue().SwitchTo4g();
-  scenario::RunUntil(tb, [&] { return tb.ue().oos_events() > 0; },
-                     Seconds(5));
-  EXPECT_GE(tb.ue().oos_events(), 1u);
-}
-
-TEST(ScenariosTest, CsfbRoundTripReturnsTo4gOnBothCarriers) {
-  for (const auto& profile : {OpI(), OpII()}) {
-    TestbedConfig cfg;
-    cfg.profile = profile;
-    cfg.profile.lu_failure_prob = 0;
-    Testbed tb(cfg);
-    ASSERT_TRUE(scenario::AttachIn4g(tb)) << profile.name;
-    tb.ue().StartDataSession(0.2);
-    tb.Run(Seconds(1));
-    EXPECT_TRUE(scenario::CsfbCallRoundTrip(tb)) << profile.name;
-    EXPECT_EQ(tb.ue().serving(), nas::System::k4G) << profile.name;
-    EXPECT_EQ(tb.ue().stuck_in_3g_seconds().Count(), 1u) << profile.name;
-  }
-}
-
 TEST(ScenariosTest, RunUntilReportsTimeout) {
   Testbed tb({});
   EXPECT_FALSE(scenario::RunUntil(tb, [] { return false; }, Seconds(1)));

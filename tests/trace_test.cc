@@ -2,6 +2,7 @@
 
 #include "sim/simulator.h"
 #include "trace/analyze.h"
+#include "trace_count.h"
 #include "trace/collector.h"
 #include "trace/qxdm.h"
 
@@ -202,13 +203,6 @@ TEST(AnalyzeTest, CountContaining) {
   EXPECT_EQ(CountContaining(t, "Location Updating"), 4u);
   EXPECT_EQ(CountContaining(t, "call"), 2u);
   EXPECT_EQ(CountContaining(t, "zzz"), 0u);
-}
-
-TEST(AnalyzeTest, FilterByModuleIsExact) {
-  const auto t = SampleTrace();
-  EXPECT_EQ(FilterByModule(t, "MM").size(), 4u);
-  EXPECT_EQ(FilterByModule(t, "CM/CC").size(), 2u);
-  EXPECT_TRUE(FilterByModule(t, "M").empty());
 }
 
 }  // namespace

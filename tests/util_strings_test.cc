@@ -13,22 +13,15 @@ namespace cnv {
 namespace {
 
 TEST(StringsTest, TrimBothEnds) {
-  EXPECT_EQ(Trim("  hi \t\n"), "hi");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim("a b"), "a b");
+  EXPECT_EQ(TrimView("  hi \t\n"), "hi");
+  EXPECT_EQ(TrimView(""), "");
+  EXPECT_EQ(TrimView("   "), "");
+  EXPECT_EQ(TrimView("a b"), "a b");
 }
 
 TEST(StringsTest, FormatWorksLikePrintf) {
   EXPECT_EQ(Format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(Format("%.2f", 1.005), "1.00");  // printf rounding semantics
-}
-
-TEST(StringsTest, Padding) {
-  EXPECT_EQ(PadLeft("ab", 4), "  ab");
-  EXPECT_EQ(PadRight("ab", 4), "ab  ");
-  EXPECT_EQ(PadLeft("abcd", 2), "abcd");
-  EXPECT_EQ(PadRight("abcd", 2), "abcd");
 }
 
 TEST(TimeFormatTest, FormatClockMatchesPaperTraceFormat) {
