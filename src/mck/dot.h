@@ -14,8 +14,9 @@ namespace cnv::mck {
 
 template <typename State>
 struct DotOptions {
-  // State cap, truncated by the engine's rule (0 = unlimited).
-  std::size_t max_states = 500;
+  // State cap, truncated by the engine's rule (0 = unlimited). Unlimited by
+  // default so an export is the whole graph unless the caller bounds it.
+  std::size_t max_states = 0;
   // Node label; defaults to the node's discovery index.
   std::function<std::string(const State&)> label;
   // Nodes for which this returns true are drawn filled red (e.g. property

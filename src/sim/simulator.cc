@@ -9,25 +9,28 @@ namespace cnv::sim {
 Simulator::EventId Simulator::ScheduleAt(SimTime t, std::function<void()> fn) {
   if (t < now_) throw std::invalid_argument("ScheduleAt: time in the past");
   if (!fn) throw std::invalid_argument("ScheduleAt: empty handler");
-  return Enqueue(t, next_seq_++, std::move(fn));
+  const std::uint32_t slot = AcquireSlot();
+  slots_[slot].fn = std::move(fn);
+  return Enqueue(t, next_seq_++, slot);
+}
+
+std::uint32_t Simulator::AcquireSlot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
 }
 
 Simulator::EventId Simulator::Enqueue(SimTime t, std::uint64_t seq,
-                                      std::function<void()> fn) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].fn = std::move(fn);
+                                      std::uint32_t slot) {
   const EventId id = MakeId(slot, slots_[slot].gen);
   wheel_.Schedule(t, seq, id);
   ++scheduled_;
   ++live_;
-  peak_queue_depth_ = std::max(peak_queue_depth_, wheel_.Size());
+  peak_queue_depth_ = std::max(peak_queue_depth_, QueueDepth());
   return id;
 }
 
@@ -59,29 +62,75 @@ void Simulator::ScheduleSeries(SimTime start, std::size_t count,
   s->count = count;
   s->fn = std::move(fn);
   next_seq_ += count;
-  QueueSeriesStep(s.get());
+  const std::uint32_t slot = AcquireSlot();
+  slots_[slot].series = s.get();
+  Enqueue(start, s->first_seq, slot);
   series_.push_back(std::move(s));
 }
 
-void Simulator::QueueSeriesStep(Series* s) {
-  const std::size_t i = s->next;
-  Enqueue(s->start + static_cast<SimDuration>(i) * s->spacing,
-          s->first_seq + i, [this, s] { RunSeriesStep(s); });
+void Simulator::Fire(const WheelEntry& e, SimTime limit) {
+  now_ = e.time;
+  ++executed_;
+  Series* s = slots_[SlotOf(e.payload)].series;
+  if (s != nullptr) {
+    RunSeries(s, e.payload, limit);
+    return;
+  }
+  // Move out so re-entrant scheduling cannot alias the running handler.
+  std::function<void()> fn = ReleaseSlot(e.payload);
+  --live_;
+  fn();
 }
 
-void Simulator::RunSeriesStep(Series* s) {
-  const std::size_t i = s->next++;
-  const bool last = s->next == s->count;
-  if (!last) QueueSeriesStep(s);
-  s->fn(i);
-  if (!last) return;
-  // fn may have started other series; find this one wherever it sits.
-  for (auto& owned : series_) {
-    if (owned.get() != s) continue;
-    owned = std::move(series_.back());
-    series_.pop_back();
-    break;
+void Simulator::RunSeries(Series* s, EventId id, SimTime limit) {
+  for (;;) {
+    const std::size_t i = s->next++;
+    if (s->next == s->count) {
+      ReleaseSlot(id);
+      --live_;
+    } else {
+      // Step i+1 keeps the slot and counts as scheduled from here on, as if
+      // it were queued; only its wheel entry is deferred.
+      held_ = Held{s->start + static_cast<SimDuration>(s->next) * s->spacing,
+                   s->first_seq + s->next, id};
+      ++scheduled_;
+      peak_queue_depth_ = std::max(peak_queue_depth_, QueueDepth());
+    }
+    ++s->running;
+    s->fn(i);
+    --s->running;
+    if (s->next == s->count) {
+      // Every step has fired, here or in a run that fn drove itself. The
+      // outermost fn call still running frees the series.
+      if (s->running > 0) return;
+      // fn may have started other series; find this one wherever it sits.
+      for (auto& owned : series_) {
+        if (owned.get() != s) continue;
+        owned = std::move(series_.back());
+        series_.pop_back();
+        break;
+      }
+      return;
+    }
+    if (held_.id == kInvalidEvent) return;  // a nested run queued it
+    // Every queued entry, dead ones included, lies at or after the wheel's
+    // bound, so a held step strictly before it is the next event: run it
+    // without the queue round trip. Ties go through the wheel, which breaks
+    // them by seq.
+    if (held_.time > limit || held_.time >= wheel_.NextEntryLowerBound()) {
+      QueueHeld();
+      return;
+    }
+    now_ = held_.time;
+    held_.id = kInvalidEvent;
+    ++executed_;
   }
+}
+
+void Simulator::QueueHeld() {
+  if (held_.id == kInvalidEvent) return;
+  wheel_.Schedule(held_.time, held_.seq, held_.id);
+  held_.id = kInvalidEvent;
 }
 
 void Simulator::Cancel(EventId id) {
@@ -100,21 +149,22 @@ std::function<void()> Simulator::ReleaseSlot(EventId id) {
   const std::uint32_t slot = SlotOf(id);
   std::function<void()> fn = std::move(slots_[slot].fn);
   slots_[slot].fn = nullptr;
+  slots_[slot].series = nullptr;
   ++slots_[slot].gen;
   free_slots_.push_back(slot);
   return fn;
 }
 
+// The run loops queue a held step first: a handler that drives the
+// simulator itself must find its series' next step in the wheel, and a
+// step left held by a handler that threw is queued for the next run.
 bool Simulator::Step() {
+  QueueHeld();
   WheelEntry e;
   while (wheel_.PopUntil(std::numeric_limits<SimTime>::max(), &e)) {
     if (!IsLive(e)) continue;  // cancelled straggler: drop the tombstone
-    now_ = e.time;
-    // Move out so re-entrant scheduling cannot alias the running handler.
-    std::function<void()> fn = ReleaseSlot(e.payload);
-    ++executed_;
-    --live_;
-    fn();
+    // A limit before every event time keeps a series from running ahead.
+    Fire(e, std::numeric_limits<SimTime>::min());
     return true;
   }
   return false;
@@ -122,27 +172,19 @@ bool Simulator::Step() {
 
 void Simulator::RunUntil(SimTime t) {
   if (t < now_) throw std::invalid_argument("RunUntil: time in the past");
+  QueueHeld();
   WheelEntry e;
   while (wheel_.PopUntil(t, &e)) {
-    if (!IsLive(e)) continue;
-    now_ = e.time;
-    std::function<void()> fn = ReleaseSlot(e.payload);
-    ++executed_;
-    --live_;
-    fn();
+    if (IsLive(e)) Fire(e, t);
   }
   now_ = t;
 }
 
 void Simulator::RunAll(SimTime limit) {
+  QueueHeld();
   WheelEntry e;
   while (wheel_.PopUntil(limit, &e)) {
-    if (!IsLive(e)) continue;
-    now_ = e.time;
-    std::function<void()> fn = ReleaseSlot(e.payload);
-    ++executed_;
-    --live_;
-    fn();
+    if (IsLive(e)) Fire(e, limit);
   }
   if (now_ < limit && limit != std::numeric_limits<SimTime>::max()) {
     now_ = limit;

@@ -54,14 +54,18 @@ class Simulator {
   // for i in [0, count). `start` must be >= now and `spacing` >= 0.
   //
   // Key-reservation contract: the call takes the `count` consecutive seqs
-  // that `count` back-to-back ScheduleAt calls would take, so step i pops
+  // that `count` back-to-back ScheduleAt calls would take, so step i runs
   // under the same (time, seq) key as the i-th event of that loop — the
-  // order against every other event is unchanged. Only one step is queued
-  // at a time: step i+1 is queued when step i fires (before fn(i) runs),
-  // with its reserved key, so a burst of any length holds one wheel entry
-  // and one handler slot, and the step closure (simulator and series
-  // pointers) fits std::function's small buffer. Series steps cannot be
-  // cancelled; each queued step counts as one scheduled event.
+  // order against every other event is unchanged. Only one step is pending
+  // at a time, and it keeps one handler slot for the whole burst. When
+  // RunUntil or RunAll fires step i, step i+1 is held out of the queue
+  // under its reserved key while fn(i) runs; it counts as scheduled and
+  // pending, in the queue depth and in NextEventLowerBound() exactly as a
+  // queued event would. Once fn(i) returns, step i+1 runs at once if its
+  // time is within the run's limit and strictly before every queued entry
+  // (then it is provably the next event); otherwise it is queued and pops
+  // in (time, seq) order like any other event. Step() never runs a step
+  // ahead. Series steps cannot be cancelled.
   void ScheduleSeries(SimTime start, std::size_t count, SimDuration spacing,
                       std::function<void(std::size_t)> fn);
 
@@ -70,7 +74,11 @@ class Simulator {
   // no further ahead than the next level-0 wheel tick (~1.05 s). A handler
   // may rely on nothing running in (now, NextEventLowerBound()) unless it
   // schedules something there itself.
-  SimTime NextEventLowerBound() const { return wheel_.NextEntryLowerBound(); }
+  SimTime NextEventLowerBound() const {
+    const SimTime bound = wheel_.NextEntryLowerBound();
+    return held_.id != kInvalidEvent && held_.time < bound ? held_.time
+                                                           : bound;
+  }
 
   // Cancels a pending event; cancelling an already-fired or unknown event is
   // a no-op (guard timers routinely race their own expiry). O(1): the
@@ -114,9 +122,31 @@ class Simulator {
   const TimerStats& timer_stats() const { return timer_stats_; }
 
  private:
+  // A ScheduleSeries burst: its reserved seq block and the next step to
+  // fire. Heap-allocated so the slot of its pending step can point at it.
+  struct Series {
+    SimTime start = 0;
+    SimDuration spacing = 0;
+    std::uint64_t first_seq = 0;
+    std::size_t count = 0;
+    std::size_t next = 0;  // index of the pending step
+    int running = 0;       // fn calls in progress (a step may drive a run)
+    std::function<void(std::size_t)> fn;
+  };
+
+  // A pending event's handler: `fn`, or the series whose step it is.
   struct Slot {
     std::function<void()> fn;
+    Series* series = nullptr;
     std::uint32_t gen = 0;
+  };
+
+  // The step after the series step now running, held out of the wheel.
+  // id is kInvalidEvent when nothing is held.
+  struct Held {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    EventId id = kInvalidEvent;
   };
 
   static constexpr std::uint32_t SlotOf(EventId id) {
@@ -132,27 +162,25 @@ class Simulator {
   // True when the popped entry's generation still matches its slot, i.e. the
   // event was neither cancelled nor superseded.
   bool IsLive(const WheelEntry& e) const {
-    const std::uint32_t slot = SlotOf(e.payload);
-    return slots_[slot].gen == GenOf(e.payload) &&
-           static_cast<bool>(slots_[slot].fn);
+    const Slot& slot = slots_[SlotOf(e.payload)];
+    return slot.gen == GenOf(e.payload) &&
+           (static_cast<bool>(slot.fn) || slot.series != nullptr);
   }
 
-  // A ScheduleSeries burst: its reserved seq block and the next step to
-  // queue. Heap-allocated so queued step closures can point at it.
-  struct Series {
-    SimTime start = 0;
-    SimDuration spacing = 0;
-    std::uint64_t first_seq = 0;
-    std::size_t count = 0;
-    std::size_t next = 0;  // index of the step queued or about to be
-    std::function<void(std::size_t)> fn;
-  };
+  // Queued entries plus the held step.
+  std::size_t QueueDepth() const {
+    return wheel_.Size() + (held_.id != kInvalidEvent ? 1 : 0);
+  }
 
-  // Queues `fn` under an already-issued seq; ScheduleAt and series steps
-  // share it.
-  EventId Enqueue(SimTime t, std::uint64_t seq, std::function<void()> fn);
-  void QueueSeriesStep(Series* s);
-  void RunSeriesStep(Series* s);
+  std::uint32_t AcquireSlot();
+  // Queues the event in `slot` under an already-issued seq; ScheduleAt and
+  // series starts share it.
+  EventId Enqueue(SimTime t, std::uint64_t seq, std::uint32_t slot);
+  // Runs the live event `e`; a series may run ahead up to `limit`.
+  void Fire(const WheelEntry& e, SimTime limit);
+  void RunSeries(Series* s, EventId id, SimTime limit);
+  // Queues the held step, if any, under its reserved key.
+  void QueueHeld();
 
   // Returns the slot's handler and recycles the slot for reuse.
   std::function<void()> ReleaseSlot(EventId id);
@@ -170,6 +198,7 @@ class Simulator {
   std::vector<Slot> slots_{Slot{}};
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::unique_ptr<Series>> series_;  // bursts with steps left
+  Held held_;
 };
 
 }  // namespace cnv::sim

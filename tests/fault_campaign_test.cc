@@ -3,6 +3,7 @@
 // sweep bookkeeping (runs, SLO counts, summary) must hold together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -234,6 +235,120 @@ TEST(CampaignTest, CellOutcomesArePinned) {
       EXPECT_EQ(testutil::Fnv1a64(EncodeRunOutcome(run)), pin->digest)
           << plan.name << " on " << profile.name;
       ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(pins));
+}
+
+// CellOutcomesArePinned runs the legacy core with telemetry off, so it sees
+// neither the admission paths a storm drives nor the kernel counters the
+// telemetry exports (sim.events_*, sim.queue_depth_peak, sim.handler_slots).
+// Here every storm plan runs under each enabled admission policy with
+// telemetry on, its storms scaled to a tenth to keep the test quick.
+TEST(CampaignTest, StormTelemetryIsPinned) {
+  struct Pin {
+    const char* plan;
+    const char* profile;
+    const char* admission;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"mass-attach-storm", "OP-I", "unbounded",
+       0x7deef84eb40fa3ceULL},
+      {"mass-attach-storm", "OP-I", "reject-backoff",
+       0xb2204a5b854e38adULL},
+      {"mass-attach-storm", "OP-I", "priority-shed",
+       0x23b23ee2d7d6b2c5ULL},
+      {"mass-attach-storm", "OP-II", "unbounded",
+       0x143ba670dc3279aeULL},
+      {"mass-attach-storm", "OP-II", "reject-backoff",
+       0x9a82c4e2fec311c5ULL},
+      {"mass-attach-storm", "OP-II", "priority-shed",
+       0x35c122a5c37feb9bULL},
+      {"ta-ping-pong-storm", "OP-I", "unbounded",
+       0x219c51f6f07b37d0ULL},
+      {"ta-ping-pong-storm", "OP-I", "reject-backoff",
+       0x6266a1b457701194ULL},
+      {"ta-ping-pong-storm", "OP-I", "priority-shed",
+       0x5266fa6f3fdaf454ULL},
+      {"ta-ping-pong-storm", "OP-II", "unbounded",
+       0x576892007059ce2cULL},
+      {"ta-ping-pong-storm", "OP-II", "reject-backoff",
+       0x0cc891f408465afaULL},
+      {"ta-ping-pong-storm", "OP-II", "priority-shed",
+       0xd012071bc42d0a26ULL},
+      {"paging-flood-storm", "OP-I", "unbounded",
+       0x07811aac8280ba62ULL},
+      {"paging-flood-storm", "OP-I", "reject-backoff",
+       0x655f806161642fdcULL},
+      {"paging-flood-storm", "OP-I", "priority-shed",
+       0x4fcb9ab14456cfcaULL},
+      {"paging-flood-storm", "OP-II", "unbounded",
+       0xe3a15924fa665fadULL},
+      {"paging-flood-storm", "OP-II", "reject-backoff",
+       0x0af537edcf23275bULL},
+      {"paging-flood-storm", "OP-II", "priority-shed",
+       0x21b2f4aec482ed4fULL},
+      {"adversarial-nas-storm", "OP-I", "unbounded",
+       0x0495a404b78fa14fULL},
+      {"adversarial-nas-storm", "OP-I", "reject-backoff",
+       0xfb50cfbdea754ea7ULL},
+      {"adversarial-nas-storm", "OP-I", "priority-shed",
+       0x5e6a022c34d9908fULL},
+      {"adversarial-nas-storm", "OP-II", "unbounded",
+       0x3cf345bf1fa4df40ULL},
+      {"adversarial-nas-storm", "OP-II", "reject-backoff",
+       0xc8af9404a8f8cda4ULL},
+      {"adversarial-nas-storm", "OP-II", "priority-shed",
+       0xe6179b11456300fcULL},
+      {"signalling-storm-mix", "OP-I", "unbounded",
+       0x264072d54e93aeb6ULL},
+      {"signalling-storm-mix", "OP-I", "reject-backoff",
+       0x51f964f93bbc4a63ULL},
+      {"signalling-storm-mix", "OP-I", "priority-shed",
+       0xf3023031e4a70329ULL},
+      {"signalling-storm-mix", "OP-II", "unbounded",
+       0xf37d5a67233fa1c1ULL},
+      {"signalling-storm-mix", "OP-II", "reject-backoff",
+       0xd3fae6cd5bc73dfdULL},
+      {"signalling-storm-mix", "OP-II", "priority-shed",
+       0xc9e3c2bbe2cc467bULL},
+  };
+  CampaignConfig cfg;
+  cfg.collect_telemetry = true;
+  const CampaignRunner runner(cfg, /*keep_traces=*/true);
+  std::size_t checked = 0;
+  for (FaultPlan plan : plans::Storms()) {
+    for (FaultAction& action : plan.actions) {
+      const bool storm = action.kind == FaultKind::kStormMassAttach ||
+                         action.kind == FaultKind::kStormTaPingPong ||
+                         action.kind == FaultKind::kStormPagingFlood ||
+                         action.kind == FaultKind::kStormAdversarialNas;
+      if (storm) action.count = std::max(1, action.count / 10);
+    }
+    for (const auto& profile : {stack::OpI(), stack::OpII()}) {
+      for (const stack::AdmissionPolicy policy :
+           {stack::AdmissionPolicy::kUnbounded,
+            stack::AdmissionPolicy::kRejectBackoff,
+            stack::AdmissionPolicy::kPriorityShed}) {
+        stack::OverloadConfig overload;
+        overload.enabled = true;
+        overload.policy = policy;
+        const RunOutcome run = runner.RunOne(1, plan, profile, overload);
+        const Pin* pin = nullptr;
+        for (const Pin& p : pins) {
+          if (plan.name == p.plan && profile.name == p.profile &&
+              run.admission == p.admission) {
+            pin = &p;
+          }
+        }
+        ASSERT_NE(pin, nullptr)
+            << plan.name << " " << profile.name << " " << run.admission;
+        EXPECT_EQ(testutil::Fnv1a64(EncodeRunOutcome(run)), pin->digest)
+            << plan.name << " on " << profile.name << " under "
+            << run.admission;
+        ++checked;
+      }
     }
   }
   EXPECT_EQ(checked, std::size(pins));

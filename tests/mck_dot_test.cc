@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <sstream>
+#include <string>
+
 #include "model/s3_model.h"
+#include "model/s4_model.h"
 #include "toy_models.h"
 
 namespace cnv::mck {
@@ -53,6 +58,25 @@ TEST(DotTest, TruncationIsMarked) {
   opt.max_states = 10;
   const auto dot = ExportDot(m, opt);
   EXPECT_NE(dot.find("truncated"), std::string::npos);
+}
+
+TEST(DotTest, DefaultExportIsTheWholeGraph) {
+  // S4 reaches more states than the old default cap of 500.
+  const model::S4Model m;
+  const std::string dot = ExportDot(m);
+  EXPECT_EQ(dot.find("// truncated"), std::string::npos);
+  std::size_t nodes = 0;
+  std::istringstream lines(dot);
+  for (std::string line; std::getline(lines, line);) {
+    // Node lines are `  n<i> [label=...]`; edge lines hold " -> ".
+    if (line.starts_with("  n") && line.find(" [label=") != std::string::npos &&
+        line.find(" -> ") == std::string::npos) {
+      ++nodes;
+    }
+  }
+  const auto r = Explore(m, {});
+  EXPECT_GT(r.stats.states_visited, 500u);
+  EXPECT_EQ(nodes, r.stats.states_visited);
 }
 
 TEST(DotTest, EscapesQuotesInLabels) {

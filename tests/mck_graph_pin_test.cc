@@ -59,13 +59,11 @@ TEST(GraphPinTest, S3DotIsModelExplorersFile) {
   EXPECT_EQ(testutil::Fnv1a64(dot), 11184266564587287143ull) << dot;
 }
 
-// Default labels, and a state cap above every pinned model's state count
-// (S4 has more than the default 500), so each pinned graph is complete.
+// Default options: default labels and no state cap, so each pinned graph
+// is complete.
 template <typename M>
 std::uint64_t DotDigest(const M& m) {
-  mck::DotOptions<typename M::State> opt;
-  opt.max_states = 1'000'000;
-  const std::string dot = mck::ExportDot(m, opt);
+  const std::string dot = mck::ExportDot(m);
   EXPECT_EQ(dot.find("truncated"), std::string::npos);
   return testutil::Fnv1a64(dot);
 }

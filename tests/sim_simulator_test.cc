@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -199,8 +200,9 @@ TEST(SimulatorTest, TelemetryCountersTrackQueueActivity) {
 // --- ScheduleSeries ---------------------------------------------------------
 //
 // A series must pop in exactly the order of the ScheduleAt loop it stands in
-// for. Each scenario runs twice — once with ScheduleSeries, once with the
-// loop on a twin simulator — and the (time, label) logs must match.
+// for. Each scenario runs once with the loop on a twin simulator and three
+// times with ScheduleSeries, each under a different driver, and every
+// (time, label) log must match the loop's.
 
 using Log = std::vector<std::pair<SimTime, std::string>>;
 
@@ -217,18 +219,74 @@ void Burst(Simulator& sim, bool series, SimTime start, std::size_t count,
   }
 }
 
+enum class Driver { kStep, kRunAll, kChunks };
+
+// Runs `sim` until idle, checking that each Step() runs one event and that
+// no event logged to `log` runs past a RunUntil limit. kChunks calls
+// RunUntil with limits cycling through just before, exactly on and halfway
+// past each instant in `instants` (ascending), so chunk ends fall on every
+// side of the series' steps.
+void Drive(Simulator& sim, Driver driver, const std::vector<SimTime>& instants,
+           const Log& log) {
+  switch (driver) {
+    case Driver::kStep:
+      for (std::uint64_t before = 0; sim.Step();) {
+        EXPECT_EQ(sim.ExecutedEvents(), ++before);
+      }
+      return;
+    case Driver::kRunAll:
+      sim.RunAll();
+      return;
+    case Driver::kChunks:
+      for (std::size_t k = 0; k < instants.size(); ++k) {
+        SimTime limit = instants[k];
+        if (k % 3 == 0) {
+          limit -= 1;
+        } else if (k % 3 == 2 && k + 1 < instants.size()) {
+          limit += (instants[k + 1] - instants[k]) / 2;
+        }
+        if (limit < sim.now()) continue;
+        sim.RunUntil(limit);
+        if (!log.empty()) {
+          EXPECT_LE(log.back().first, limit);
+        }
+      }
+      sim.RunAll();
+      return;
+  }
+}
+
 template <class Scenario>
 void ExpectSeriesMatchesLoop(Scenario scenario) {
-  Log with_series, with_loop;
-  Simulator a, b;
-  scenario(a, true, with_series);
-  a.RunAll();
+  Log with_loop;
+  Simulator b;
   scenario(b, false, with_loop);
   b.RunAll();
-  EXPECT_EQ(with_series, with_loop);
-  EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.ExecutedEvents(), b.ExecutedEvents());
-  EXPECT_EQ(a.PendingEvents(), 0u);
+  std::vector<SimTime> instants;
+  for (const auto& entry : with_loop) {
+    if (instants.empty() || instants.back() != entry.first) {
+      instants.push_back(entry.first);
+    }
+  }
+  Simulator runs[3];
+  const Driver drivers[3] = {Driver::kStep, Driver::kRunAll, Driver::kChunks};
+  for (int d = 0; d < 3; ++d) {
+    SCOPED_TRACE("driver " + std::to_string(d));
+    Simulator& a = runs[d];
+    Log with_series;
+    scenario(a, true, with_series);
+    Drive(a, drivers[d], instants, with_series);
+    EXPECT_EQ(with_series, with_loop);
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_EQ(a.ExecutedEvents(), b.ExecutedEvents());
+    EXPECT_EQ(a.PendingEvents(), 0u);
+    // The kernel counters may not depend on how the run was driven.
+    EXPECT_EQ(a.ExecutedEvents(), runs[0].ExecutedEvents());
+    EXPECT_EQ(a.ScheduledEvents(), runs[0].ScheduledEvents());
+    EXPECT_EQ(a.PendingEvents(), runs[0].PendingEvents());
+    EXPECT_EQ(a.PeakQueueDepth(), runs[0].PeakQueueDepth());
+    EXPECT_EQ(a.HandlerSlots(), runs[0].HandlerSlots());
+  }
 }
 
 // Logs `label` at the current time when run.
@@ -328,6 +386,43 @@ TEST(SimulatorTest, SeriesStartingNowRunsAfterEarlierSameInstantEvents) {
   });
 }
 
+TEST(SimulatorTest, TwoSeriesOnTheSameInstantsMatchLoop) {
+  // The inner series starts on an outer step's instant and then shares
+  // every other instant with the outer one: each tie is broken by the
+  // reserved seqs, so outer steps (reserved first) run before inner ones.
+  ExpectSeriesMatchesLoop([](Simulator& sim, bool series, Log& log) {
+    Burst(sim, series, Seconds(1), 20, Millis(10),
+          [&sim, &log, series](std::size_t i) {
+            log.emplace_back(sim.now(), "a" + std::to_string(i));
+            if (i != 3) return;
+            Burst(sim, series, sim.now() + Millis(10), 12, Millis(5),
+                  [&sim, &log](std::size_t j) {
+                    log.emplace_back(sim.now(), "b" + std::to_string(j));
+                  });
+          });
+    sim.ScheduleAt(Millis(1050), Mark(sim, log, "e@1050"));
+  });
+}
+
+TEST(SimulatorTest, SeriesStepThatCancelsAQueuedEventMatchesLoop) {
+  ExpectSeriesMatchesLoop([](Simulator& sim, bool series, Log& log) {
+    auto ids = std::make_shared<std::vector<Simulator::EventId>>();
+    // One event on each step instant and one between each pair of steps.
+    for (int k = 0; k < 20; ++k) {
+      ids->push_back(sim.ScheduleAt(Seconds(3) + Millis(5) * k,
+                                    Mark(sim, log, "e" + std::to_string(k))));
+    }
+    Burst(sim, series, Seconds(3), 10, Millis(10),
+          [&sim, &log, ids](std::size_t i) {
+            log.emplace_back(sim.now(), "s" + std::to_string(i));
+            // Cancel the events on the next step's instant and just before
+            // it, so that step is the head once they are gone.
+            sim.Cancel((*ids)[2 * i + 1]);
+            if (i % 2 == 0) sim.Cancel((*ids)[2 * i + 2]);
+          });
+  });
+}
+
 TEST(SimulatorTest, SeriesHoldsOneQueueEntryAtATime) {
   Simulator sim;
   std::size_t fired = 0;
@@ -340,11 +435,85 @@ TEST(SimulatorTest, SeriesHoldsOneQueueEntryAtATime) {
   EXPECT_EQ(sim.PendingEvents(), 1u);
   sim.RunAll();
   EXPECT_EQ(fired, 100'000u);
-  EXPECT_EQ(max_pending, 1u);  // the next step, queued before fn(i) runs
+  EXPECT_EQ(max_pending, 1u);  // the next step, held while fn(i) runs
   EXPECT_LE(sim.HandlerSlots(), 3u);
   EXPECT_LE(sim.PeakQueueDepth(), 2u);
   EXPECT_EQ(sim.ScheduledEvents(), 100'000u);
   EXPECT_EQ(sim.ExecutedEvents(), 100'000u);
+}
+
+TEST(SimulatorTest, HeldStepCountsAsPendingInsideTheStep) {
+  for (const Driver driver : {Driver::kStep, Driver::kRunAll}) {
+    Simulator sim;
+    const SimDuration spacing = Millis(3);
+    const std::size_t count = 1000;
+    sim.ScheduleAt(Minutes(60), [] {});
+    std::size_t fired = 0;
+    sim.ScheduleSeries(Seconds(1), count, spacing, [&](std::size_t i) {
+      ++fired;
+      const bool last = i + 1 == count;
+      EXPECT_EQ(sim.PendingEvents(), last ? 1u : 2u) << i;
+      EXPECT_EQ(sim.PeakQueueDepth(), i <= 5 ? 2u : 3u) << i;
+      if (!last) {
+        EXPECT_LE(sim.NextEventLowerBound(),
+                  Seconds(1) + static_cast<SimDuration>(i + 1) * spacing)
+            << i;
+      }
+      if (i == 5) {
+        // Queued next to the far event and the held step: depth 3.
+        sim.ScheduleIn(Millis(1), [] {});
+        EXPECT_EQ(sim.PeakQueueDepth(), 3u);
+      }
+    });
+    Drive(sim, driver, {}, {});
+    EXPECT_EQ(fired, count);
+    EXPECT_EQ(sim.ExecutedEvents(), count + 2);
+    EXPECT_EQ(sim.ScheduledEvents(), count + 2);
+  }
+}
+
+TEST(SimulatorTest, SeriesStepThatThrowsLeavesTheNextStepPending) {
+  Simulator sim;
+  std::vector<std::size_t> ran;
+  sim.ScheduleSeries(Millis(1), 5, Millis(1), [&](std::size_t i) {
+    ran.push_back(i);
+    if (i == 2) throw std::runtime_error("step 2");
+  });
+  EXPECT_THROW(sim.RunAll(), std::runtime_error);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_EQ(sim.now(), Millis(3));
+  sim.RunAll();
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, HandlerThatStepsTheSimulatorRunsTheHeldStep) {
+  // A step handler that drives the kernel itself must find the next step
+  // queued, as a loop of ScheduleAt calls would have it.
+  Log with_series, with_loop;
+  for (const bool series : {true, false}) {
+    Simulator sim;
+    Log& log = series ? with_series : with_loop;
+    Burst(sim, series, Millis(10), 8, Millis(10), [&](std::size_t i) {
+      log.emplace_back(sim.now(), "s" + std::to_string(i));
+      if (i == 1) {
+        EXPECT_TRUE(sim.Step());
+        log.emplace_back(sim.now(), "stepped");
+      }
+      if (i == 3) {
+        sim.RunUntil(sim.now() + Millis(15));
+        log.emplace_back(sim.now(), "ran");
+      }
+      if (i == 5) {
+        sim.RunAll();  // runs the rest of the series
+        log.emplace_back(sim.now(), "drained");
+      }
+    });
+    sim.ScheduleAt(Millis(35), Mark(sim, log, "e@35"));
+    sim.RunAll();
+    EXPECT_EQ(sim.ExecutedEvents(), 9u);
+  }
+  EXPECT_EQ(with_series, with_loop);
 }
 
 TEST(SimulatorTest, SeriesRejectsPastStartAndNegativeSpacing) {
