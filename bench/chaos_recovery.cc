@@ -45,12 +45,7 @@ fault::CampaignResult RunSweep(bool robust) {
   cfg.seeds = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   cfg.plans = fault::plans::All();
   cfg.profiles = {stack::OpI(), stack::OpII()};
-  if (robust) {
-    cfg.robustness = {.nas_retry = true,
-                      .attach_backoff = true,
-                      .cm_reattempt = true,
-                      .core_queue_replay = true};
-  }
+  cfg.robust = robust;
   return fault::CampaignRunner(cfg).Run();
 }
 

@@ -182,12 +182,7 @@ int main(int argc, char** argv) {
   }
   if (!admission_spec.empty()) cfg.admission = SelectAdmission(admission_spec);
   cfg.profiles = {stack::OpI(), stack::OpII()};
-  if (robust) {
-    cfg.robustness = {.nas_retry = true,
-                      .attach_backoff = true,
-                      .cm_reattempt = true,
-                      .core_queue_replay = true};
-  }
+  cfg.robust = robust;
   cfg.collect_telemetry = !metrics_dir.empty();
   cfg.parallelism = jobs;
 

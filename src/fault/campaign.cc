@@ -81,7 +81,7 @@ RunOutcome CampaignRunner::RunOne(
   stack::TestbedConfig cfg;
   cfg.profile = profile;
   cfg.solutions = config_.solutions;
-  cfg.robustness = config_.robustness;
+  cfg.robust = config_.robust;
   cfg.overload = overload;
   cfg.seed = seed;
   stack::Testbed tb(cfg);

@@ -36,7 +36,7 @@ struct CampaignConfig {
   // ordering, summaries, digests — byte-identical.
   std::vector<stack::OverloadConfig> admission;
   stack::SolutionConfig solutions;
-  stack::RobustnessConfig robustness;
+  bool robust = false;  // the robust stack (see stack::TestbedConfig)
   SloBounds slo;
   SimDuration duration = Seconds(600);
   // Telemetry: when collect_telemetry is set, every run carries an

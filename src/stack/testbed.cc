@@ -35,7 +35,7 @@ Testbed::Testbed(TestbedConfig config)
   sgsn_ = std::make_unique<Sgsn>(sim_, rng_, config_.profile);
   mme_->SetHss(hss_.get(), kImsi);
   msc_->SetHss(hss_.get(), kImsi);
-  if (config_.robustness.core_queue_replay) {
+  if (config_.robust) {
     mme_->set_queue_while_down(true);
     msc_->set_queue_while_down(true);
     sgsn_->set_queue_while_down(true);
@@ -50,7 +50,7 @@ Testbed::Testbed(TestbedConfig config)
   sgsn_->SetTrace(&trace_);
   ue_ = std::make_unique<UeDevice>(sim_, rng_, trace_, config_.profile,
                                    config_.solutions, channel3g_,
-                                   config_.robustness);
+                                   config_.robust);
   storm_ = std::make_unique<StormGenerator>(sim_, trace_, *mme_, *msc_,
                                             *sgsn_);
 

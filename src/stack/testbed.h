@@ -31,9 +31,9 @@ struct TestbedConfig {
   std::uint64_t seed = 1;
   // Baseline loss probability on the (unreliable) radio legs.
   double radio_loss = 0.0;
-  // Robustness machinery (UE retries/backoff, core queue-and-replay);
-  // default off so the baseline reproduces the S1-S6 defects.
-  RobustnessConfig robustness = {};
+  // The robust stack (UE retries/backoff, core queue-and-replay); default
+  // off so the baseline reproduces the S1-S6 defects.
+  bool robust = false;
   // Core overload control (bounded signalling queues + admission policy);
   // default disabled = the legacy unbounded core.
   OverloadConfig overload = {};

@@ -16,6 +16,20 @@ namespace {
 constexpr double kDchDemandMbps = 0.15;
 // RRC state forced by the §8 CSFB-tag remedy right after the call ends.
 constexpr SimDuration kCsfbTagSwitchDelay = Millis(300);
+
+nas::Message Request(nas::MsgKind kind, nas::Protocol protocol) {
+  nas::Message m;
+  m.kind = kind;
+  m.protocol = protocol;
+  return m;
+}
+
+// Capped exponential: `base` doubled per cycle, at most kNasBackoffCap.
+SimDuration BackoffDelay(SimDuration base, int cycle) {
+  SimDuration d = base;
+  for (int i = 0; i < cycle && d < nas::timers::kNasBackoffCap; ++i) d *= 2;
+  return std::min(d, nas::timers::kNasBackoffCap);
+}
 }  // namespace
 
 std::string ToString(UeDevice::EmmState s) {
@@ -52,29 +66,209 @@ std::string ToString(UeDevice::CallState s) {
 
 UeDevice::UeDevice(sim::Simulator& sim, Rng& rng, trace::Collector& trace,
                    const CarrierProfile& profile, SolutionConfig solutions,
-                   sim::SharedChannel& channel3g, RobustnessConfig robustness)
+                   sim::SharedChannel& channel3g, bool robust)
     : sim_(sim),
       rng_(rng),
       trace_(trace),
       profile_(profile),
       solutions_(solutions),
-      robustness_(robustness),
+      robust_(robust),
       channel3g_(channel3g),
-      t3410_(sim, "T3410"),
-      t3430_(sim, "T3430"),
       mm_wait_timer_(sim, "MM-WAIT-FOR-NET-CMD"),
       rrc_demote_(sim, "3G-RRC inactivity"),
       periodic_(sim, "periodic-update"),
-      lu_guard_(sim, "T3210"),
-      gmm_guard_(sim, "T3330"),
-      pdp_guard_(sim, "T3380"),
-      cm_guard_(sim, "T3230"),
+      attach_proc_(sim, kAttach),
+      tau_proc_(sim, kTau),
+      lu_proc_(sim, kLu),
+      gmm_proc_(sim, kGprsAttach),
+      pdp_proc_(sim, kPdp),
+      cm_proc_(sim, kCm),
       attach_backoff_(sim, "T3411"),
       t3346_(sim, "T3346") {
+  attach_proc_.backoff = &attach_backoff_;
+  for (NasProc* emm : {&attach_proc_, &tau_proc_}) {
+    emm->t3346 = &t3346_;
+    emm->t3346_cycles = &t3346_cycles_;
+  }
   channel3g_.set_decoupled(solutions_.domain_decoupled);
 }
 
-// ------------------------------------------------- robustness machinery ---
+// ---------------------------------------------------------- procedures ---
+
+const UeDevice::NasProcSpec UeDevice::kAttach{
+    .timer = "T3410",
+    .system = nas::System::k4G,
+    .module = "EMM",
+    .guard = nas::timers::kT3410AttachGuard,
+    .always_guarded = true,
+    .quick_retries = nas::timers::kMaxAttachAttempts - 1,
+    .expiry = "T3410 expiry",
+    .backing_off = "maximum attach attempts reached; re-attach backoff armed",
+    .shows_pause = true,
+    .giving_up = "maximum attach attempts reached; device stays out of service",
+    .deferred = "attach",
+    .awaiting =
+        [](const UeDevice& ue) {
+          return ue.emm_ == EmmState::kWaitAttachAccept;
+        },
+    .retransmit = [](UeDevice& ue) { ue.StartAttach(); },
+    .abandon = [](UeDevice& ue) { ue.emm_ = EmmState::kOutOfService; },
+    .may_restart =
+        [](const UeDevice& ue) {
+          return ue.emm_ == EmmState::kOutOfService;
+        },
+    .restart = [](UeDevice& ue) { ue.StartAttach(); },
+};
+
+// Running out of TAU retransmissions falls back to the registered state;
+// the next trigger restarts the procedure.
+const UeDevice::NasProcSpec UeDevice::kTau{
+    .timer = "T3430",
+    .system = nas::System::k4G,
+    .module = "EMM",
+    .guard = nas::timers::kT3430TauGuard,
+    .always_guarded = true,
+    .expiry = "T3430 expiry; TAU retransmitted",
+    .deferred = "TAU",
+    .awaiting =
+        [](const UeDevice& ue) {
+          return ue.emm_ == EmmState::kWaitTauAccept;
+        },
+    .retransmit = [](UeDevice& ue) { ue.StartTau(); },
+    .abandon = [](UeDevice& ue) { ue.emm_ = EmmState::kRegistered; },
+    .may_restart =
+        [](const UeDevice& ue) { return ue.emm_ == EmmState::kRegistered; },
+    .restart = [](UeDevice& ue) { ue.StartTau(); },
+};
+
+const UeDevice::NasProcSpec UeDevice::kLu{
+    .timer = "T3210",
+    .system = nas::System::k3G,
+    .module = "MM",
+    .guard = nas::timers::kT3210LuGuard,
+    .expiry = "T3210 expiry; Location Updating Request retransmitted",
+    .backing_off = "location update abandoned; exponential backoff armed",
+    .deferred = "location update",
+    .awaiting =
+        [](const UeDevice& ue) {
+          return ue.serving_ == nas::System::k3G &&
+                 ue.mm_ == MmState::kLuInProgress;
+        },
+    .retransmit =
+        [](UeDevice& ue) {
+          ue.SendCs(Request(nas::MsgKind::kLocationUpdateRequest,
+                            nas::Protocol::kMm));
+          ue.ArmGuard(ue.lu_proc_);
+        },
+    .abandon =
+        [](UeDevice& ue) {
+          ue.mm_ = MmState::kIdle;
+          ue.lau_started_at_.reset();
+        },
+    .may_restart = [](const UeDevice& ue) { return !ue.mm_registered_; },
+    .restart = [](UeDevice& ue) { ue.StartLau(); },
+};
+
+// GPRS attach and RAU share T3330 and its counters; the record runs
+// whichever variant started (or was rejected) last.
+const UeDevice::NasProcSpec UeDevice::kGprsAttach{
+    .timer = "T3330",
+    .system = nas::System::k3G,
+    .module = "GMM",
+    .guard = nas::timers::kT3330RauGuard,
+    .expiry = "T3330 expiry; GPRS Attach Request retransmitted",
+    .backing_off = "GMM procedure abandoned; exponential backoff armed",
+    .deferred = "GPRS attach",
+    .awaiting =
+        [](const UeDevice& ue) {
+          return ue.serving_ == nas::System::k3G &&
+                 ue.gmm_ == GmmState::kRauInProgress;
+        },
+    .retransmit =
+        [](UeDevice& ue) {
+          ue.SendPs(Request(nas::MsgKind::kGprsAttachRequest,
+                            nas::Protocol::kGmm));
+          ue.ArmGuard(ue.gmm_proc_);
+        },
+    .abandon =
+        [](UeDevice& ue) {
+          ue.gmm_ = GmmState::kIdle;
+          ue.rau_started_at_.reset();
+        },
+    .may_restart = [](const UeDevice& ue) { return !ue.gmm_attached_; },
+    .restart = [](UeDevice& ue) { ue.StartGprsAttach(); },
+};
+
+const UeDevice::NasProcSpec UeDevice::kRau = [] {
+  NasProcSpec s = kGprsAttach;
+  s.expiry = "T3330 expiry; Routing Area Update Request retransmitted";
+  s.deferred = "RAU";
+  s.retransmit = [](UeDevice& ue) {
+    ue.SendPs(Request(nas::MsgKind::kRauRequest, nas::Protocol::kGmm));
+    ue.ArmGuard(ue.gmm_proc_);
+  };
+  s.may_restart = [](const UeDevice& ue) { return ue.gmm_attached_; };
+  s.restart = [](UeDevice& ue) { ue.StartRau(); };
+  return s;
+}();
+
+// An "insufficient resources" reject is SM's congestion reject.
+const UeDevice::NasProcSpec UeDevice::kPdp{
+    .timer = "T3380",
+    .system = nas::System::k3G,
+    .module = "SM",
+    .guard = nas::timers::kT3380PdpGuard,
+    .expiry = "T3380 expiry; Activate PDP Context Request retransmitted",
+    .backing_off = "PDP activation abandoned; exponential backoff armed",
+    .hold = "SM backoff",
+    .deferred = "PDP activation",
+    .awaiting =
+        [](const UeDevice& ue) {
+          return ue.serving_ == nas::System::k3G && !ue.pdp_.active &&
+                 ue.data_enabled_;
+        },
+    .retransmit =
+        [](UeDevice& ue) {
+          nas::Message m =
+              Request(nas::MsgKind::kPdpActivateRequest, nas::Protocol::kSm);
+          m.pdp = ue.pdp_;
+          ue.SendPs(m);
+          ue.ArmGuard(ue.pdp_proc_);
+        },
+    .may_restart =
+        [](const UeDevice& ue) {
+          return ue.data_enabled_ && !ue.pdp_.active &&
+                 (ue.data_session_ || ue.pdp_activation_pending_);
+        },
+    .restart = [](UeDevice& ue) { ue.ActivatePdp(); },
+};
+
+// CM service never backs off: the call is abandoned instead.
+const UeDevice::NasProcSpec UeDevice::kCm{
+    .timer = "T3230",
+    .system = nas::System::k3G,
+    .module = "MM",
+    .guard = nas::timers::kT3230CmGuard,
+    .expiry = "T3230 expiry; CM Service Request re-requested",
+    .giving_up = "CM service abandoned after bounded re-requests",
+    .awaiting =
+        [](const UeDevice& ue) {
+          return ue.serving_ == nas::System::k3G &&
+                 ue.call_ == CallState::kWaitCmAccept;
+        },
+    .retransmit =
+        [](UeDevice& ue) {
+          ue.SendCs(Request(nas::MsgKind::kCmServiceRequest,
+                            nas::Protocol::kMm));
+          ue.ArmGuard(ue.cm_proc_);
+        },
+    .abandon =
+        [](UeDevice& ue) {
+          ++ue.cm_abandoned_;
+          ue.call_ = CallState::kNone;
+          ue.dialed_at_.reset();
+        },
+};
 
 SimDuration UeDevice::Scaled(SimDuration d) const {
   if (timer_scale_ == 1.0) return d;
@@ -83,169 +277,68 @@ SimDuration UeDevice::Scaled(SimDuration d) const {
   return std::max<SimDuration>(scaled, Millis(1));
 }
 
-SimDuration UeDevice::BackoffDelayFrom(SimDuration base, int cycle) const {
-  SimDuration d = base;
-  for (int i = 0; i < cycle && d < nas::timers::kNasBackoffCap; ++i) d *= 2;
-  return std::min(d, nas::timers::kNasBackoffCap);
+void UeDevice::ArmGuard(NasProc& p) {
+  if (!robust_ && !p.spec->always_guarded) return;
+  p.guard.Start(Scaled(p.spec->guard), [this, &p] { OnGuardExpiry(p); });
 }
 
-SimDuration UeDevice::BackoffDelay(int cycle) const {
-  return BackoffDelayFrom(nas::timers::kT3411AttachRetry, cycle);
+void UeDevice::OnGuardExpiry(NasProc& p) {
+  const NasProcSpec& s = *p.spec;
+  if (!s.awaiting(*this)) return;
+  if (p.attempts < s.quick_retries) {
+    ++p.attempts;
+    ++p.retries;
+    trace_.Event(s.system, s.module, s.expiry);
+    s.retransmit(*this);
+    return;
+  }
+  p.attempts = 0;
+  if (s.abandon != nullptr) s.abandon(*this);
+  if (robust_ && s.backing_off != nullptr) {
+    BackOff(p, s.backing_off);
+  } else if (s.giving_up != nullptr) {
+    trace_.Event(s.system, s.module, s.giving_up);
+  }
 }
 
-SimDuration UeDevice::CongestionBackoff(const nas::Message& m, int cycle) {
+void UeDevice::BackOff(NasProc& p, const char* why) {
+  const SimDuration pause = Scaled(BackoffDelay(
+      nas::timers::kT3411AttachRetry, p.backoff_cycles++));
+  if (why != nullptr) {
+    std::string text = why;
+    if (p.spec->shows_pause) text += Format(" (%.0f s)", ToSeconds(pause));
+    trace_.Event(p.spec->system, p.spec->module, std::move(text));
+  }
+  p.backoff->Start(pause, [this, &p] { Restart(p); });
+}
+
+void UeDevice::OnCongestionReject(NasProc& p, const nas::Message& m) {
+  const NasProcSpec& s = *p.spec;
+  p.guard.Stop();
+  p.attempts = 0;
   ++congestion_rejects_;
   ++congestion_backoffs_;
   const SimDuration base =
       m.backoff > 0 ? m.backoff : nas::timers::kT3346CongestionBackoff;
-  return Scaled(BackoffDelayFrom(base, cycle));
+  const SimDuration pause =
+      Scaled(BackoffDelay(base, (*p.t3346_cycles)++));
+  trace_.Event(s.system, s.module,
+               std::string(s.hold) + " armed (" + FormatDuration(pause) +
+                   "); " + s.deferred + " retry deferred");
+  p.t3346->Start(pause, [this, &p] { Restart(p); });
 }
 
-void UeDevice::StopNasGuards() {
-  lu_guard_.Stop();
-  gmm_guard_.Stop();
-  pdp_guard_.Stop();
-  cm_guard_.Stop();
-  attach_backoff_.Stop();
-  t3346_.Stop();
-}
-
-void UeDevice::ArmLuGuard() {
-  if (!robustness_.nas_retry) return;
-  lu_guard_.Start(Scaled(nas::timers::kT3210LuGuard),
-                  [this] { OnLuTimeout(); });
-}
-
-void UeDevice::OnLuTimeout() {
-  if (serving_ != nas::System::k3G || mm_ != MmState::kLuInProgress) return;
-  if (lu_attempts_ < nas::timers::kMaxNasQuickRetries) {
-    ++lu_attempts_;
-    ++lu_retries_;
-    trace_.Event(nas::System::k3G, "MM",
-                 "T3210 expiry; Location Updating Request retransmitted");
-    nas::Message m;
-    m.kind = nas::MsgKind::kLocationUpdateRequest;
-    m.protocol = nas::Protocol::kMm;
-    SendCs(m);
-    ArmLuGuard();
-    return;
+void UeDevice::Restart(NasProc& p) {
+  const NasProcSpec& s = *p.spec;
+  if (powered_ && serving_ == s.system && s.may_restart(*this)) {
+    s.restart(*this);
   }
-  // Quick retransmissions exhausted: back off, then restart the procedure.
-  mm_ = MmState::kIdle;
-  lau_started_at_.reset();
-  const int cycle = lu_backoff_cycles_++;
-  trace_.Event(nas::System::k3G, "MM",
-               "location update abandoned; exponential backoff armed");
-  lu_guard_.Start(Scaled(BackoffDelay(cycle)), [this] {
-    if (powered_ && serving_ == nas::System::k3G && !mm_registered_) {
-      lu_attempts_ = 0;
-      StartLau();
-    }
-  });
 }
 
-void UeDevice::ArmGmmGuard() {
-  if (!robustness_.nas_retry) return;
-  gmm_guard_.Start(Scaled(nas::timers::kT3330RauGuard),
-                   [this] { OnGmmTimeout(); });
-}
-
-void UeDevice::OnGmmTimeout() {
-  if (serving_ != nas::System::k3G || gmm_ != GmmState::kRauInProgress) return;
-  if (gmm_attempts_ < nas::timers::kMaxNasQuickRetries) {
-    ++gmm_attempts_;
-    ++gmm_retries_;
-    nas::Message m;
-    m.protocol = nas::Protocol::kGmm;
-    if (gmm_attached_) {
-      m.kind = nas::MsgKind::kRauRequest;
-      trace_.Event(nas::System::k3G, "GMM",
-                   "T3330 expiry; Routing Area Update Request retransmitted");
-    } else {
-      m.kind = nas::MsgKind::kGprsAttachRequest;
-      trace_.Event(nas::System::k3G, "GMM",
-                   "T3330 expiry; GPRS Attach Request retransmitted");
-    }
-    SendPs(m);
-    ArmGmmGuard();
-    return;
-  }
-  gmm_ = GmmState::kIdle;
-  rau_started_at_.reset();
-  const int cycle = gmm_backoff_cycles_++;
-  trace_.Event(nas::System::k3G, "GMM",
-               "GMM procedure abandoned; exponential backoff armed");
-  gmm_guard_.Start(Scaled(BackoffDelay(cycle)), [this] {
-    if (!powered_ || serving_ != nas::System::k3G) return;
-    gmm_attempts_ = 0;
-    if (!gmm_attached_) {
-      StartGprsAttach();
-    } else {
-      StartRau();
-    }
-  });
-}
-
-void UeDevice::ArmPdpGuard() {
-  if (!robustness_.nas_retry) return;
-  pdp_guard_.Start(Scaled(nas::timers::kT3380PdpGuard),
-                   [this] { OnPdpTimeout(); });
-}
-
-void UeDevice::OnPdpTimeout() {
-  if (serving_ != nas::System::k3G || pdp_.active || !data_enabled_) return;
-  if (pdp_attempts_ < nas::timers::kMaxNasQuickRetries) {
-    ++pdp_attempts_;
-    ++pdp_retries_;
-    trace_.Event(nas::System::k3G, "SM",
-                 "T3380 expiry; Activate PDP Context Request retransmitted");
-    nas::Message m;
-    m.kind = nas::MsgKind::kPdpActivateRequest;
-    m.protocol = nas::Protocol::kSm;
-    m.pdp = pdp_;
-    SendPs(m);
-    ArmPdpGuard();
-    return;
-  }
-  const int cycle = pdp_backoff_cycles_++;
-  trace_.Event(nas::System::k3G, "SM",
-               "PDP activation abandoned; exponential backoff armed");
-  pdp_guard_.Start(Scaled(BackoffDelay(cycle)), [this] {
-    if (powered_ && serving_ == nas::System::k3G && data_enabled_ &&
-        !pdp_.active && (data_session_ || pdp_activation_pending_)) {
-      pdp_attempts_ = 0;
-      ActivatePdp();
-    }
-  });
-}
-
-void UeDevice::ArmCmGuard() {
-  if (!robustness_.cm_reattempt) return;
-  cm_guard_.Start(Scaled(nas::timers::kT3230CmGuard),
-                  [this] { OnCmTimeout(); });
-}
-
-void UeDevice::OnCmTimeout() {
-  if (serving_ != nas::System::k3G || call_ != CallState::kWaitCmAccept) {
-    return;
-  }
-  if (cm_attempts_ < nas::timers::kMaxNasQuickRetries) {
-    ++cm_attempts_;
-    ++cm_retries_;
-    trace_.Event(nas::System::k3G, "MM",
-                 "T3230 expiry; CM Service Request re-requested");
-    nas::Message m;
-    m.kind = nas::MsgKind::kCmServiceRequest;
-    m.protocol = nas::Protocol::kMm;
-    SendCs(m);
-    ArmCmGuard();
-    return;
-  }
-  ++cm_abandoned_;
-  call_ = CallState::kNone;
-  dialed_at_.reset();
-  trace_.Event(nas::System::k3G, "MM",
-               "CM service abandoned after bounded re-requests");
+void UeDevice::Completed(NasProc& p) {
+  p.guard.Stop();
+  p.attempts = 0;
+  *p.t3346_cycles = 0;
 }
 
 // ------------------------------------------------------------- transmit ---
@@ -291,7 +384,7 @@ void UeDevice::PowerOn(nas::System system) {
   if (system == nas::System::k4G) {
     rrc4g_ = model::Rrc4g::kConnected;
     trace_.State(nas::System::k4G, "4G-RRC", "RRC IDLE -> CONNECTED");
-    attach_attempts_ = 0;
+    attach_proc_.attempts = 0;
     StartAttach();
   } else {
     Promote3g(model::Rrc3g::kFach);
@@ -304,17 +397,11 @@ void UeDevice::PowerOff() {
   if (!powered_) return;
   trace_.Event(serving_, "UE", "device powers off");
   if (serving_ == nas::System::k4G && emm_ == EmmState::kRegistered) {
-    nas::Message m;
-    m.kind = nas::MsgKind::kDetachRequest;
-    m.protocol = nas::Protocol::kEmm;
     trace_.Msg(nas::System::k4G, "EMM", "Detach Request sent (switch off)");
-    SendEmm(m);
+    SendEmm(Request(nas::MsgKind::kDetachRequest, nas::Protocol::kEmm));
   } else if (serving_ == nas::System::k3G && mm_registered_) {
-    nas::Message m;
-    m.kind = nas::MsgKind::kImsiDetach;
-    m.protocol = nas::Protocol::kMm;
     trace_.Msg(nas::System::k3G, "MM", "IMSI Detach Indication sent");
-    SendCs(m);
+    SendCs(Request(nas::MsgKind::kImsiDetach, nas::Protocol::kMm));
   }
   powered_ = false;
   serving_ = nas::System::kNone;
@@ -329,11 +416,15 @@ void UeDevice::PowerOff() {
   data_session_ = false;
   in_csfb_ = false;
   reselect_pending_ = false;
-  t3410_.Stop();
-  t3430_.Stop();
+  attach_proc_.guard.Stop();
+  tau_proc_.guard.Stop();
   mm_wait_timer_.Stop();
   rrc_demote_.Stop();
-  StopNasGuards();
+  for (NasProc* p : {&lu_proc_, &gmm_proc_, &pdp_proc_, &cm_proc_}) {
+    p->guard.Stop();
+  }
+  attach_backoff_.Stop();
+  t3346_.Stop();
   rrc3g_ = model::Rrc3g::kIdle;
   rrc4g_ = model::Rrc4g::kIdle;
 }
@@ -366,10 +457,8 @@ void UeDevice::Dial() {
     call_ = CallState::kPending;
     trace_.Msg(nas::System::k4G, "EMM",
                "Extended Service Request (CSFB) sent");
-    nas::Message m;
-    m.kind = nas::MsgKind::kExtendedServiceRequest;
-    m.protocol = nas::Protocol::kEmm;
-    SendEmm(m);
+    SendEmm(
+        Request(nas::MsgKind::kExtendedServiceRequest, nas::Protocol::kEmm));
     return;
   }
   trace_.Event(nas::System::k3G, "CM/CC", "user dials an outgoing call");
@@ -391,22 +480,16 @@ void UeDevice::TryServePendingCall() {
   call_ = CallState::kWaitCmAccept;
   Promote3g(model::Rrc3g::kFach);
   trace_.Msg(nas::System::k3G, "MM", "CM Service Request sent");
-  nas::Message m;
-  m.kind = nas::MsgKind::kCmServiceRequest;
-  m.protocol = nas::Protocol::kMm;
-  SendCs(m);
-  cm_attempts_ = 0;
-  ArmCmGuard();
+  SendCs(Request(nas::MsgKind::kCmServiceRequest, nas::Protocol::kMm));
+  cm_proc_.attempts = 0;
+  ArmGuard(cm_proc_);
 }
 
 void UeDevice::HangUp() {
   if (call_ == CallState::kNone) return;
   if (serving_ == nas::System::k3G) {
-    nas::Message m;
-    m.kind = nas::MsgKind::kCallDisconnect;
-    m.protocol = nas::Protocol::kCm;
     trace_.Msg(nas::System::k3G, "CM/CC", "Disconnect sent (call ends)");
-    SendCs(m);
+    SendCs(Request(nas::MsgKind::kCallDisconnect, nas::Protocol::kCm));
   }
   const bool was_active = call_ == CallState::kActive;
   if (was_active && call_connected_at_) {
@@ -478,9 +561,8 @@ void UeDevice::EnableData(bool on) {
     data_session_ = false;
     if (serving_ == nas::System::k3G && pdp_.active) {
       // Observed phone behaviour (§5.1.3): all PDP contexts deactivated.
-      nas::Message m;
-      m.kind = nas::MsgKind::kPdpDeactivateRequest;
-      m.protocol = nas::Protocol::kSm;
+      nas::Message m =
+          Request(nas::MsgKind::kPdpDeactivateRequest, nas::Protocol::kSm);
       m.pdp_cause = nas::PdpDeactCause::kRegularDeactivation;
       trace_.Msg(nas::System::k3G, "SM",
                  "Deactivate PDP Context Request sent (regular deactivation)");
@@ -505,11 +587,9 @@ void UeDevice::StartDataSession(double demand_mbps) {
     Reevaluate3gPinning();
   } else if (serving_ == nas::System::k4G && !eps_.active &&
              emm_ == EmmState::kRegistered) {
-    nas::Message m;
-    m.kind = nas::MsgKind::kEsmActivateBearerRequest;
-    m.protocol = nas::Protocol::kEsm;
     trace_.Msg(nas::System::k4G, "ESM", "Activate EPS Bearer Request sent");
-    SendEmm(m);
+    SendEmm(Request(nas::MsgKind::kEsmActivateBearerRequest,
+                    nas::Protocol::kEsm));
   }
 }
 
@@ -580,8 +660,8 @@ void UeDevice::SwitchTo3g(model::SwitchReason reason) {
   if (!powered_ || serving_ != nas::System::k4G) return;
   trace_.Event(nas::System::k3G, "UE",
                "4G->3G switch (" + model::ToString(reason) + ")");
-  t3410_.Stop();
-  t3430_.Stop();
+  attach_proc_.guard.Stop();
+  tau_proc_.guard.Stop();
   attach_backoff_.Stop();
   rrc4g_ = model::Rrc4g::kIdle;
   trace_.State(nas::System::k4G, "4G-RRC", "RRC CONNECTED -> IDLE");
@@ -649,10 +729,9 @@ void UeDevice::SwitchTo4g() {
   gmm_ = GmmState::kIdle;
   mm_wait_timer_.Stop();
   rrc_demote_.Stop();
-  lu_guard_.Stop();
-  gmm_guard_.Stop();
-  pdp_guard_.Stop();
-  cm_guard_.Stop();
+  for (NasProc* p : {&lu_proc_, &gmm_proc_, &pdp_proc_, &cm_proc_}) {
+    p->guard.Stop();
+  }
   if (rrc3g_ != model::Rrc3g::kIdle) {
     trace_.State(nas::System::k3G, "3G-RRC",
                  model::ToString(rrc3g_) + " -> IDLE (leaving 3G)");
@@ -674,70 +753,20 @@ void UeDevice::StartAttach() {
   if (!powered_ || serving_ != nas::System::k4G) return;
   emm_ = EmmState::kWaitAttachAccept;
   if (!attach_started_at_) attach_started_at_ = sim_.now();
-  ++attach_attempts_;
   ++attach_attempts_total_;
   trace_.Msg(nas::System::k4G, "EMM",
-             attach_attempts_ == 1 ? "Attach Request sent"
-                                   : "Attach Request retransmitted");
-  t3410_.Start(Scaled(nas::timers::kT3410AttachGuard),
-               [this] { OnAttachTimeout(); });
-  nas::Message m;
-  m.kind = nas::MsgKind::kAttachRequest;
-  m.protocol = nas::Protocol::kEmm;
-  SendEmm(m);
-}
-
-void UeDevice::OnAttachTimeout() {
-  if (emm_ != EmmState::kWaitAttachAccept) return;
-  if (attach_attempts_ < nas::timers::kMaxAttachAttempts) {
-    trace_.Event(nas::System::k4G, "EMM", "T3410 expiry");
-    StartAttach();
-    return;
-  }
-  if (robustness_.attach_backoff) {
-    // T3411/T3402-class behaviour: rest, then restart the whole attach
-    // cycle with an exponentially growing pause instead of giving up.
-    const auto cycle = static_cast<int>(attach_backoff_cycles_++);
-    const SimDuration pause = Scaled(BackoffDelay(cycle));
-    trace_.Event(nas::System::k4G, "EMM",
-                 Format("maximum attach attempts reached; re-attach backoff "
-                        "armed (%.0f s)",
-                        ToSeconds(pause)));
-    emm_ = EmmState::kOutOfService;
-    attach_backoff_.Start(pause, [this] {
-      if (powered_ && serving_ == nas::System::k4G &&
-          emm_ == EmmState::kOutOfService) {
-        attach_attempts_ = 0;
-        StartAttach();
-      }
-    });
-    return;
-  }
-  trace_.Event(nas::System::k4G, "EMM",
-               "maximum attach attempts reached; device stays out of service");
-  emm_ = EmmState::kOutOfService;
+             attach_proc_.attempts == 0 ? "Attach Request sent"
+                                        : "Attach Request retransmitted");
+  ArmGuard(attach_proc_);
+  SendEmm(Request(nas::MsgKind::kAttachRequest, nas::Protocol::kEmm));
 }
 
 void UeDevice::StartTau() {
   if (serving_ != nas::System::k4G) return;
   emm_ = EmmState::kWaitTauAccept;
-  t3430_.Start(Scaled(nas::timers::kT3430TauGuard), [this] {
-    if (emm_ != EmmState::kWaitTauAccept) return;
-    if (tau_attempts_ < 3) {
-      ++tau_attempts_;
-      trace_.Event(nas::System::k4G, "EMM", "T3430 expiry; TAU retransmitted");
-      StartTau();
-    } else {
-      // Give up: fall back to the registered state and retry on the next
-      // trigger (the standards eventually restart the procedure).
-      tau_attempts_ = 0;
-      emm_ = EmmState::kRegistered;
-    }
-  });
+  ArmGuard(tau_proc_);
   trace_.Msg(nas::System::k4G, "EMM", "Tracking Area Update Request sent");
-  nas::Message m;
-  m.kind = nas::MsgKind::kTauRequest;
-  m.protocol = nas::Protocol::kEmm;
+  nas::Message m = Request(nas::MsgKind::kTauRequest, nas::Protocol::kEmm);
   // §8 cross-system coordination: piggy-back a request to activate a fresh
   // EPS bearer instead of being detached when no context can be migrated.
   m.eps.active = solutions_.reactivate_bearer;
@@ -767,7 +796,7 @@ void UeDevice::HandleDetach(nas::EmmCause cause, const std::string& who) {
   if (!recovery_started_at_) recovery_started_at_ = sim_.now();
   // Observed phone behaviour (§5.1.3): immediately try to re-register; the
   // re-attach completion is mostly operator-controlled (Figure 4).
-  attach_attempts_ = 0;
+  attach_proc_.attempts = 0;
   StartAttach();
 }
 
@@ -782,10 +811,9 @@ void UeDevice::OnDownlink4g(const nas::Message& m) {
           emm_ != EmmState::kRegistered) {
         break;
       }
-      t3410_.Stop();
+      Completed(attach_proc_);
       attach_backoff_.Stop();
       t3346_.Stop();
-      t3346_cycles_ = 0;
       emm_ = EmmState::kRegistered;
       eps_ = m.eps;
       if (attach_started_at_) {
@@ -795,14 +823,8 @@ void UeDevice::OnDownlink4g(const nas::Message& m) {
       trace_.Msg(nas::System::k4G, "EMM", "Attach Accept received");
       trace_.State(nas::System::k4G, "EMM", "EMM-REGISTERED");
       trace_.State(nas::System::k4G, "ESM", "EPS bearer context activated");
-      {
-        nas::Message r;
-        r.kind = nas::MsgKind::kAttachComplete;
-        r.protocol = nas::Protocol::kEmm;
-        trace_.Msg(nas::System::k4G, "EMM", "Attach Complete sent");
-        SendEmm(r);
-      }
-      attach_attempts_ = 0;
+      trace_.Msg(nas::System::k4G, "EMM", "Attach Complete sent");
+      SendEmm(Request(nas::MsgKind::kAttachComplete, nas::Protocol::kEmm));
       if (recovery_started_at_) {
         recovery_s_.Add(ToSeconds(sim_.now() - *recovery_started_at_));
         recovery_started_at_.reset();
@@ -815,24 +837,14 @@ void UeDevice::OnDownlink4g(const nas::Message& m) {
       trace_.Msg(nas::System::k4G, "EMM",
                  "Attach Reject received (cause: " +
                      nas::ToString(m.emm_cause) + ")");
-      t3410_.Stop();
+      attach_proc_.guard.Stop();
       if (m.emm_cause == nas::EmmCause::kCongestion) {
         // T3346: the network is overloaded, not rejecting the subscriber.
-        // Hold off (capped exponential per consecutive reject) instead of
-        // treating this as a detach; service is degraded meanwhile.
-        const SimDuration pause = CongestionBackoff(m, t3346_cycles_++);
-        trace_.Event(nas::System::k4G, "EMM",
-                     "T3346 armed (" + FormatDuration(pause) +
-                     "); attach retry deferred");
+        // Hold off instead of treating this as a detach; service is
+        // degraded meanwhile.
         emm_ = EmmState::kOutOfService;
         if (!recovery_started_at_) recovery_started_at_ = sim_.now();
-        t3346_.Start(pause, [this] {
-          if (powered_ && serving_ == nas::System::k4G &&
-              emm_ == EmmState::kOutOfService) {
-            attach_attempts_ = 0;
-            StartAttach();
-          }
-        });
+        OnCongestionReject(attach_proc_, m);
         break;
       }
       HandleDetach(m.emm_cause, "Attach Reject");
@@ -840,9 +852,7 @@ void UeDevice::OnDownlink4g(const nas::Message& m) {
 
     case nas::MsgKind::kTauAccept:
       if (emm_ != EmmState::kWaitTauAccept) break;
-      t3430_.Stop();
-      tau_attempts_ = 0;
-      t3346_cycles_ = 0;
+      Completed(tau_proc_);
       emm_ = EmmState::kRegistered;
       eps_ = m.eps;
       trace_.Msg(nas::System::k4G, "EMM",
@@ -856,19 +866,8 @@ void UeDevice::OnDownlink4g(const nas::Message& m) {
       if (m.emm_cause == nas::EmmCause::kCongestion) {
         // T3346 for mobility management: stay registered with the old
         // tracking area and retry the TAU once the backoff expires.
-        t3430_.Stop();
-        tau_attempts_ = 0;
-        const SimDuration pause = CongestionBackoff(m, t3346_cycles_++);
-        trace_.Event(nas::System::k4G, "EMM",
-                     "T3346 armed (" + FormatDuration(pause) +
-                     "); TAU retry deferred");
         emm_ = EmmState::kRegistered;
-        t3346_.Start(pause, [this] {
-          if (powered_ && serving_ == nas::System::k4G &&
-              emm_ == EmmState::kRegistered) {
-            StartTau();
-          }
-        });
+        OnCongestionReject(tau_proc_, m);
         break;
       }
       HandleDetach(m.emm_cause, "Tracking Area Update Reject");
@@ -903,12 +902,9 @@ void UeDevice::StartLau() {
   lau_started_at_ = sim_.now();
   Promote3g(model::Rrc3g::kFach);
   trace_.Msg(nas::System::k3G, "MM", "Location Updating Request sent");
-  nas::Message m;
-  m.kind = nas::MsgKind::kLocationUpdateRequest;
-  m.protocol = nas::Protocol::kMm;
-  SendCs(m);
-  lu_attempts_ = 0;
-  ArmLuGuard();
+  SendCs(Request(nas::MsgKind::kLocationUpdateRequest, nas::Protocol::kMm));
+  lu_proc_.attempts = 0;
+  ArmGuard(lu_proc_);
 }
 
 void UeDevice::OnDownlink3gCs(const nas::Message& m) {
@@ -917,9 +913,7 @@ void UeDevice::OnDownlink3gCs(const nas::Message& m) {
     case nas::MsgKind::kLocationUpdateAccept:
       if (mm_ != MmState::kLuInProgress) break;
       trace_.Msg(nas::System::k3G, "MM", "Location Updating Accept received");
-      lu_guard_.Stop();
-      lu_attempts_ = 0;
-      lu_backoff_cycles_ = 0;
+      Completed(lu_proc_);
       mm_registered_ = true;
       if (lau_started_at_) {
         lau_duration_s_.Add(ToSeconds(sim_.now() - *lau_started_at_));
@@ -944,45 +938,23 @@ void UeDevice::OnDownlink3gCs(const nas::Message& m) {
       mm_ = MmState::kIdle;
       mm_registered_ = false;
       if (m.mm_cause == nas::MmCause::kCongestion) {
-        // T3346 (TS 24.008 §4.1.1.7): honoured regardless of the optional
-        // robustness machinery — congestion backoff is mandated behaviour.
-        const SimDuration pause = CongestionBackoff(m, lu_backoff_cycles_++);
-        trace_.Event(nas::System::k3G, "MM",
-                     "T3346 armed (" + FormatDuration(pause) +
-                     "); location update retry deferred");
-        lu_guard_.Start(pause, [this] {
-          if (powered_ && serving_ == nas::System::k3G && !mm_registered_) {
-            lu_attempts_ = 0;
-            StartLau();
-          }
-        });
-        break;
-      }
-      if (robustness_.nas_retry) {
+        // T3346 (TS 24.008 §4.1.1.7): honoured on every device, robust or
+        // not — congestion backoff is mandated behaviour.
+        OnCongestionReject(lu_proc_, m);
+      } else if (robust_) {
         // Retry the update after a growing pause instead of staying
         // unregistered until the next mobility trigger.
-        const int cycle = lu_backoff_cycles_++;
-        lu_guard_.Start(Scaled(BackoffDelay(cycle)), [this] {
-          if (powered_ && serving_ == nas::System::k3G && !mm_registered_) {
-            lu_attempts_ = 0;
-            StartLau();
-          }
-        });
+        BackOff(lu_proc_, nullptr);
       }
       break;
 
     case nas::MsgKind::kCmServiceAccept:
       if (call_ != CallState::kWaitCmAccept) break;
-      cm_guard_.Stop();
+      Completed(cm_proc_);
       trace_.Msg(nas::System::k3G, "MM", "CM Service Accept received");
       call_ = CallState::kWaitConnect;
       trace_.Msg(nas::System::k3G, "CM/CC", "Setup sent");
-      {
-        nas::Message r;
-        r.kind = nas::MsgKind::kCallSetup;
-        r.protocol = nas::Protocol::kCm;
-        SendCs(r);
-      }
+      SendCs(Request(nas::MsgKind::kCallSetup, nas::Protocol::kCm));
       break;
 
     case nas::MsgKind::kPagingRequest:
@@ -990,14 +962,9 @@ void UeDevice::OnDownlink3gCs(const nas::Message& m) {
       // establishes CS services").
       if (call_ != CallState::kNone) break;
       trace_.Msg(nas::System::k3G, "MM", "Paging Request received");
-      {
-        nas::Message r;
-        r.kind = nas::MsgKind::kPagingResponse;
-        r.protocol = nas::Protocol::kMm;
-        trace_.Msg(nas::System::k3G, "MM", "Paging Response sent");
-        Promote3g(model::Rrc3g::kFach);
-        SendCs(r);
-      }
+      trace_.Msg(nas::System::k3G, "MM", "Paging Response sent");
+      Promote3g(model::Rrc3g::kFach);
+      SendCs(Request(nas::MsgKind::kPagingResponse, nas::Protocol::kMm));
       call_ = CallState::kWaitConnect;
       break;
 
@@ -1005,32 +972,15 @@ void UeDevice::OnDownlink3gCs(const nas::Message& m) {
       // MT leg: the network set up the incoming call; ring, then answer.
       if (call_ != CallState::kWaitConnect) break;
       trace_.Msg(nas::System::k3G, "CM/CC", "Setup received (incoming call)");
-      sim_.ScheduleIn(
-          FromSeconds(rng_.Uniform(1.5, 4.0)), [this] {
-            if (call_ != CallState::kWaitConnect ||
-                serving_ != nas::System::k3G) {
-              return;
-            }
-            trace_.Msg(nas::System::k3G, "CM/CC",
-                       "Connect sent (incoming call answered)");
-            nas::Message r;
-            r.kind = nas::MsgKind::kCallConnect;
-            r.protocol = nas::Protocol::kCm;
-            SendCs(r);
-            call_ = CallState::kActive;
-            ++calls_connected_;
-            call_connected_at_ = sim_.now();
-            current_call_has_data_ = data_session_ && pdp_.active;
-            if (current_call_has_data_) ++calls_with_data_;
-            Promote3g(model::Rrc3g::kDch);
-            channel3g_.SetCsCallActive(true);
-            trace_.Msg(nas::System::k3G, "3G-RRC",
-                       solutions_.domain_decoupled
-                           ? "RRC Channel Config: dedicated CS channel "
-                             "assigned; PS keeps 64QAM"
-                           : "RRC Channel Config: 64QAM disabled during CS "
-                             "voice call (16QAM)");
-          });
+      sim_.ScheduleIn(FromSeconds(rng_.Uniform(1.5, 4.0)), [this] {
+        if (call_ != CallState::kWaitConnect || serving_ != nas::System::k3G) {
+          return;
+        }
+        trace_.Msg(nas::System::k3G, "CM/CC",
+                   "Connect sent (incoming call answered)");
+        SendCs(Request(nas::MsgKind::kCallConnect, nas::Protocol::kCm));
+        OnCallConnected();
+      });
       break;
 
     case nas::MsgKind::kCmServiceReject:
@@ -1040,39 +990,40 @@ void UeDevice::OnDownlink3gCs(const nas::Message& m) {
                      : "CM Service Reject received (cause: " +
                            nas::ToString(m.mm_cause) + ")");
       if (m.mm_cause == nas::MmCause::kCongestion) ++congestion_rejects_;
-      cm_guard_.Stop();
+      Completed(cm_proc_);
       call_ = CallState::kNone;
       dialed_at_.reset();
       break;
 
     case nas::MsgKind::kCallConnect:
       if (call_ != CallState::kWaitConnect) break;
-      call_ = CallState::kActive;
       trace_.Msg(nas::System::k3G, "CM/CC", "a call is established");
-      if (dialed_at_) {
-        call_setup_s_.Add(ToSeconds(sim_.now() - *dialed_at_));
-      }
-      ++calls_connected_;
-      call_connected_at_ = sim_.now();
-      current_call_has_data_ = data_session_ && pdp_.active;
-      if (current_call_has_data_) ++calls_with_data_;
-      Promote3g(model::Rrc3g::kDch);
-      channel3g_.SetCsCallActive(true);
-      if (solutions_.domain_decoupled) {
-        trace_.Msg(nas::System::k3G, "3G-RRC",
-                   "RRC Channel Config: dedicated CS channel assigned; PS "
-                   "keeps 64QAM");
-      } else {
-        trace_.Msg(nas::System::k3G, "3G-RRC",
-                   "RRC Channel Config: 64QAM disabled during CS voice call "
-                   "(16QAM)");
-      }
+      if (dialed_at_) call_setup_s_.Add(ToSeconds(sim_.now() - *dialed_at_));
+      OnCallConnected();
       break;
 
     default:
       CNV_LOG_WARN << "UE(3G-CS): unexpected " << m.Describe();
       break;
   }
+}
+
+// The CS call is up, mobile-originated or answered: the S5 bookkeeping and
+// the shared-channel reconfiguration.
+void UeDevice::OnCallConnected() {
+  call_ = CallState::kActive;
+  ++calls_connected_;
+  call_connected_at_ = sim_.now();
+  current_call_has_data_ = data_session_ && pdp_.active;
+  if (current_call_has_data_) ++calls_with_data_;
+  Promote3g(model::Rrc3g::kDch);
+  channel3g_.SetCsCallActive(true);
+  trace_.Msg(nas::System::k3G, "3G-RRC",
+             solutions_.domain_decoupled
+                 ? "RRC Channel Config: dedicated CS channel assigned; PS "
+                   "keeps 64QAM"
+                 : "RRC Channel Config: 64QAM disabled during CS voice call "
+                   "(16QAM)");
 }
 
 // ------------------------------------------------------------ GMM / SM ---
@@ -1082,12 +1033,10 @@ void UeDevice::StartGprsAttach() {
   gmm_ = GmmState::kRauInProgress;
   rau_started_at_ = sim_.now();
   trace_.Msg(nas::System::k3G, "GMM", "GPRS Attach Request sent");
-  nas::Message m;
-  m.kind = nas::MsgKind::kGprsAttachRequest;
-  m.protocol = nas::Protocol::kGmm;
-  SendPs(m);
-  gmm_attempts_ = 0;
-  ArmGmmGuard();
+  SendPs(Request(nas::MsgKind::kGprsAttachRequest, nas::Protocol::kGmm));
+  gmm_proc_.spec = &kGprsAttach;
+  gmm_proc_.attempts = 0;
+  ArmGuard(gmm_proc_);
 }
 
 void UeDevice::StartRau() {
@@ -1099,12 +1048,10 @@ void UeDevice::StartRau() {
   rau_started_at_ = sim_.now();
   Promote3g(model::Rrc3g::kFach);
   trace_.Msg(nas::System::k3G, "GMM", "Routing Area Update Request sent");
-  nas::Message m;
-  m.kind = nas::MsgKind::kRauRequest;
-  m.protocol = nas::Protocol::kGmm;
-  SendPs(m);
-  gmm_attempts_ = 0;
-  ArmGmmGuard();
+  SendPs(Request(nas::MsgKind::kRauRequest, nas::Protocol::kGmm));
+  gmm_proc_.spec = &kRau;
+  gmm_proc_.attempts = 0;
+  ArmGuard(gmm_proc_);
 }
 
 void UeDevice::ActivatePdp() {
@@ -1119,13 +1066,12 @@ void UeDevice::ActivatePdp() {
   }
   pdp_activation_pending_ = false;
   trace_.Msg(nas::System::k3G, "SM", "Activate PDP Context Request sent");
-  nas::Message m;
-  m.kind = nas::MsgKind::kPdpActivateRequest;
-  m.protocol = nas::Protocol::kSm;
+  nas::Message m =
+      Request(nas::MsgKind::kPdpActivateRequest, nas::Protocol::kSm);
   m.pdp = pdp_;
   SendPs(m);
-  pdp_attempts_ = 0;
-  ArmPdpGuard();
+  pdp_proc_.attempts = 0;
+  ArmGuard(pdp_proc_);
 }
 
 void UeDevice::OnDownlink3gPs(const nas::Message& m) {
@@ -1134,8 +1080,7 @@ void UeDevice::OnDownlink3gPs(const nas::Message& m) {
     case nas::MsgKind::kGprsAttachAccept:
       gmm_attached_ = true;
       gmm_ = GmmState::kIdle;
-      gmm_guard_.Stop();
-      gmm_backoff_cycles_ = 0;
+      Completed(gmm_proc_);
       trace_.Msg(nas::System::k3G, "GMM", "GPRS Attach Accept received");
       if (rau_started_at_) {
         rau_duration_s_.Add(ToSeconds(sim_.now() - *rau_started_at_));
@@ -1150,8 +1095,7 @@ void UeDevice::OnDownlink3gPs(const nas::Message& m) {
     case nas::MsgKind::kRauAccept:
       if (gmm_ != GmmState::kRauInProgress) break;
       gmm_ = GmmState::kIdle;
-      gmm_guard_.Stop();
-      gmm_backoff_cycles_ = 0;
+      Completed(gmm_proc_);
       trace_.Msg(nas::System::k3G, "GMM",
                  "Routing Area Update Accept received");
       if (rau_started_at_) {
@@ -1163,8 +1107,7 @@ void UeDevice::OnDownlink3gPs(const nas::Message& m) {
 
     case nas::MsgKind::kPdpActivateAccept:
       pdp_ = m.pdp;
-      pdp_guard_.Stop();
-      pdp_backoff_cycles_ = 0;
+      Completed(pdp_proc_);
       trace_.Msg(nas::System::k3G, "SM", "Activate PDP Context Accept received");
       trace_.State(nas::System::k3G, "SM", "PDP context activated");
       Reevaluate3gPinning();
@@ -1177,12 +1120,7 @@ void UeDevice::OnDownlink3gPs(const nas::Message& m) {
                  "Deactivate PDP Context Request received (cause: " +
                      nas::ToString(m.pdp_cause) + ")");
       trace_.State(nas::System::k3G, "SM", "PDP context deactivated");
-      {
-        nas::Message r;
-        r.kind = nas::MsgKind::kPdpDeactivateAccept;
-        r.protocol = nas::Protocol::kSm;
-        SendPs(r);
-      }
+      SendPs(Request(nas::MsgKind::kPdpDeactivateAccept, nas::Protocol::kSm));
       Reevaluate3gPinning();
       break;
 
@@ -1191,19 +1129,11 @@ void UeDevice::OnDownlink3gPs(const nas::Message& m) {
                  "GPRS Attach Reject received (cause: " +
                      nas::ToString(m.mm_cause) + ")");
       gmm_ = GmmState::kIdle;
-      gmm_guard_.Stop();
+      gmm_proc_.guard.Stop();
       rau_started_at_.reset();
       if (m.mm_cause == nas::MmCause::kCongestion) {
-        const SimDuration pause = CongestionBackoff(m, gmm_backoff_cycles_++);
-        trace_.Event(nas::System::k3G, "GMM",
-                     "T3346 armed (" + FormatDuration(pause) +
-                     "); GPRS attach retry deferred");
-        gmm_guard_.Start(pause, [this] {
-          if (powered_ && serving_ == nas::System::k3G && !gmm_attached_) {
-            gmm_attempts_ = 0;
-            StartGprsAttach();
-          }
-        });
+        gmm_proc_.spec = &kGprsAttach;
+        OnCongestionReject(gmm_proc_, m);
       }
       break;
 
@@ -1213,19 +1143,11 @@ void UeDevice::OnDownlink3gPs(const nas::Message& m) {
                  "Routing Area Update Reject received (cause: " +
                      nas::ToString(m.mm_cause) + ")");
       gmm_ = GmmState::kIdle;
-      gmm_guard_.Stop();
+      gmm_proc_.guard.Stop();
       rau_started_at_.reset();
       if (m.mm_cause == nas::MmCause::kCongestion) {
-        const SimDuration pause = CongestionBackoff(m, gmm_backoff_cycles_++);
-        trace_.Event(nas::System::k3G, "GMM",
-                     "T3346 armed (" + FormatDuration(pause) +
-                     "); RAU retry deferred");
-        gmm_guard_.Start(pause, [this] {
-          if (powered_ && serving_ == nas::System::k3G && gmm_attached_) {
-            gmm_attempts_ = 0;
-            StartRau();
-          }
-        });
+        gmm_proc_.spec = &kRau;
+        OnCongestionReject(gmm_proc_, m);
       }
       break;
 
@@ -1233,21 +1155,9 @@ void UeDevice::OnDownlink3gPs(const nas::Message& m) {
       trace_.Msg(nas::System::k3G, "SM",
                  "Activate PDP Context Reject received (cause: " +
                      nas::ToString(m.pdp_cause) + ")");
-      pdp_guard_.Stop();
+      pdp_proc_.guard.Stop();
       if (m.pdp_cause == nas::PdpDeactCause::kInsufficientResources) {
-        // The SM analogue of a congestion reject: retry once the network
-        // has drained (same capped-exponential discipline).
-        const SimDuration pause = CongestionBackoff(m, pdp_backoff_cycles_++);
-        trace_.Event(nas::System::k3G, "SM",
-                     "SM backoff armed (" + FormatDuration(pause) +
-                     "); PDP activation retry deferred");
-        pdp_guard_.Start(pause, [this] {
-          if (powered_ && serving_ == nas::System::k3G && data_enabled_ &&
-              !pdp_.active && (data_session_ || pdp_activation_pending_)) {
-            pdp_attempts_ = 0;
-            ActivatePdp();
-          }
-        });
+        OnCongestionReject(pdp_proc_, m);
       }
       break;
 

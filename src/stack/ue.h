@@ -17,6 +17,7 @@
 #include "model/vocab.h"
 #include "nas/context.h"
 #include "nas/messages.h"
+#include "nas/timers.h"
 #include "sim/channel.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
@@ -38,18 +39,14 @@ struct SolutionConfig {
   bool mme_lu_recovery = false;    // absorb 3G LU failures in the core (S6)
 };
 
-// Robustness machinery the paper's §8 implies but the standards-mandated
-// baseline lacks: NAS procedure retries with exponential backoff, bounded
-// CM-service re-requests, and queue-and-replay in front of a core element
-// that is down. Off by default so the baseline reproduces the S1-S6 defect
-// behaviours; the chaos campaigns switch it on to assert that the three
-// user-visible properties recover within bounded time.
-struct RobustnessConfig {
-  bool nas_retry = false;        // LU/RAU/GPRS-attach/PDP guard + retry
-  bool attach_backoff = false;   // T3411/T3402-style re-attach cycles
-  bool cm_reattempt = false;     // bounded CM-service re-requests
-  bool core_queue_replay = false;  // buffer uplinks while an element is down
-};
+// The robust device (`robust` = true) adds what the paper's §8 implies but
+// the standards-mandated baseline lacks: every NAS procedure retransmits on
+// guard expiry, backs off exponentially and restarts; CM service requests
+// are re-requested a bounded number of times; and the Testbed's core
+// elements queue and replay uplinks while down. Off by default, so the
+// baseline reproduces the S1-S6 defect behaviours; the chaos campaigns
+// switch it on to assert that the three user-visible properties recover
+// within bounded time.
 
 class UeDevice {
  public:
@@ -72,7 +69,7 @@ class UeDevice {
 
   UeDevice(sim::Simulator& sim, Rng& rng, trace::Collector& trace,
            const CarrierProfile& profile, SolutionConfig solutions,
-           sim::SharedChannel& channel3g, RobustnessConfig robustness = {});
+           sim::SharedChannel& channel3g, bool robust = false);
 
   // --- wiring (done by the Testbed)
   void SetUplink4g(sim::Link* l) { ul4g_ = l; }
@@ -160,14 +157,15 @@ class UeDevice {
   std::uint64_t deferred_call_requests() const {
     return deferred_call_requests_;
   }
-  // Robustness-machinery bookkeeping (all zero unless RobustnessConfig
-  // enables the corresponding mechanism).
-  std::uint64_t lu_retries() const { return lu_retries_; }
-  std::uint64_t gmm_retries() const { return gmm_retries_; }
-  std::uint64_t pdp_retries() const { return pdp_retries_; }
-  std::uint64_t cm_retries() const { return cm_retries_; }
+  // Robustness-machinery bookkeeping (all zero unless the device is robust).
+  std::uint64_t lu_retries() const { return lu_proc_.retries; }
+  std::uint64_t gmm_retries() const { return gmm_proc_.retries; }
+  std::uint64_t pdp_retries() const { return pdp_proc_.retries; }
+  std::uint64_t cm_retries() const { return cm_proc_.retries; }
   std::uint64_t cm_abandoned() const { return cm_abandoned_; }
-  std::uint64_t attach_backoff_cycles() const { return attach_backoff_cycles_; }
+  std::uint64_t attach_backoff_cycles() const {
+    return static_cast<std::uint64_t>(attach_proc_.backoff_cycles);
+  }
   // Congestion-control bookkeeping (T3346): rejects with cause "congestion"
   // received, and backoff waits the device honoured before retrying.
   std::uint64_t congestion_rejects() const { return congestion_rejects_; }
@@ -193,9 +191,64 @@ class UeDevice {
   const Samples& call_durations_seconds() const { return call_durations_s_; }
 
  private:
+  // One NAS procedure discipline. Each guarded procedure (attach, TAU, LU,
+  // GPRS attach/RAU, PDP activation, CM service) is a NasProc record run by
+  // the same two paths: a guard expiry retransmits the request up to
+  // `quick_retries` times, then either backs off and restarts (on the
+  // robust device) or gives up (OnGuardExpiry); a congestion reject holds
+  // off for T3346 and then restarts (OnCongestionReject). A NasProcSpec
+  // holds what makes one procedure itself: its timer, trace strings and
+  // the hooks that read or change the device's state.
+  struct NasProcSpec {
+    const char* timer;  // the guard timer (T3410, T3210, ...)
+    nas::System system;
+    const char* module;  // trace module
+    SimDuration guard;
+    bool always_guarded = false;  // else guarded on the robust device only
+    int quick_retries = nas::timers::kMaxNasQuickRetries;
+    const char* expiry;  // traced before each retransmission
+    // Traced when the quick retries run out and the robust device backs
+    // off (nullptr: it never backs off), optionally with the pause.
+    const char* backing_off = nullptr;
+    bool shows_pause = false;
+    const char* giving_up = nullptr;  // traced when it stops for good
+    const char* hold = "T3346";       // the congestion backoff, as traced
+    const char* deferred = nullptr;   // what the congestion backoff defers
+    bool (*awaiting)(const UeDevice&);  // the guard's expiry still matters
+    void (*retransmit)(UeDevice&);
+    void (*abandon)(UeDevice&) = nullptr;  // state reset on running out
+    // Besides "powered on in the procedure's system".
+    bool (*may_restart)(const UeDevice&) = nullptr;
+    void (*restart)(UeDevice&) = nullptr;
+  };
+  static const NasProcSpec kAttach, kTau, kLu, kGprsAttach, kRau, kPdp, kCm;
+
+  struct NasProc {
+    NasProc(sim::Simulator& sim, const NasProcSpec& s)
+        : spec(&s), guard(sim, s.timer) {}
+    const NasProcSpec* spec;  // GPRS attach and RAU share one record
+    sim::Timer guard;  // doubles as backoff and T3346 unless pointed away
+    sim::Timer* backoff = &guard;
+    sim::Timer* t3346 = &guard;
+    int* t3346_cycles = &backoff_cycles;
+    int attempts = 0;  // retransmissions in the current run
+    int backoff_cycles = 0;
+    std::uint64_t retries = 0;
+  };
+
+  void ArmGuard(NasProc& p);
+  void OnGuardExpiry(NasProc& p);
+  // Post-retry backoff: a capped exponential from T3411, then Restart.
+  void BackOff(NasProc& p, const char* why);
+  // Congestion reject (TS 24.301 §5.3.5 / TS 24.008 §4.1.1.7): the granted
+  // (or default) T3346, doubled per consecutive reject, then Restart.
+  void OnCongestionReject(NasProc& p, const nas::Message& m);
+  void Restart(NasProc& p);
+  void Completed(NasProc& p);  // the network answered: stop and reset
+  SimDuration Scaled(SimDuration d) const;
+
   // EMM / ESM (4G)
   void StartAttach();
-  void OnAttachTimeout();
   void StartTau();
   void SendEmm(nas::Message m);
   void HandleDetach(nas::EmmCause cause, const std::string& who);
@@ -203,6 +256,7 @@ class UeDevice {
   // MM / CM (3G CS)
   void StartLau();
   void TryServePendingCall();
+  void OnCallConnected();
   void SendCs(nas::Message m);
 
   // GMM / SM (3G PS)
@@ -210,25 +264,6 @@ class UeDevice {
   void StartRau();
   void ActivatePdp();
   void SendPs(nas::Message m);
-
-  // Robustness machinery (guard expiries + backoff; no-ops unless enabled).
-  SimDuration Scaled(SimDuration d) const;
-  SimDuration BackoffDelay(int cycle) const;
-  // Capped-exponential backoff from an arbitrary base (T3346 congestion
-  // grants double per consecutive reject, capped at kNasBackoffCap).
-  SimDuration BackoffDelayFrom(SimDuration base, int cycle) const;
-  // Congestion-reject plumbing (TS 24.301 §5.3.5 / TS 24.008 §4.1.1.7):
-  // the granted (or default) T3346 value, exponentiated per retry cycle.
-  SimDuration CongestionBackoff(const nas::Message& m, int cycle);
-  void ArmLuGuard();
-  void OnLuTimeout();
-  void ArmGmmGuard();
-  void OnGmmTimeout();
-  void ArmPdpGuard();
-  void OnPdpTimeout();
-  void ArmCmGuard();
-  void OnCmTimeout();
-  void StopNasGuards();
 
   // RRC helpers
   model::Rrc3g PinnedLevel() const;
@@ -245,7 +280,7 @@ class UeDevice {
   trace::Collector& trace_;
   const CarrierProfile& profile_;
   SolutionConfig solutions_;
-  RobustnessConfig robustness_;
+  bool robust_;
   sim::SharedChannel& channel3g_;
 
   sim::Link* ul4g_ = nullptr;
@@ -281,46 +316,29 @@ class UeDevice {
   std::optional<SimTime> csfb_call_ended_at_;
 
   // Timers.
-  sim::Timer t3410_;         // attach guard
-  sim::Timer t3430_;         // tracking-area-update guard
-  int tau_attempts_ = 0;
   sim::Timer mm_wait_timer_; // MM-WAIT-FOR-NET-CMD dwell
   sim::Timer rrc_demote_;    // 3G RRC inactivity demotion
   sim::Timer periodic_;      // periodic location refresh (T3212/T3312 class)
   SimDuration periodic_interval_ = 0;
+  double timer_scale_ = 1.0;
 
-  // Robustness-machinery timers (armed only when RobustnessConfig enables
-  // the mechanism). Each doubles as the procedure's backoff timer once the
-  // quick retransmissions are exhausted.
-  sim::Timer lu_guard_;      // T3210 class (LU)
-  sim::Timer gmm_guard_;     // T3330 class (GPRS attach / RAU)
-  sim::Timer pdp_guard_;     // T3380 class (PDP activation)
-  sim::Timer cm_guard_;      // T3230 class (CM service)
+  // NAS procedures. Attach backs off on T3411 and shares T3346 (and its
+  // cycle count) with TAU; the 3G procedures run all three on their guard.
+  NasProc attach_proc_;
+  NasProc tau_proc_;
+  NasProc lu_proc_;
+  NasProc gmm_proc_;
+  NasProc pdp_proc_;
+  NasProc cm_proc_;
   sim::Timer attach_backoff_;  // T3411/T3402 class (re-attach cycles)
   sim::Timer t3346_;           // congestion backoff (4G attach/TAU)
   int t3346_cycles_ = 0;
-  double timer_scale_ = 1.0;
-  int lu_attempts_ = 0;
-  int lu_backoff_cycles_ = 0;
-  int gmm_attempts_ = 0;
-  int gmm_backoff_cycles_ = 0;
-  int pdp_attempts_ = 0;
-  int pdp_backoff_cycles_ = 0;
-  int cm_attempts_ = 0;
-  std::uint64_t lu_retries_ = 0;
-  std::uint64_t gmm_retries_ = 0;
-  std::uint64_t pdp_retries_ = 0;
-  std::uint64_t cm_retries_ = 0;
   std::uint64_t cm_abandoned_ = 0;
-  std::uint64_t attach_backoff_cycles_ = 0;
   std::uint64_t congestion_rejects_ = 0;
   std::uint64_t congestion_backoffs_ = 0;
 
-  // Attach retry state.
-  int attach_attempts_ = 0;
-  std::optional<SimTime> recovery_started_at_;
-
   // Measurements.
+  std::optional<SimTime> recovery_started_at_;
   std::optional<SimTime> dialed_at_;
   std::optional<SimTime> attach_started_at_;
   Samples attach_latency_s_;

@@ -1,6 +1,7 @@
 #include "util/args.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -112,7 +113,8 @@ bool ArgParser::DoubleValue(const std::string& name, double* out) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(raw.c_str(), &end);
-  if (errno != 0 || end != raw.c_str() + raw.size()) {
+  // The sign check above lets "-nan" and "-inf" through to strtod.
+  if (errno != 0 || end != raw.c_str() + raw.size() || !std::isfinite(v)) {
     Fail(name + ": not a number: '" + raw + "'");
   }
   *out = v;

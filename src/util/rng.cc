@@ -1,7 +1,6 @@
 #include "util/rng.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace cnv {
 
@@ -37,18 +36,5 @@ double Rng::Exponential(double mean) {
   std::exponential_distribution<double> d(1.0 / mean);
   return d(engine_);
 }
-
-std::size_t Rng::PickWeighted(std::span<const double> weights) {
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (total <= 0) throw std::invalid_argument("Rng::PickWeighted: no weight");
-  double x = Uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x <= 0) return i;
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::Fork() { return Rng(engine_()); }
 
 }  // namespace cnv

@@ -48,13 +48,6 @@ class Rng {
     return Pick(std::span<const T>(items));
   }
 
-  // Picks an index according to non-negative weights (at least one > 0).
-  std::size_t PickWeighted(std::span<const double> weights);
-
-  // Derives an independent child generator; used to give each simulated
-  // user / node its own stream without cross-coupling.
-  Rng Fork();
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

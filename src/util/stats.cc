@@ -46,14 +46,6 @@ double Samples::Mean() const {
          static_cast<double>(values_.size());
 }
 
-double Samples::Stddev() const {
-  if (values_.size() < 2) return 0.0;
-  const double m = Mean();
-  double acc = 0;
-  for (double v : values_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values_.size() - 1));
-}
-
 double Samples::Percentile(double p) const {
   EnsureSorted();
   if (sorted_.empty()) throw std::logic_error("Samples::Percentile: empty");
@@ -63,33 +55,6 @@ double Samples::Percentile(double p) const {
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - std::floor(rank);
   return sorted_[lo] + (sorted_[hi] - sorted_[lo]) * frac;
-}
-
-double Samples::CdfAt(double x) const {
-  EnsureSorted();
-  if (sorted_.empty()) throw std::logic_error("Samples::CdfAt: empty");
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
-std::vector<double> Samples::Sorted() const {
-  EnsureSorted();
-  return sorted_;
-}
-
-std::vector<CdfPoint> RenderCdf(const Samples& s, std::size_t points) {
-  std::vector<CdfPoint> out;
-  if (s.Empty() || points == 0) return out;
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double pct =
-        (points == 1) ? 100.0
-                      : 100.0 * static_cast<double>(i) /
-                            static_cast<double>(points - 1);
-    out.push_back({s.Percentile(pct), pct});
-  }
-  return out;
 }
 
 std::string SummaryLine(const Samples& s, const std::string& unit) {

@@ -1,6 +1,6 @@
 // Descriptive statistics used by the experiment harnesses: summaries
 // (min / median / max / percentiles, as in the paper's Figure 4 and
-// Table 6) and empirical CDFs (Figure 8).
+// Table 6; Figure 8's CDFs are printed as percentiles).
 #pragma once
 
 #include <cstddef>
@@ -21,25 +21,17 @@ class Samples {
   std::size_t Count() const { return values_.size(); }
   bool Empty() const { return values_.empty(); }
 
-  // Min/Max/Mean/Median/Percentile/CdfAt are order-statistic queries over
+  // Min/Max/Mean/Median/Percentile are order-statistic queries over
   // the accumulated samples; all of them throw std::logic_error when the
   // set is empty (there is no neutral answer to report into a table).
   double Min() const;
   double Max() const;
   double Mean() const;
-  double Stddev() const;  // sample standard deviation; 0 for < 2 samples
   double Median() const { return Percentile(50.0); }
 
   // Linear-interpolated percentile; p is clamped to [0, 100]. Throws
   // std::logic_error on an empty sample set.
   double Percentile(double p) const;
-
-  // Fraction of samples <= x, in [0, 1]. Throws std::logic_error on an
-  // empty sample set.
-  double CdfAt(double x) const;
-
-  // Sorted copy of the samples (the empirical CDF support points).
-  std::vector<double> Sorted() const;
 
   const std::vector<double>& Values() const { return values_; }
 
@@ -50,18 +42,6 @@ class Samples {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
 };
-
-// One row of a rendered CDF: (value, cumulative fraction in percent).
-struct CdfPoint {
-  double value = 0;
-  double percent = 0;
-};
-
-// Samples the empirical CDF of `s` at `points` evenly spaced quantiles.
-// Degenerate inputs collapse gracefully: empty samples or points == 0
-// yield an empty curve; points == 1 yields the single 100th-percentile
-// point (the maximum).
-std::vector<CdfPoint> RenderCdf(const Samples& s, std::size_t points);
 
 // "min / median / max (90th, avg)" rendering used in several tables.
 std::string SummaryLine(const Samples& s, const std::string& unit);

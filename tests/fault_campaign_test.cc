@@ -354,6 +354,161 @@ TEST(CampaignTest, StormTelemetryIsPinned) {
   EXPECT_EQ(checked, std::size(pins));
 }
 
+// The two pins above run with robustness off, so neither sees a NAS
+// retransmission, a re-attach backoff, a CM re-request or the core's
+// queue-and-replay. Here every plan runs on the robust stack, and every
+// storm plan runs again under reject-backoff (storms scaled to a tenth),
+// where the device's T3346 paths fire. Telemetry is on so the kernel's
+// timer counters (sim.timers_armed/fired/cancelled) are pinned as well.
+TEST(CampaignTest, RobustCellOutcomesArePinned) {
+  struct Pin {
+    const char* plan;
+    const char* profile;
+    const char* admission;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"s1-missing-bearer-context", "OP-I", "",
+       0x9b14b7d169d1b7a9ULL},
+      {"s1-missing-bearer-context", "OP-II", "",
+       0x998c6027b498ec3dULL},
+      {"s2-attach-disruption", "OP-I", "",
+       0x1b61f7187c492b6aULL},
+      {"s2-attach-disruption", "OP-II", "",
+       0x6970837fc0a57d63ULL},
+      {"s3-stuck-in-3g", "OP-I", "",
+       0xad2771408c0f2491ULL},
+      {"s3-stuck-in-3g", "OP-II", "",
+       0xfbe55fd395de4159ULL},
+      {"s4-mm-hol-blocking", "OP-I", "",
+       0xe792ebd509b44856ULL},
+      {"s4-mm-hol-blocking", "OP-II", "",
+       0x9f0ebbffb26f183aULL},
+      {"s5-shared-channel-drop", "OP-I", "",
+       0xb56e73340b063f8dULL},
+      {"s5-shared-channel-drop", "OP-II", "",
+       0x6e26708c863e50c1ULL},
+      {"s6-lu-failure-propagation", "OP-I", "",
+       0x79a12f15cd0c265cULL},
+      {"s6-lu-failure-propagation", "OP-II", "",
+       0xc59a69a54ee309e2ULL},
+      {"mme-crash-restart", "OP-I", "",
+       0x99251b2f19792cbfULL},
+      {"mme-crash-restart", "OP-II", "",
+       0x5d0cff96489689c0ULL},
+      {"msc-outage", "OP-I", "",
+       0xc0c196b55a5434f4ULL},
+      {"msc-outage", "OP-II", "",
+       0x272e8338421d92a1ULL},
+      {"sgsn-flap", "OP-I", "",
+       0x6207638fe14c0b64ULL},
+      {"sgsn-flap", "OP-II", "",
+       0x09f7f4156d1b172eULL},
+      {"hss-blackout", "OP-I", "",
+       0xebfcd1f6622acba3ULL},
+      {"hss-blackout", "OP-II", "",
+       0x45023cb47921e254ULL},
+      {"radio-burst-loss", "OP-I", "",
+       0xe33880702c407e55ULL},
+      {"radio-burst-loss", "OP-II", "",
+       0x1fb53aed4d6d679cULL},
+      {"backhaul-degradation", "OP-I", "",
+       0x7c322f63415faf70ULL},
+      {"backhaul-degradation", "OP-II", "",
+       0x4a386677e44d5f09ULL},
+      {"timer-skew", "OP-I", "",
+       0xf228caac171b6889ULL},
+      {"timer-skew", "OP-II", "",
+       0xc06c090bef723385ULL},
+      {"attach-interference", "OP-I", "",
+       0x8a35ccd39b5aedcaULL},
+      {"attach-interference", "OP-II", "",
+       0x4738a6a9765ff02eULL},
+      {"mass-attach-storm", "OP-I", "",
+       0x65bd76f47175f156ULL},
+      {"mass-attach-storm", "OP-II", "",
+       0x6ce23a6da4fb3159ULL},
+      {"ta-ping-pong-storm", "OP-I", "",
+       0x8383dbc7ba7297e6ULL},
+      {"ta-ping-pong-storm", "OP-II", "",
+       0x9e89d90a040036bcULL},
+      {"paging-flood-storm", "OP-I", "",
+       0xd38966a9125b5ec9ULL},
+      {"paging-flood-storm", "OP-II", "",
+       0x43ed42e65668d740ULL},
+      {"adversarial-nas-storm", "OP-I", "",
+       0xb5cce5ca89986daaULL},
+      {"adversarial-nas-storm", "OP-II", "",
+       0xb3fcf05894230474ULL},
+      {"signalling-storm-mix", "OP-I", "",
+       0x20fe6d2e9d6788d6ULL},
+      {"signalling-storm-mix", "OP-II", "",
+       0xb6a9c8937471b045ULL},
+      {"mass-attach-storm", "OP-I", "reject-backoff",
+       0x35115da69a7dd049ULL},
+      {"mass-attach-storm", "OP-II", "reject-backoff",
+       0x7ed16dc412ad84c6ULL},
+      {"ta-ping-pong-storm", "OP-I", "reject-backoff",
+       0xe4073e1a61997a56ULL},
+      {"ta-ping-pong-storm", "OP-II", "reject-backoff",
+       0xad0e8b6abdf74d30ULL},
+      {"paging-flood-storm", "OP-I", "reject-backoff",
+       0x420e720c50e20395ULL},
+      {"paging-flood-storm", "OP-II", "reject-backoff",
+       0x6f2cc85894ce9945ULL},
+      {"adversarial-nas-storm", "OP-I", "reject-backoff",
+       0xa6aceca5c68b0ed8ULL},
+      {"adversarial-nas-storm", "OP-II", "reject-backoff",
+       0x98ce1aa179165f5aULL},
+      {"signalling-storm-mix", "OP-I", "reject-backoff",
+       0xc4c57af4c3a8ecd8ULL},
+      {"signalling-storm-mix", "OP-II", "reject-backoff",
+       0x833770811525ca4cULL},
+  };
+  CampaignConfig cfg;
+  cfg.robust = true;
+  cfg.collect_telemetry = true;
+  const CampaignRunner runner(cfg, /*keep_traces=*/true);
+  std::size_t checked = 0;
+  const auto check = [&](const RunOutcome& run) {
+    const Pin* pin = nullptr;
+    for (const Pin& p : pins) {
+      if (run.plan == p.plan && run.profile == p.profile &&
+          run.admission == p.admission) {
+        pin = &p;
+      }
+    }
+    const std::uint64_t digest = testutil::Fnv1a64(EncodeRunOutcome(run));
+    ASSERT_NE(pin, nullptr) << run.plan << " " << run.profile << " "
+                            << run.admission << " " << std::hex << digest;
+    EXPECT_EQ(digest, pin->digest)
+        << run.plan << " on " << run.profile << " under " << run.admission
+        << ": 0x" << std::hex << digest;
+    ++checked;
+  };
+  for (const auto& plan : plans::All()) {
+    for (const auto& profile : {stack::OpI(), stack::OpII()}) {
+      check(runner.RunOne(1, plan, profile));
+    }
+  }
+  stack::OverloadConfig overload;
+  overload.enabled = true;
+  overload.policy = stack::AdmissionPolicy::kRejectBackoff;
+  for (FaultPlan plan : plans::Storms()) {
+    for (FaultAction& action : plan.actions) {
+      const bool storm = action.kind == FaultKind::kStormMassAttach ||
+                         action.kind == FaultKind::kStormTaPingPong ||
+                         action.kind == FaultKind::kStormPagingFlood ||
+                         action.kind == FaultKind::kStormAdversarialNas;
+      if (storm) action.count = std::max(1, action.count / 10);
+    }
+    for (const auto& profile : {stack::OpI(), stack::OpII()}) {
+      check(runner.RunOne(1, plan, profile, overload));
+    }
+  }
+  EXPECT_EQ(checked, std::size(pins));
+}
+
 TEST(CampaignSweepTest, RunSweepsSeedsTimesPlansTimesProfiles) {
   CampaignConfig cfg;
   cfg.seeds = {1, 2};
@@ -405,10 +560,7 @@ TEST(CampaignSweepTest, RobustRunsRecoverWhereBaselineViolatesSlo) {
   const CampaignResult baseline = CampaignRunner(base).Run();
 
   CampaignConfig robust = base;
-  robust.robustness.nas_retry = true;
-  robust.robustness.attach_backoff = true;
-  robust.robustness.cm_reattempt = true;
-  robust.robustness.core_queue_replay = true;
+  robust.robust = true;
   const CampaignResult fixed = CampaignRunner(robust).Run();
 
   ASSERT_EQ(baseline.runs.size(), 1u);

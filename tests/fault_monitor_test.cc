@@ -69,7 +69,7 @@ TEST(RecoveryMonitorTest, MmeOutageShowsUpAsPacketServiceOutage) {
 
 TEST(RecoveryMonitorTest, RecoveryWithinSloAfterShortOutage) {
   stack::TestbedConfig cfg;
-  cfg.robustness.core_queue_replay = true;
+  cfg.robust = true;
   stack::Testbed tb(cfg);
   SloBounds slo;  // 120 s per property
   RecoveryMonitor monitor(tb, slo);

@@ -1,8 +1,8 @@
 // Robustness machinery: NAS retries with exponential backoff, bounded CM
 // re-requests, attach backoff cycles, timer skew, and core-element outage /
-// restart with optional queue-and-replay. The baseline (RobustnessConfig
-// all-off) must keep the standards-mandated fragile behaviour the S1-S6
-// experiments rely on; these tests pin down both sides.
+// restart with optional queue-and-replay. The baseline (robust = false)
+// must keep the standards-mandated fragile behaviour the S1-S6 experiments
+// rely on; these tests pin down both sides.
 #include <gtest/gtest.h>
 
 #include "stack/testbed.h"
@@ -10,16 +10,16 @@
 namespace cnv::stack {
 namespace {
 
-TestbedConfig WithRetries() {
+TestbedConfig Robust() {
   TestbedConfig cfg;
-  cfg.robustness.nas_retry = true;
+  cfg.robust = true;
   return cfg;
 }
 
 // --- MM: location update ------------------------------------------------
 
 TEST(NasRetryTest, LostLocationUpdateIsRetransmittedAfterT3210) {
-  Testbed tb(WithRetries());
+  Testbed tb(Robust());
   tb.ul3g_cs().ForceDropNext(1);  // the initial LU request vanishes
   tb.ue().PowerOn(nas::System::k3G);
   tb.Run(Seconds(30));  // T3210 (20 s) + round trip
@@ -40,7 +40,7 @@ TEST(NasRetryTest, BaselineStaysStuckWhenLocationUpdateIsLost) {
 }
 
 TEST(NasRetryTest, LocationUpdateRejectTriggersBackoffRetry) {
-  Testbed tb(WithRetries());
+  Testbed tb(Robust());
   tb.msc().DisruptNextLocationUpdate();
   tb.ue().PowerOn(nas::System::k3G);
   // The disrupted update never completes; the guard expires, retransmits,
@@ -53,7 +53,7 @@ TEST(NasRetryTest, LocationUpdateRejectTriggersBackoffRetry) {
 // --- GMM / SM: GPRS attach, PDP activation ------------------------------
 
 TEST(NasRetryTest, LostGprsAttachIsRetransmittedAfterT3330) {
-  Testbed tb(WithRetries());
+  Testbed tb(Robust());
   tb.ul3g_ps().ForceDropNext(1);
   tb.ue().PowerOn(nas::System::k3G);
   tb.Run(Seconds(30));  // T3330 (15 s) + round trip
@@ -62,7 +62,7 @@ TEST(NasRetryTest, LostGprsAttachIsRetransmittedAfterT3330) {
 }
 
 TEST(NasRetryTest, LostPdpActivationIsRetransmittedAfterT3380) {
-  Testbed tb(WithRetries());
+  Testbed tb(Robust());
   tb.ue().PowerOn(nas::System::k3G);
   tb.Run(Seconds(10));
   ASSERT_TRUE(tb.sgsn().registered());
@@ -76,9 +76,7 @@ TEST(NasRetryTest, LostPdpActivationIsRetransmittedAfterT3380) {
 // --- CM service ---------------------------------------------------------
 
 TEST(CmReattemptTest, LostCmServiceRequestIsReRequested) {
-  TestbedConfig cfg;
-  cfg.robustness.cm_reattempt = true;
-  Testbed tb(cfg);
+  Testbed tb(Robust());
   tb.ue().PowerOn(nas::System::k3G);
   tb.Run(Seconds(30));  // LU + MM-WAIT dwell complete
   tb.ul3g_cs().ForceDropNext(1);
@@ -90,9 +88,7 @@ TEST(CmReattemptTest, LostCmServiceRequestIsReRequested) {
 }
 
 TEST(CmReattemptTest, CmServiceIsAbandonedAfterBoundedReRequests) {
-  TestbedConfig cfg;
-  cfg.robustness.cm_reattempt = true;
-  Testbed tb(cfg);
+  Testbed tb(Robust());
   tb.ue().PowerOn(nas::System::k3G);
   tb.Run(Seconds(30));
   tb.ul3g_cs().ForceDropNext(10);  // every request (and re-request) dies
@@ -106,9 +102,7 @@ TEST(CmReattemptTest, CmServiceIsAbandonedAfterBoundedReRequests) {
 // --- EMM: attach backoff ------------------------------------------------
 
 TEST(AttachBackoffTest, ReattachCycleRunsAfterMaxAttemptsExhausted) {
-  TestbedConfig cfg;
-  cfg.robustness.attach_backoff = true;
-  Testbed tb(cfg);
+  Testbed tb(Robust());
   tb.ul4g().ForceDropNext(5);  // all five T3410-guarded attempts die
   tb.ue().PowerOn(nas::System::k4G);
   tb.Run(Seconds(100));  // 5 x 15 s + 10 s backoff + the successful cycle
@@ -154,9 +148,7 @@ TEST(CoreOutageTest, MmeOutageLosesUplinksWithoutQueueReplay) {
 }
 
 TEST(CoreOutageTest, MmeQueueAndReplayCompletesAttachAfterRestart) {
-  TestbedConfig cfg;
-  cfg.robustness.core_queue_replay = true;
-  Testbed tb(cfg);
+  Testbed tb(Robust());
   tb.mme().BeginOutage();
   tb.ue().PowerOn(nas::System::k4G);
   tb.Run(Seconds(10));  // inside the first T3410 window: one queued request
@@ -208,10 +200,7 @@ TEST(CoreOutageTest, MscOutageDropsLocationUpdateBaseline) {
 }
 
 TEST(CoreOutageTest, MscQueueReplayPlusRetryRecoversRegistration) {
-  TestbedConfig cfg;
-  cfg.robustness.nas_retry = true;
-  cfg.robustness.core_queue_replay = true;
-  Testbed tb(cfg);
+  Testbed tb(Robust());
   tb.msc().BeginOutage();
   tb.ue().PowerOn(nas::System::k3G);
   tb.Run(Seconds(10));

@@ -219,6 +219,25 @@ TEST(ArgParserDeathTest, ExcessPositionalsAreFatal) {
               testing::ExitedWithCode(2), "usage: prog");
 }
 
+double ParseDouble(const std::vector<std::string>& args) {
+  const Argv a(args);
+  ArgParser p(a.argc(), a.argv(), kUsage);
+  double rate = 0.0;
+  p.DoubleValue("--rate", &rate);
+  p.Finish(0);
+  return rate;
+}
+
+TEST(ArgParserDeathTest, NegativeNanIsFatal) {
+  EXPECT_EXIT(ParseDouble({"prog", "--rate", "-nan"}),
+              testing::ExitedWithCode(2), "not a number: '-nan'");
+}
+
+TEST(ArgParserDeathTest, NegativeInfinityIsFatal) {
+  EXPECT_EXIT(ParseDouble({"prog", "--rate=-inf"}),
+              testing::ExitedWithCode(2), "not a number: '-inf'");
+}
+
 TEST(ArgParserDeathTest, ExplicitFailExitsWithUsage) {
   const Argv a({"prog"});
   const ArgParser p(a.argc(), a.argv(), kUsage);

@@ -120,33 +120,6 @@ TEST(RngTest, PickRejectsEmpty) {
   EXPECT_THROW(rng.Pick(empty), std::invalid_argument);
 }
 
-TEST(RngTest, PickWeightedHonorsWeights) {
-  Rng rng(17);
-  const std::vector<double> weights = {0.0, 1.0, 3.0};
-  std::array<int, 3> counts{};
-  for (int i = 0; i < 8000; ++i) ++counts[rng.PickWeighted(weights)];
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_GT(counts[2], counts[1]);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.6);
-}
-
-TEST(RngTest, PickWeightedRejectsAllZero) {
-  Rng rng(17);
-  const std::vector<double> weights = {0.0, 0.0};
-  EXPECT_THROW(rng.PickWeighted(weights), std::invalid_argument);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(21);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.UniformInt(0, 1'000'000) == child.UniformInt(0, 1'000'000)) {
-      ++same;
-    }
-  }
-  EXPECT_LT(same, 5);
-}
 
 }  // namespace
 }  // namespace cnv

@@ -14,7 +14,6 @@ TEST(SamplesTest, EmptyQueriesThrow) {
   EXPECT_THROW(s.Max(), std::logic_error);
   EXPECT_THROW(s.Mean(), std::logic_error);
   EXPECT_THROW(s.Percentile(50), std::logic_error);
-  EXPECT_THROW(s.CdfAt(0), std::logic_error);
 }
 
 TEST(SamplesTest, SingleValue) {
@@ -25,7 +24,6 @@ TEST(SamplesTest, SingleValue) {
   EXPECT_EQ(s.Median(), 7.0);
   EXPECT_EQ(s.Percentile(0), 7.0);
   EXPECT_EQ(s.Percentile(100), 7.0);
-  EXPECT_EQ(s.Stddev(), 0.0);
 }
 
 TEST(SamplesTest, BasicOrderStatistics) {
@@ -58,71 +56,11 @@ TEST(SamplesTest, AddInvalidatesSortCache) {
   EXPECT_EQ(s.Median(), 4);
 }
 
-TEST(SamplesTest, CdfAtCountsInclusive) {
-  Samples s({1, 2, 2, 3});
-  EXPECT_DOUBLE_EQ(s.CdfAt(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.CdfAt(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(s.CdfAt(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(s.CdfAt(3.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.CdfAt(99.0), 1.0);
-}
-
-TEST(SamplesTest, StddevOfKnownSet) {
-  Samples s({2, 4, 4, 4, 5, 5, 7, 9});
-  EXPECT_NEAR(s.Stddev(), 2.138, 0.001);  // sample stddev
-}
-
 TEST(SamplesTest, ClearResets) {
   Samples s({1, 2});
   s.Clear();
   EXPECT_TRUE(s.Empty());
   EXPECT_EQ(s.Count(), 0u);
-}
-
-TEST(RenderCdfTest, ProducesMonotoneCurve) {
-  Samples s;
-  for (int i = 100; i >= 1; --i) s.Add(i);
-  const auto curve = RenderCdf(s, 11);
-  ASSERT_EQ(curve.size(), 11u);
-  EXPECT_DOUBLE_EQ(curve.front().percent, 0.0);
-  EXPECT_DOUBLE_EQ(curve.back().percent, 100.0);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].value, curve[i - 1].value);
-    EXPECT_GT(curve[i].percent, curve[i - 1].percent);
-  }
-  EXPECT_DOUBLE_EQ(curve.front().value, 1.0);
-  EXPECT_DOUBLE_EQ(curve.back().value, 100.0);
-}
-
-TEST(RenderCdfTest, EmptyInputsGiveEmptyCurve) {
-  Samples s;
-  EXPECT_TRUE(RenderCdf(s, 10).empty());
-  Samples one({1.0});
-  EXPECT_TRUE(RenderCdf(one, 0).empty());
-}
-
-TEST(RenderCdfTest, SinglePointCollapsesToMaximum) {
-  // points == 1 cannot space quantiles; the documented behavior is one
-  // 100th-percentile point.
-  Samples s({3.0, 9.0, 6.0});
-  const auto curve = RenderCdf(s, 1);
-  ASSERT_EQ(curve.size(), 1u);
-  EXPECT_DOUBLE_EQ(curve[0].percent, 100.0);
-  EXPECT_DOUBLE_EQ(curve[0].value, 9.0);
-}
-
-TEST(RenderCdfTest, SingleSampleAnyPointCount) {
-  Samples s({42.0});
-  const auto curve = RenderCdf(s, 5);
-  ASSERT_EQ(curve.size(), 5u);
-  for (const auto& p : curve) EXPECT_DOUBLE_EQ(p.value, 42.0);
-}
-
-TEST(SamplesTest, StddevOfSingleSampleIsZeroNotNan) {
-  Samples s({123.0});
-  EXPECT_EQ(s.Stddev(), 0.0);
-  s.Add(123.0);
-  EXPECT_EQ(s.Stddev(), 0.0);  // two identical samples: zero spread
 }
 
 TEST(SummaryLineTest, ContainsKeyNumbers) {
