@@ -11,16 +11,18 @@
 //   --chunk N           feed size in bytes (default 65536, at most 64 MiB);
 //                       the alert log is byte-identical at any chunking,
 //                       including --chunk 1
-//   --policy block|drop backpressure when the ring fills (default block)
-//   --ring N            ring capacity in records (default 16384, at most
-//                       rtv::Gateway::kMaxRingCapacity = 1048576)
 //   --alert-log FILE    also write the alert log to FILE
 //   --metrics-json FILE write the final obs registry snapshot to FILE
 //   --snapshot-every N  refresh --metrics-json every N records while running
+//                       (requires --metrics-json)
 //   --quiet             suppress live per-alert lines (final report only)
 //
-// An --alert-log or --metrics-json file that cannot be written prints
-// "failed to write FILE" and exits 1.
+// Parsing and monitoring run on the reading thread, so each alert prints as
+// soon as the read that completed it is fed.
+//
+// A source that cannot be opened or read (a directory, an I/O error) prints
+// the error on stderr and exits 1, as does an --alert-log or --metrics-json
+// file that cannot be written ("failed to write FILE").
 //
 // SIGINT/SIGTERM drain gracefully — also in `-` (stdin-follow) mode, where
 // the watchdog may sit forever in a blocked read: the feed loop polls, so a
@@ -35,6 +37,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,9 +50,8 @@ using namespace cnv;
 namespace {
 
 constexpr char kUsage[] =
-    "usage: watchdog [trace.log|-] [--chunk N] [--policy block|drop]\n"
-    "                [--ring N] [--alert-log FILE] [--metrics-json FILE]\n"
-    "                [--snapshot-every N] [--quiet]";
+    "usage: watchdog [trace.log|-] [--chunk N] [--alert-log FILE]\n"
+    "                [--metrics-json FILE] [--snapshot-every N] [--quiet]";
 
 // The largest --chunk: the read buffer is allocated up front.
 constexpr std::int64_t kMaxChunk = std::int64_t{64} << 20;
@@ -82,17 +84,8 @@ int main(int argc, char** argv) {
   if (chunk > kMaxChunk) {
     parser.Fail("--chunk: must be <= " + std::to_string(kMaxChunk));
   }
-  std::int64_t ring = 1 << 14;
-  parser.I64Value("--ring", &ring, 2);
-  constexpr auto kMaxRing =
-      static_cast<std::int64_t>(rtv::Gateway::kMaxRingCapacity);
-  if (ring > kMaxRing) {
-    parser.Fail("--ring: must be <= " + std::to_string(kMaxRing));
-  }
   std::int64_t snapshot_every = 0;
   parser.I64Value("--snapshot-every", &snapshot_every, 1);
-  std::string policy = "block";
-  parser.StrValue("--policy", &policy);
   std::string alert_log_path;
   parser.StrValue("--alert-log", &alert_log_path);
   std::string metrics_path;
@@ -102,13 +95,10 @@ int main(int argc, char** argv) {
   const std::string source = positional.empty() ? "-" : positional[0];
 
   rtv::GatewayConfig config;
-  config.ring_capacity = static_cast<std::size_t>(ring);
-  if (policy == "drop") {
-    config.backpressure = rtv::Backpressure::kDropNewest;
-  } else if (policy != "block") {
-    parser.Fail("--policy must be 'block' or 'drop'");
-  }
-  if (snapshot_every > 0 && !metrics_path.empty()) {
+  if (snapshot_every > 0) {
+    if (metrics_path.empty()) {
+      parser.Fail("--snapshot-every requires --metrics-json");
+    }
     config.snapshot_every = static_cast<std::size_t>(snapshot_every);
     config.snapshot_path = metrics_path;
   }
@@ -120,7 +110,6 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     });
   }
-  gateway.Start();
 
   int fd = STDIN_FILENO;
   if (source != "-") {
@@ -138,6 +127,7 @@ int main(int argc, char** argv) {
   InstallSignalDrain(true);
 
   bool interrupted = false;
+  int read_errno = 0;
   std::vector<char> buf(static_cast<std::size_t>(chunk));
   for (;;) {
     if (g_drain.load(std::memory_order_relaxed)) {
@@ -148,12 +138,14 @@ int main(int argc, char** argv) {
     const int rc = ::poll(&pfd, 1, 200);
     if (rc < 0) {
       if (errno == EINTR) continue;  // drain flag checked at loop top
+      read_errno = errno;
       break;
     }
     if (rc == 0) continue;  // tick: nothing to read, re-check the flag
     const ssize_t n = ::read(fd, buf.data(), buf.size());
     if (n < 0) {
       if (errno == EINTR) continue;
+      read_errno = errno;
       break;
     }
     if (n == 0) break;  // EOF
@@ -162,19 +154,22 @@ int main(int argc, char** argv) {
   if (fd != STDIN_FILENO) close(fd);
   gateway.Finish();
   InstallSignalDrain(false);
+  if (read_errno != 0) {
+    std::fprintf(stderr, "watchdog: cannot read '%s': %s\n", source.c_str(),
+                 std::strerror(read_errno));
+    return 1;
+  }
 
   const auto stats = gateway.stats();
   std::printf(
       "---\n"
-      "%llu bytes, %llu lines, %llu records (%llu skipped, %llu overlong, "
-      "%llu dropped)\n"
+      "%llu bytes, %llu lines, %llu records (%llu skipped, %llu overlong)\n"
       "%zu alert(s)\n",
       static_cast<unsigned long long>(stats.bytes_in),
       static_cast<unsigned long long>(stats.lines_in),
       static_cast<unsigned long long>(stats.records_in),
       static_cast<unsigned long long>(stats.lines_skipped),
       static_cast<unsigned long long>(stats.lines_overlong),
-      static_cast<unsigned long long>(stats.records_dropped),
       static_cast<std::size_t>(stats.alerts));
   for (const auto& a : gateway.alerts()) {
     std::printf("  %s\n", rtv::FormatAlert(a).c_str());

@@ -71,12 +71,6 @@ class Testbed {
   solution::ShimEndpoint* ue_shim() { return ue_shim_.get(); }
   solution::ShimEndpoint* mme_shim() { return mme_shim_.get(); }
 
-  // Live trace tap: every record the testbed collects is also handed to
-  // `tap` the moment it happens, so an online consumer — typically the
-  // runtime-verification gateway, via rtv::FeedRecord — can watch the run
-  // instead of post-processing traces().records(). Pass nullptr to detach.
-  void TapTraces(trace::Collector::Tap tap) { trace_.SetTap(std::move(tap)); }
-
   // Advances simulated time by `d`.
   void Run(SimDuration d) { sim_.RunUntil(sim_.now() + d); }
 

@@ -27,9 +27,7 @@ void Collector::Add(TraceType type, nas::System system, std::string module,
                     std::string description) {
   records_.push_back(TraceRecord{sim_.now(), type, system, std::move(module),
                                  std::move(description)});
-  const TraceRecord& r = records_.back();
-  CNV_LOG_DEBUG << FormatRecord(r);
-  if (tap_) tap_(r);
+  CNV_LOG_DEBUG << FormatRecord(records_.back());
 }
 
 }  // namespace cnv::trace

@@ -2,7 +2,6 @@
 // for QXDM / XCAL-Mobile debugging mode).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,17 +42,9 @@ class Collector {
   const std::vector<TraceRecord>& records() const { return records_; }
   void Clear() { records_.clear(); }
 
-  // Live tap: invoked with every record the moment it is collected, after
-  // it is appended to records(). Lets an online consumer (the rtv gateway)
-  // verify a running testbed in real time instead of post-processing the
-  // buffer. Pass nullptr to detach.
-  using Tap = std::function<void(const TraceRecord&)>;
-  void SetTap(Tap tap) { tap_ = std::move(tap); }
-
  private:
   const sim::Simulator& sim_;
   std::vector<TraceRecord> records_;
-  Tap tap_;
 };
 
 }  // namespace cnv::trace
