@@ -1,6 +1,7 @@
 #include "fault/monitor.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -115,7 +116,11 @@ void RecoveryMonitor::ScheduleNextSample() {
   // state this sample just saw.
   sim::Simulator& sim = tb_.sim();
   SimTime next = sim.now() + kSamplePeriod;
-  const SimTime bound = sim.NextEventLowerBound();
+  // Clamped so that rounding an event at the end of time up to the grid
+  // cannot overflow.
+  const SimTime bound =
+      std::min(sim.NextEventLowerBound(),
+               std::numeric_limits<SimTime>::max() - kSamplePeriod);
   if (bound > next) {
     const SimDuration ahead = bound - grid_origin_;
     next = grid_origin_ +

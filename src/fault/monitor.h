@@ -11,12 +11,15 @@
 // testbed's simulator, so a monitored run is exactly as deterministic as
 // the run itself. The three properties are pure functions of testbed
 // state, which only events change, so a sample skips the grid points that
-// fall before the kernel's next possible event (Simulator::
+// fall before the kernel's next pending event (Simulator::
 // NextEventLowerBound): they would observe exactly what this sample did.
 // The next sample lands on the first grid point at or after that bound and
 // pops against that instant's events just as the full 100 ms chain would.
-// Code that mutates the testbed between Run() calls, outside any event, is
-// observed at the next queued sample rather than the next grid point.
+// A quiet stretch therefore costs one sample, however long it is; with
+// nothing else pending the bound is the end of the current ~1.05 s wheel
+// tick, so an idle testbed is sampled about once per tick. Code that
+// mutates the testbed between Run() calls, outside any event, is observed
+// at the next queued sample rather than the next grid point.
 // Property transitions emit RECOV trace records; finding probes translate
 // the testbed's defect counters into the paper's S1-S6 findings after the
 // run.

@@ -117,7 +117,7 @@ void Simulator::RunSeries(Series* s, EventId id, SimTime limit) {
     // bound, so a held step strictly before it is the next event: run it
     // without the queue round trip. Ties go through the wheel, which breaks
     // them by seq.
-    if (held_.time > limit || held_.time >= wheel_.NextEntryLowerBound()) {
+    if (held_.time > limit || !wheel_.Precedes(held_.time)) {
       QueueHeld();
       return;
     }

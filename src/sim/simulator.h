@@ -69,11 +69,11 @@ class Simulator {
   void ScheduleSeries(SimTime start, std::size_t count, SimDuration spacing,
                       std::function<void(std::size_t)> fn);
 
-  // Never later than the time of the earliest pending event (cancelled
-  // entries still in the queue count as pending). O(1) and coarse: it looks
-  // no further ahead than the next level-0 wheel tick (~1.05 s). A handler
-  // may rely on nothing running in (now, NextEventLowerBound()) unless it
-  // schedules something there itself.
+  // The time of the earliest pending event (cancelled entries still in the
+  // queue count as pending); on an empty queue, the end of the current
+  // ~1.05 s wheel tick (TimerWheel::NextEntryLowerBound). A handler may rely
+  // on nothing running in (now, NextEventLowerBound()) unless it schedules
+  // something there itself.
   SimTime NextEventLowerBound() const {
     const SimTime bound = wheel_.NextEntryLowerBound();
     return held_.id != kInvalidEvent && held_.time < bound ? held_.time

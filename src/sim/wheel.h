@@ -178,19 +178,25 @@ class TimerWheel {
   // schedules pull it back; an empty wheel reports kNoEvent.
   SimTime ResumeAt() const { return resume_at_; }
 
-  // Never later than the earliest pending entry: the minimum of the side
-  // heap top, the drain head, and the start of the first level-0 tick not
-  // yet loaded for draining (every slot, higher-level and calendar entry
-  // lies at or beyond that tick). Dead entries count as pending. O(1) and
-  // side-effect free, unlike a PopUntil probe.
-  SimTime NextEntryLowerBound() const {
-    const SimTime tick = pos_ >> kShift[0];
-    SimTime bound = tick == drained_tick_ ? (tick + 1) << kShift[0] : pos_;
-    if (drain_pos_ < drain_.size() && drain_[drain_pos_].time < bound) {
-      bound = drain_[drain_pos_].time;
+  // The earliest pending entry's time; dead entries count as pending. It is
+  // the minimum of the side-heap top, the drain head, and the earliest
+  // entry of each tier's first occupied slot (level 0 to 2 in ring order
+  // from the position, then the first calendar bucket); a tier's slot is
+  // scanned only when its start lies before what the earlier ones gave. An
+  // empty wheel reports the end of the tick at the position (its start when
+  // that tick has not been loaded), never kNoEvent, so a caller stepping by
+  // the bound still wakes once per tick and sees changes made outside the
+  // queue. Side-effect free.
+  SimTime NextEntryLowerBound() const;
+
+  // Same as t < NextEntryLowerBound(), but O(1) while `t` is inside the
+  // tick at the position; only a `t` past that tick pays for the slot scan.
+  bool Precedes(SimTime t) const {
+    if (!past_.empty() && past_.top().time <= t) return false;
+    if (drain_pos_ < drain_.size() && drain_[drain_pos_].time <= t) {
+      return false;
     }
-    if (!past_.empty() && past_.top().time < bound) bound = past_.top().time;
-    return bound;
+    return t < FirstUnloadedTick() || t < NextEntryLowerBound();
   }
 
   bool Empty() const { return size_ == 0; }
@@ -234,6 +240,17 @@ class TimerWheel {
   // <= limit that holds entries; returns that tick start or kNoEvent (the
   // position never advances past `limit` or past pending entries).
   SimTime FindNextTick(SimTime limit);
+
+  // Start of the first level-0 tick not yet loaded for draining: the tick
+  // at the position, or the one after it once it is loaded. Every slot,
+  // higher-tier and calendar entry lies at or beyond it.
+  SimTime FirstUnloadedTick() const {
+    const SimTime tick = pos_ >> kShift[0];
+    return tick == drained_tick_ ? (tick + 1) << kShift[0] : pos_;
+  }
+  // Start of the first occupied slot of `level` (1 or 2) in ring order
+  // from the position, or kNoEvent.
+  SimTime NextSlotStart(int level) const;
 
   // Occupancy bitmap helpers.
   void SetBit(int level, int slot);

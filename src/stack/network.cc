@@ -1,6 +1,7 @@
 #include "stack/network.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "stack/hss.h"
 
@@ -42,8 +43,10 @@ void CoreElement::Restart(bool lose_state) {
   EnsureDraining();
 }
 
-void CoreElement::TraceEvent(const std::string& description) {
-  if (trace_ != nullptr) trace_->Event(system_, module_, description);
+void CoreElement::TraceEvent(std::string description) {
+  if (trace_ != nullptr) {
+    trace_->Event(system_, module_, std::move(description));
+  }
 }
 
 bool CoreElement::Screen(const nas::Message& m) {

@@ -109,7 +109,7 @@ class CoreElement {
   void Shed(const nas::Message& victim, const std::string& how);
   void EnsureDraining();
   void DrainOne();
-  void TraceEvent(const std::string& description);
+  void TraceEvent(std::string description);
 
   nas::System system_;
   std::string module_;

@@ -2,6 +2,8 @@
 // against SLO bounds, and the counter-based finding probes.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fault/injector.h"
 #include "fault/monitor.h"
 
@@ -126,6 +128,61 @@ TEST(RecoveryMonitorTest, IdleTestbedSamplesAboutOncePerWheelTick) {
   for (const auto& p : report.properties) {
     EXPECT_FALSE(p.established) << p.name;
     EXPECT_EQ(p.total_outage, Seconds(600)) << p.name;
+  }
+}
+
+// The only pending event sits at 590 s, so the sample at 0.1 s sleeps
+// until then: the quiet stretch costs one sample, not one per wheel tick.
+// Past 590 s the queue is empty and the once-per-tick fallback covers the
+// last 10 s. The report matches the idle run's.
+TEST(RecoveryMonitorTest, QuietStretchCostsOneSample) {
+  stack::Testbed idle_tb({});
+  RecoveryMonitor idle_monitor(idle_tb);
+  idle_monitor.Start();
+  idle_tb.Run(Seconds(600));
+  const MonitorReport idle = idle_monitor.Finalize();
+
+  stack::Testbed tb({});
+  RecoveryMonitor monitor(tb);
+  monitor.Start();
+  bool fired = false;
+  tb.sim().ScheduleAt(Seconds(590), [&fired] { fired = true; });
+  const std::uint64_t before = tb.sim().ExecutedEvents();
+  tb.Run(Seconds(600));
+  ASSERT_TRUE(fired);
+  const std::uint64_t samples = tb.sim().ExecutedEvents() - before - 1;
+  EXPECT_LE(samples, 15u);
+  EXPECT_GT(samples, 0u);
+  const MonitorReport report = monitor.Finalize();
+  ASSERT_EQ(report.properties.size(), idle.properties.size());
+  for (std::size_t i = 0; i < report.properties.size(); ++i) {
+    const PropertyReport& p = report.properties[i];
+    const PropertyReport& q = idle.properties[i];
+    EXPECT_EQ(p.name, q.name);
+    EXPECT_EQ(p.established, q.established) << p.name;
+    EXPECT_EQ(p.ok_at_end, q.ok_at_end) << p.name;
+    EXPECT_EQ(p.outages, q.outages) << p.name;
+    EXPECT_EQ(p.total_outage, q.total_outage) << p.name;
+    EXPECT_EQ(p.longest_outage, q.longest_outage) << p.name;
+  }
+  EXPECT_EQ(report.findings.size(), idle.findings.size());
+  EXPECT_EQ(report.all_within_slo(), idle.all_within_slo());
+}
+
+// An event at the largest representable time is a valid next event; the
+// sample before it must still land on a representable grid point.
+TEST(RecoveryMonitorTest, EventAtTheEndOfTimeDoesNotOverflowTheSkip) {
+  stack::Testbed tb({});
+  RecoveryMonitor monitor(tb);
+  monitor.Start();
+  tb.sim().ScheduleAt(std::numeric_limits<SimTime>::max(), [] {});
+  const std::uint64_t before = tb.sim().ExecutedEvents();
+  tb.Run(Seconds(10));
+  EXPECT_EQ(tb.sim().ExecutedEvents() - before, 1u);  // the sample at 0.1 s
+  const MonitorReport report = monitor.Finalize();
+  for (const auto& p : report.properties) {
+    EXPECT_FALSE(p.established) << p.name;
+    EXPECT_EQ(p.total_outage, Seconds(10)) << p.name;
   }
 }
 

@@ -4,7 +4,9 @@
 // (tests/sim_wheel_test.cc) replays randomized schedule / cancel /
 // equal-timestamp workloads through this kernel and the wheel-backed
 // Simulator side by side and asserts identical execution order, clock
-// positions, accounting, and TimerStats. Nothing outside the tests uses it.
+// positions, accounting, and TimerStats. NextEntryTime() is the one
+// addition, the oracle for TimerWheel::NextEntryLowerBound(). Nothing
+// outside the tests uses it.
 #pragma once
 
 #include <algorithm>
@@ -95,6 +97,13 @@ class ReferenceHeapSimulator {
     if (now_ < limit && limit != std::numeric_limits<SimTime>::max()) {
       now_ = limit;
     }
+  }
+
+  // Time of the earliest queued entry (a cancelled one not yet pruned
+  // included), or max() when the queue is empty.
+  SimTime NextEntryTime() const {
+    return queue_.empty() ? std::numeric_limits<SimTime>::max()
+                          : queue_.top().time;
   }
 
   std::size_t PendingEvents() const { return queue_.size() - cancelled_.size(); }

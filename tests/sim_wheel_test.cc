@@ -227,6 +227,70 @@ TEST(TimerWheelTest, OccupancyStatsBalance) {
   EXPECT_TRUE(w.Empty());
 }
 
+// Random schedules across every tier (equal and zero delays included) and
+// pops under random limits, replayed into the reference heap. After every
+// operation the bound must be the earliest pending time, and Precedes()
+// must agree with it; an empty wheel's bound stays within the tick of the
+// last pop, so a caller stepping by it wakes once per tick.
+TEST(TimerWheelTest, NextEntryLowerBoundIsTheEarliestPendingTime) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TimerWheel w;
+    ReferenceHeapSimulator ref;
+    Rng rng(seed);
+    std::vector<std::uint64_t> ref_popped;
+    const auto check = [&](int op) {
+      const SimTime bound = w.NextEntryLowerBound();
+      if (w.Empty()) {
+        EXPECT_LE(bound, ((ref.now() >> 20) + 1) << 20)
+            << "seed " << seed << " op " << op;
+      } else {
+        ASSERT_EQ(bound, ref.NextEntryTime()) << "seed " << seed << " op "
+                                              << op;
+      }
+      for (const SimTime t :
+           {bound - 1, bound, ref.now() + rng.UniformInt(0, Seconds(3))}) {
+        EXPECT_EQ(w.Precedes(t), t < bound)
+            << "seed " << seed << " op " << op << " t " << t;
+      }
+    };
+    // Delays and pop horizons reach every tier: the drained tick, level 0,
+    // level 1 (> ~4.5 min), level 2 (> ~4.8 h) and the calendar (> ~76 h).
+    const SimDuration spans[] = {0,          Millis(50),   Seconds(3),
+                                 Minutes(6), Minutes(600), Minutes(9'000)};
+    const auto draw = [&] {
+      return rng.UniformInt(0, spans[rng.UniformInt(0, 5)]);
+    };
+    std::uint64_t seq = 1;
+    // Schedules outnumber pops for 3,000 operations; then pops alone drain
+    // the backlog, carrying the position through every tier.
+    for (int op = 0; op < 3000 || !w.Empty(); ++op) {
+      if (op < 3000 && rng.Uniform() < 0.55) {
+        const SimTime t = ref.now() + draw();
+        w.Schedule(t, seq, seq);
+        ref.ScheduleAt(t, [&ref_popped, id = seq] {
+          ref_popped.push_back(id);
+        });
+        ++seq;
+      } else {
+        const SimTime limit = ref.now() + draw();
+        WheelEntry e;
+        if (w.PopUntil(limit, &e)) {
+          ASSERT_TRUE(ref.Step());
+          ASSERT_EQ(e.time, ref.now());
+          ASSERT_EQ(e.payload, ref_popped.back());
+        } else {
+          ASSERT_GT(ref.NextEntryTime(), limit);
+        }
+      }
+      check(op);
+    }
+    // The workload reached every tier.
+    EXPECT_GT(w.stats().inserts[2], 0u) << "seed " << seed;
+    EXPECT_GT(w.stats().cascaded, 0u) << "seed " << seed;
+    EXPECT_GT(w.stats().migrated, 0u) << "seed " << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Satellite 2: differential property tests, heap oracle vs wheel kernel.
 
