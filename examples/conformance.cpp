@@ -11,7 +11,8 @@
 //   --seed-base S
 //                first seed of the range (default 1); the range must not
 //                wrap past 2^64 - 1
-//   --walks W    random walks per cell on the model side (default 32)
+//   --walks W    random walks per cell on the model side (default 32, at
+//                most 1,000,000)
 //   --jobs N     run cells on N workers (default 1 = serial). The report
 //                is byte-identical at any N.
 //   --json FILE  also write the machine-readable report to FILE

@@ -5,11 +5,12 @@
 //
 // Usage:  ./screening [--walks W] [--seed S] [--solutions]
 //   --walks W    random walks per cell on top of the exhaustive pass
-//                (default 200)
+//                (default 200, at most 1,000,000)
 //   --seed S     RNG seed for the random walks (default 1)
 //   --solutions  screen the §8 remedies instead of the standard behaviour
 //                (expected outcome: zero findings)
 #include <cstdio>
+#include <string>
 
 #include "core/screening.h"
 #include "util/args.h"
@@ -25,6 +26,9 @@ int main(int argc, char** argv) {
   parser.U64Value("--walks", &opt.random_walks);
   parser.U64Value("--seed", &opt.seed);
   parser.Finish(0);
+  if (const std::string error = core::CheckOptions(opt); !error.empty()) {
+    parser.Fail(error);
+  }
 
   const auto report = core::ScreeningRunner(opt).RunAll();
   for (const auto& q : report.quarantined) {

@@ -112,6 +112,10 @@ std::string CheckOptions(const DiffOptions& options) {
     return "seeds must be in [1, " + std::to_string(kMaxSeeds) + "], got " +
            std::to_string(options.seeds);
   }
+  if (options.walks > kMaxWalks) {
+    return "walks must be at most " + std::to_string(kMaxWalks) + ", got " +
+           std::to_string(options.walks);
+  }
   if (options.seed_base > std::numeric_limits<std::uint64_t>::max() -
                               options.seeds) {
     return "seed_base + seeds must not exceed 2^64 - 1, got seed_base " +

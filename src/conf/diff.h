@@ -34,9 +34,15 @@ struct DiffOptions {
 // (scenario-carrier groups x seeds) far from wrapping.
 inline constexpr std::uint64_t kMaxSeeds = 1'000'000;
 
+// Largest random-walk count per cell that this sweep and the screening
+// runner (core::ScreeningOptions::random_walks) accept. Walks run one after
+// another, so a count past it would run for days instead of failing.
+inline constexpr std::uint64_t kMaxWalks = 1'000'000;
+
 // Empty when `options` describe a sweep the driver can run; otherwise the
-// reason it cannot: `seeds` outside [1, kMaxSeeds], or a seed range
-// [seed_base, seed_base + seeds) that wraps past 2^64 - 1.
+// reason it cannot: `seeds` outside [1, kMaxSeeds], `walks` above
+// kMaxWalks, or a seed range [seed_base, seed_base + seeds) that wraps past
+// 2^64 - 1.
 std::string CheckOptions(const DiffOptions& options);
 
 struct DiffCell {

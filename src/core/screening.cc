@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <exception>
 #include <functional>
+#include <stdexcept>
 
+#include "conf/diff.h"
 #include "mck/parallel_explorer.h"
 #include "mck/random_walk.h"
 #include "model/s1_model.h"
@@ -143,8 +145,20 @@ bool ScreeningReport::Found(FindingId id) const {
          findings_found.end();
 }
 
+std::string CheckOptions(const ScreeningOptions& options) {
+  if (options.random_walks > conf::kMaxWalks) {
+    return "walks must be at most " + std::to_string(conf::kMaxWalks) +
+           ", got " + std::to_string(options.random_walks);
+  }
+  return "";
+}
+
 ScreeningRunner::ScreeningRunner(ScreeningOptions options)
-    : options_(options) {}
+    : options_(options) {
+  if (const std::string error = CheckOptions(options_); !error.empty()) {
+    throw std::invalid_argument(error);
+  }
+}
 
 ScreeningReport ScreeningRunner::RunAll() const {
   ScreeningReport report;

@@ -60,8 +60,13 @@ struct ScreeningReport {
   bool Found(FindingId id) const;
 };
 
+// Empty when `options` describe a catalog run the runner can do; otherwise
+// the reason it cannot: `random_walks` above conf::kMaxWalks.
+std::string CheckOptions(const ScreeningOptions& options);
+
 class ScreeningRunner {
  public:
+  // Throws std::invalid_argument when CheckOptions(options) is non-empty.
   explicit ScreeningRunner(ScreeningOptions options = {});
 
   // Runs the whole catalog.

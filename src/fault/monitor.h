@@ -16,10 +16,11 @@
 // The next sample lands on the first grid point at or after that bound and
 // pops against that instant's events just as the full 100 ms chain would.
 // A quiet stretch therefore costs one sample, however long it is; with
-// nothing else pending the bound is the end of the current ~1.05 s wheel
-// tick, so an idle testbed is sampled about once per tick. Code that
-// mutates the testbed between Run() calls, outside any event, is observed
-// at the next queued sample rather than the next grid point.
+// nothing else pending the bound is the end of the 2^20 us (~1.05 s)
+// interval holding the latest event, so an idle testbed is sampled about
+// once per 1.05 s. Code that mutates the testbed between Run() calls,
+// outside any event, is observed at the next queued sample rather than the
+// next grid point.
 // Property transitions emit RECOV trace records; finding probes translate
 // the testbed's defect counters into the paper's S1-S6 findings after the
 // run.

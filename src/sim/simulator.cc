@@ -27,7 +27,7 @@ std::uint32_t Simulator::AcquireSlot() {
 Simulator::EventId Simulator::Enqueue(SimTime t, std::uint64_t seq,
                                       std::uint32_t slot) {
   const EventId id = MakeId(slot, slots_[slot].gen);
-  wheel_.Schedule(t, seq, id);
+  queue_.push(Entry{t, seq, id});
   ++scheduled_;
   ++live_;
   peak_queue_depth_ = std::max(peak_queue_depth_, QueueDepth());
@@ -37,6 +37,9 @@ Simulator::EventId Simulator::Enqueue(SimTime t, std::uint64_t seq,
 Simulator::EventId Simulator::ScheduleIn(SimDuration d,
                                          std::function<void()> fn) {
   if (d < 0) throw std::invalid_argument("ScheduleIn: negative delay");
+  if (d > std::numeric_limits<SimTime>::max() - now_) {
+    throw std::invalid_argument("ScheduleIn: delay overflows time");
+  }
   return ScheduleAt(now_ + d, std::move(fn));
 }
 
@@ -68,16 +71,38 @@ void Simulator::ScheduleSeries(SimTime start, std::size_t count,
   series_.push_back(std::move(s));
 }
 
-void Simulator::Fire(const WheelEntry& e, SimTime limit) {
+SimTime Simulator::NextEventLowerBound() const {
+  if (held_.id != kInvalidEvent) {
+    return queue_.empty() ? held_.time
+                          : std::min(held_.time, queue_.top().time);
+  }
+  if (!queue_.empty()) return queue_.top().time;
+  if (reached_ < 0) return 0;
+  // The end of reached_'s interval, saturating at the end of time.
+  const SimTime start = reached_ - reached_ % kIdleTick;
+  return start <= std::numeric_limits<SimTime>::max() - kIdleTick
+             ? start + kIdleTick
+             : std::numeric_limits<SimTime>::max();
+}
+
+bool Simulator::Pop(SimTime limit, Entry* e) {
+  if (queue_.empty() || queue_.top().time > limit) return false;
+  *e = queue_.top();
+  queue_.pop();
+  reached_ = std::max(reached_, e->time);
+  return true;
+}
+
+void Simulator::Fire(const Entry& e, SimTime limit) {
   now_ = e.time;
   ++executed_;
-  Series* s = slots_[SlotOf(e.payload)].series;
+  Series* s = slots_[SlotOf(e.id)].series;
   if (s != nullptr) {
-    RunSeries(s, e.payload, limit);
+    RunSeries(s, e.id, limit);
     return;
   }
   // Move out so re-entrant scheduling cannot alias the running handler.
-  std::function<void()> fn = ReleaseSlot(e.payload);
+  std::function<void()> fn = ReleaseSlot(e.id);
   --live_;
   fn();
 }
@@ -90,9 +115,9 @@ void Simulator::RunSeries(Series* s, EventId id, SimTime limit) {
       --live_;
     } else {
       // Step i+1 keeps the slot and counts as scheduled from here on, as if
-      // it were queued; only its wheel entry is deferred.
-      held_ = Held{s->start + static_cast<SimDuration>(s->next) * s->spacing,
-                   s->first_seq + s->next, id};
+      // it were queued; only its heap entry is deferred.
+      held_ = Entry{s->start + static_cast<SimDuration>(s->next) * s->spacing,
+                    s->first_seq + s->next, id};
       ++scheduled_;
       peak_queue_depth_ = std::max(peak_queue_depth_, QueueDepth());
     }
@@ -113,15 +138,16 @@ void Simulator::RunSeries(Series* s, EventId id, SimTime limit) {
       return;
     }
     if (held_.id == kInvalidEvent) return;  // a nested run queued it
-    // Every queued entry, dead ones included, lies at or after the wheel's
-    // bound, so a held step strictly before it is the next event: run it
-    // without the queue round trip. Ties go through the wheel, which breaks
-    // them by seq.
-    if (held_.time > limit || !wheel_.Precedes(held_.time)) {
+    // A held step strictly before the heap top, dead entries included, is
+    // the next event: run it without the queue round trip. Ties go through
+    // the heap, which breaks them by seq.
+    if (held_.time > limit ||
+        (!queue_.empty() && queue_.top().time <= held_.time)) {
       QueueHeld();
       return;
     }
     now_ = held_.time;
+    reached_ = std::max(reached_, now_);
     held_.id = kInvalidEvent;
     ++executed_;
   }
@@ -129,7 +155,7 @@ void Simulator::RunSeries(Series* s, EventId id, SimTime limit) {
 
 void Simulator::QueueHeld() {
   if (held_.id == kInvalidEvent) return;
-  wheel_.Schedule(held_.time, held_.seq, held_.id);
+  queue_.push(held_);
   held_.id = kInvalidEvent;
 }
 
@@ -156,12 +182,12 @@ std::function<void()> Simulator::ReleaseSlot(EventId id) {
 }
 
 // The run loops queue a held step first: a handler that drives the
-// simulator itself must find its series' next step in the wheel, and a
+// simulator itself must find its series' next step in the heap, and a
 // step left held by a handler that threw is queued for the next run.
 bool Simulator::Step() {
   QueueHeld();
-  WheelEntry e;
-  while (wheel_.PopUntil(std::numeric_limits<SimTime>::max(), &e)) {
+  Entry e;
+  while (Pop(std::numeric_limits<SimTime>::max(), &e)) {
     if (!IsLive(e)) continue;  // cancelled straggler: drop the tombstone
     // A limit before every event time keeps a series from running ahead.
     Fire(e, std::numeric_limits<SimTime>::min());
@@ -173,8 +199,8 @@ bool Simulator::Step() {
 void Simulator::RunUntil(SimTime t) {
   if (t < now_) throw std::invalid_argument("RunUntil: time in the past");
   QueueHeld();
-  WheelEntry e;
-  while (wheel_.PopUntil(t, &e)) {
+  Entry e;
+  while (Pop(t, &e)) {
     if (IsLive(e)) Fire(e, t);
   }
   now_ = t;
@@ -182,8 +208,8 @@ void Simulator::RunUntil(SimTime t) {
 
 void Simulator::RunAll(SimTime limit) {
   QueueHeld();
-  WheelEntry e;
-  while (wheel_.PopUntil(limit, &e)) {
+  Entry e;
+  while (Pop(limit, &e)) {
     if (IsLive(e)) Fire(e, limit);
   }
   if (now_ < limit && limit != std::numeric_limits<SimTime>::max()) {

@@ -3,16 +3,17 @@
 // events; virtual time advances from event to event, so runs are exact and
 // reproducible regardless of wall-clock load.
 //
-// The event queue is a hierarchical timer wheel (sim/wheel.h) rather than
-// the seed's binary heap: O(1) schedule, O(1) amortized pop, and — key for
-// protocol workloads where most guard timers are cancelled long before they
-// expire — O(1) cancellation through generation-checked slot tombstones. A
-// cancelled event's handler slot is released immediately; the entry left in
-// the wheel is recognized as stale when its tick drains because its
-// generation no longer matches, so neither Cancel() nor Step() does any
-// hashing. Pop order is exactly (time, seq): byte-identical event order to
-// the retired heap kernel, FIFO tie-break at equal timestamps included
-// (tests/heap_ref.h keeps that kernel as a differential oracle).
+// The event queue is a binary min-heap on (time, seq). A testbed run keeps
+// tens of events in flight, so the heap is small and its top is the exact
+// next event. (The hierarchical timer wheel in sim/wheel.h is the city
+// engine's per-cell shard queue; nothing here uses it.) Cancellation is
+// O(1) through generation-checked slot tombstones: a cancelled event's
+// handler slot is released immediately, and the entry left in the heap is
+// recognized as stale when it pops because its generation no longer
+// matches, so neither Cancel() nor Step() does any hashing. Pop order is
+// exactly (time, seq): FIFO tie-break at equal timestamps, byte-identical
+// event order to the seed kernel (tests/heap_ref.h keeps it as a
+// differential oracle).
 #pragma once
 
 #include <cstddef>
@@ -20,9 +21,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <vector>
 
-#include "sim/wheel.h"
 #include "util/time.h"
 
 namespace cnv::sim {
@@ -69,21 +70,20 @@ class Simulator {
   void ScheduleSeries(SimTime start, std::size_t count, SimDuration spacing,
                       std::function<void(std::size_t)> fn);
 
-  // The time of the earliest pending event (cancelled entries still in the
-  // queue count as pending); on an empty queue, the end of the current
-  // ~1.05 s wheel tick (TimerWheel::NextEntryLowerBound). A handler may rely
-  // on nothing running in (now, NextEventLowerBound()) unless it schedules
-  // something there itself.
-  SimTime NextEventLowerBound() const {
-    const SimTime bound = wheel_.NextEntryLowerBound();
-    return held_.id != kInvalidEvent && held_.time < bound ? held_.time
-                                                           : bound;
-  }
+  // The time of the earliest pending event: the heap top (cancelled entries
+  // still in the heap count as pending) or the held series step, whichever
+  // is earlier. On an empty queue it is the end of the kIdleTick interval
+  // holding the latest entry popped or step run ahead, tombstones included
+  // (0 before the first pop), never "no event": a caller that steps by the
+  // bound still wakes about once per ~1.05 s and sees changes made outside
+  // any event. A handler may rely on nothing running in (now,
+  // NextEventLowerBound()) unless it schedules something there itself.
+  SimTime NextEventLowerBound() const;
 
   // Cancels a pending event; cancelling an already-fired or unknown event is
   // a no-op (guard timers routinely race their own expiry). O(1): the
-  // handler slot is released on the spot and the wheel entry becomes a
-  // generation-mismatched tombstone skipped when its tick drains.
+  // handler slot is released on the spot and the heap entry becomes a
+  // generation-mismatched tombstone skipped when it pops.
   void Cancel(EventId id);
 
   // Executes the next event, advancing time. Returns false when idle.
@@ -104,7 +104,7 @@ class Simulator {
   std::uint64_t ScheduledEvents() const { return scheduled_; }
   std::uint64_t CancelledEvents() const { return cancelled_total_; }
   // Peak number of simultaneously queued entries (cancelled-but-undrained
-  // tombstones included, as they still occupy wheel slots).
+  // tombstones included, as they still occupy the heap).
   std::size_t PeakQueueDepth() const { return peak_queue_depth_; }
   // Number of handler slots ever allocated; bounded by the peak number of
   // simultaneously pending events, not by the total scheduled over time.
@@ -122,6 +122,22 @@ class Simulator {
   const TimerStats& timer_stats() const { return timer_stats_; }
 
  private:
+  // Width of the interval whose end NextEventLowerBound() reports on an
+  // empty queue: 2^20 us, about 1.05 s.
+  static constexpr SimDuration kIdleTick = SimDuration{1} << 20;
+
+  // A queued event: its key and the id of its slot.
+  struct Entry {
+    SimTime time = 0;
+    std::uint64_t seq = 0;  // global FIFO tie-break for equal timestamps
+    EventId id = kInvalidEvent;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+
   // A ScheduleSeries burst: its reserved seq block and the next step to
   // fire. Heap-allocated so the slot of its pending step can point at it.
   struct Series {
@@ -141,14 +157,6 @@ class Simulator {
     std::uint32_t gen = 0;
   };
 
-  // The step after the series step now running, held out of the wheel.
-  // id is kInvalidEvent when nothing is held.
-  struct Held {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    EventId id = kInvalidEvent;
-  };
-
   static constexpr std::uint32_t SlotOf(EventId id) {
     return static_cast<std::uint32_t>(id);
   }
@@ -161,23 +169,25 @@ class Simulator {
 
   // True when the popped entry's generation still matches its slot, i.e. the
   // event was neither cancelled nor superseded.
-  bool IsLive(const WheelEntry& e) const {
-    const Slot& slot = slots_[SlotOf(e.payload)];
-    return slot.gen == GenOf(e.payload) &&
+  bool IsLive(const Entry& e) const {
+    const Slot& slot = slots_[SlotOf(e.id)];
+    return slot.gen == GenOf(e.id) &&
            (static_cast<bool>(slot.fn) || slot.series != nullptr);
   }
 
   // Queued entries plus the held step.
   std::size_t QueueDepth() const {
-    return wheel_.Size() + (held_.id != kInvalidEvent ? 1 : 0);
+    return queue_.size() + (held_.id != kInvalidEvent ? 1 : 0);
   }
 
   std::uint32_t AcquireSlot();
   // Queues the event in `slot` under an already-issued seq; ScheduleAt and
   // series starts share it.
   EventId Enqueue(SimTime t, std::uint64_t seq, std::uint32_t slot);
+  // Pops the head into *e when its time is <= limit.
+  bool Pop(SimTime limit, Entry* e);
   // Runs the live event `e`; a series may run ahead up to `limit`.
-  void Fire(const WheelEntry& e, SimTime limit);
+  void Fire(const Entry& e, SimTime limit);
   void RunSeries(Series* s, EventId id, SimTime limit);
   // Queues the held step, if any, under its reserved key.
   void QueueHeld();
@@ -193,12 +203,15 @@ class Simulator {
   std::size_t live_ = 0;
   std::size_t peak_queue_depth_ = 0;
   TimerStats timer_stats_;
-  TimerWheel wheel_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  SimTime reached_ = -1;  // latest time popped or run ahead; -1 before any
   // Slot 0 is reserved so no live event ever gets id kInvalidEvent.
   std::vector<Slot> slots_{Slot{}};
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::unique_ptr<Series>> series_;  // bursts with steps left
-  Held held_;
+  // The step after the series step now running, held out of the heap; id
+  // is kInvalidEvent when nothing is held.
+  Entry held_;
 };
 
 }  // namespace cnv::sim

@@ -4,8 +4,8 @@
 //
 // Templated on the kernel so the queue-discipline property suite can bind
 // the same timer logic to the reference heap kernel (tests/heap_ref.h) and
-// diff TimerStats against the wheel-backed Simulator. Production code uses
-// the `Timer` alias and never sees the template.
+// diff TimerStats against sim::Simulator. Production code uses the `Timer`
+// alias and never sees the template.
 #pragma once
 
 #include <functional>

@@ -31,12 +31,6 @@ int ScanBelow(const std::uint64_t* bm, int p) {
   return -1;
 }
 
-// The earlier of `bound` and the earliest entry time in `entries`.
-SimTime EarliestIn(const std::vector<WheelEntry>& entries, SimTime bound) {
-  for (const WheelEntry& e : entries) bound = std::min(bound, e.time);
-  return bound;
-}
-
 }  // namespace
 
 void TimerWheel::SetBit(int level, int slot) {
@@ -203,40 +197,6 @@ SimTime TimerWheel::NextSlotStart(int level) const {
     o = Ctz(bm) + n - lp;
   }
   return ((pos_ >> kShift[level]) + o) << kShift[level];
-}
-
-SimTime TimerWheel::NextEntryLowerBound() const {
-  if (size_ == 0) return FirstUnloadedTick();
-  SimTime bound = past_.empty() ? kNoEvent : past_.top().time;
-  if (drain_pos_ < drain_.size()) {
-    bound = std::min(bound, drain_[drain_pos_].time);
-  }
-  // Each tier's first occupied slot in ring order holds that tier's earliest
-  // entries, and none of them starts before its slot does: a slot is
-  // scanned only when its start could lower the bound.
-  const SimTime tick = pos_ >> kShift[0];
-  const int p = static_cast<int>(tick & 255);
-  SimTime first = tick - p;
-  int s = ScanLevel0(p);
-  if (s < 0) {  // slots below the position belong to the next window
-    s = ScanBelow(bitmap0_, p);
-    first += 256;
-  }
-  if (s >= 0 && (first + s) << kShift[0] < bound) {
-    bound = EarliestIn(slots0_[s], bound);
-  }
-  for (int level = 1; level < kLevels; ++level) {
-    const SimTime start = NextSlotStart(level);
-    if (start < bound) {
-      const int slot = static_cast<int>((start >> kShift[level]) &
-                                        ((SimTime{1} << kBits[level]) - 1));
-      bound = EarliestIn(slots_[level - 1][slot], bound);
-    }
-  }
-  if (!overflow_.empty() && overflow_.begin()->first * kBucketWidth < bound) {
-    bound = EarliestIn(overflow_.begin()->second, bound);
-  }
-  return bound;
 }
 
 SimTime TimerWheel::FindNextTick(SimTime limit) {

@@ -1,6 +1,7 @@
-// Hierarchical timer wheel: the population-scale event queue under the
-// simulation kernel. Replaces the single binary heap for city-scale runs
-// where hundreds of thousands of UEs keep millions of events in flight.
+// Hierarchical timer wheel: the per-cell shard queue of the city engine
+// (stack::CityEngine), where hundreds of thousands of UEs keep millions of
+// events in flight. The single-UE testbed kernel (sim::Simulator) keeps
+// tens of events in flight and runs on a plain binary heap instead.
 //
 // Layout (microsecond timestamps, ~1.05 s level-0 ticks):
 //
@@ -40,8 +41,8 @@
 // The wheel knows nothing about cancellation: a 64-bit payload travels with
 // every entry, and callers that need O(1) cancel tag payloads with a
 // generation and simply ignore stale entries when they pop (see
-// sim::Simulator and stack::CityEngine). That is what removes the seed
-// kernel's `unordered_set` tombstone hashing from the hot path. Callers may
+// stack::CityEngine). That is what removes the seed kernel's
+// `unordered_set` tombstone hashing from the hot path. Callers may
 // additionally install a *reaper* — a predicate over payloads — and the
 // wheel then drops dead entries the next time it touches them (cascade,
 // calendar migration, or drain load) instead of carrying them all the way
@@ -94,10 +95,8 @@ class TimerWheel {
   TimerWheel& operator=(const TimerWheel&) = delete;
 
   // Inserts an entry. `seq` values must be unique; entries pop in (time,
-  // seq) order whatever order they were inserted in, so a caller may hold
-  // back an entry under a seq it reserved earlier as long as the entry is
-  // inserted before anything it would precede pops. `t` may lag the
-  // wheel position (the kernel's clock can sit behind it after cancelled
+  // seq) order whatever order they were inserted in. `t` may lag the
+  // wheel position (the caller's clock can sit behind it after cancelled
   // stragglers drain); such entries park in a small side heap and still pop
   // in exact (time, seq) order.
   //
@@ -178,27 +177,6 @@ class TimerWheel {
   // schedules pull it back; an empty wheel reports kNoEvent.
   SimTime ResumeAt() const { return resume_at_; }
 
-  // The earliest pending entry's time; dead entries count as pending. It is
-  // the minimum of the side-heap top, the drain head, and the earliest
-  // entry of each tier's first occupied slot (level 0 to 2 in ring order
-  // from the position, then the first calendar bucket); a tier's slot is
-  // scanned only when its start lies before what the earlier ones gave. An
-  // empty wheel reports the end of the tick at the position (its start when
-  // that tick has not been loaded), never kNoEvent, so a caller stepping by
-  // the bound still wakes once per tick and sees changes made outside the
-  // queue. Side-effect free.
-  SimTime NextEntryLowerBound() const;
-
-  // Same as t < NextEntryLowerBound(), but O(1) while `t` is inside the
-  // tick at the position; only a `t` past that tick pays for the slot scan.
-  bool Precedes(SimTime t) const {
-    if (!past_.empty() && past_.top().time <= t) return false;
-    if (drain_pos_ < drain_.size() && drain_[drain_pos_].time <= t) {
-      return false;
-    }
-    return t < FirstUnloadedTick() || t < NextEntryLowerBound();
-  }
-
   bool Empty() const { return size_ == 0; }
   std::size_t Size() const { return size_; }
   const Stats& stats() const { return stats_; }
@@ -241,13 +219,6 @@ class TimerWheel {
   // position never advances past `limit` or past pending entries).
   SimTime FindNextTick(SimTime limit);
 
-  // Start of the first level-0 tick not yet loaded for draining: the tick
-  // at the position, or the one after it once it is loaded. Every slot,
-  // higher-tier and calendar entry lies at or beyond it.
-  SimTime FirstUnloadedTick() const {
-    const SimTime tick = pos_ >> kShift[0];
-    return tick == drained_tick_ ? (tick + 1) << kShift[0] : pos_;
-  }
   // Start of the first occupied slot of `level` (1 or 2) in ring order
   // from the position, or kNoEvent.
   SimTime NextSlotStart(int level) const;

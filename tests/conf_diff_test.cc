@@ -68,6 +68,19 @@ TEST(DiffDriverTest, RejectsSeedRangesThatWrap) {
   EXPECT_THROW(DifferentialDriver{opt}, std::invalid_argument);
 }
 
+TEST(DiffDriverTest, RejectsWalkCountsAboveTheBound) {
+  DiffOptions opt = SmallOptions();
+  opt.walks = kMaxWalks;
+  EXPECT_EQ(CheckOptions(opt), "");
+  for (const std::uint64_t walks :
+       {kMaxWalks + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE("walks=" + std::to_string(walks));
+    opt.walks = walks;
+    EXPECT_FALSE(CheckOptions(opt).empty());
+    EXPECT_THROW(DifferentialDriver{opt}, std::invalid_argument);
+  }
+}
+
 TEST(DiffDriverTest, JsonReportIsWellFormed) {
   const DiffReport report = DifferentialDriver(SmallOptions()).Run();
   const std::string json = DifferentialDriver::FormatJson(report);

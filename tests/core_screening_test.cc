@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
+#include "conf/diff.h"
 #include "core/findings.h"
 
 namespace cnv::core {
@@ -126,6 +131,18 @@ TEST(ScreeningTest, DeterministicAcrossRuns) {
   const auto b = runner.RunAll();
   EXPECT_EQ(a.total_states, b.total_states);
   EXPECT_EQ(a.findings_found, b.findings_found);
+}
+
+TEST(ScreeningTest, RejectsWalkCountsAboveTheBound) {
+  ScreeningOptions opt;
+  opt.random_walks = conf::kMaxWalks;
+  EXPECT_EQ(CheckOptions(opt), "");
+  for (const std::uint64_t walks :
+       {conf::kMaxWalks + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    opt.random_walks = walks;
+    EXPECT_FALSE(CheckOptions(opt).empty()) << walks;
+    EXPECT_THROW(ScreeningRunner{opt}, std::invalid_argument) << walks;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // The seed event kernel — a single binary heap with an unordered_set of
-// cancelled ids — kept verbatim after the timer-wheel rewrite as a
-// differential oracle: the queue-discipline property suite
-// (tests/sim_wheel_test.cc) replays randomized schedule / cancel /
-// equal-timestamp workloads through this kernel and the wheel-backed
-// Simulator side by side and asserts identical execution order, clock
-// positions, accounting, and TimerStats. NextEntryTime() is the one
-// addition, the oracle for TimerWheel::NextEntryLowerBound(). Nothing
-// outside the tests uses it.
+// cancelled ids — kept verbatim as a differential oracle. The
+// queue-discipline suite (tests/sim_wheel_test.cc) replays randomized
+// schedule / cancel / equal-timestamp workloads through this kernel and
+// sim::Simulator side by side and asserts identical execution order, clock
+// positions, accounting, and TimerStats; it also checks the bare
+// TimerWheel, the city engine's shard queue, pop for pop against it.
+// NextEntryTime() is the one addition, the oracle for what the wheel may
+// not pop under a limit. Nothing outside the tests uses it.
 #pragma once
 
 #include <algorithm>

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -62,6 +63,10 @@ TEST(SimulatorTest, RejectsPastAndInvalid) {
   EXPECT_THROW(sim.ScheduleAt(Millis(5), [] {}), std::invalid_argument);
   EXPECT_THROW(sim.ScheduleIn(-1, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.ScheduleAt(Millis(20), nullptr), std::invalid_argument);
+  // now + d past the end of time is rejected, not computed.
+  EXPECT_THROW(sim.ScheduleIn(std::numeric_limits<SimDuration>::max(), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockWithoutEvents) {
@@ -534,39 +539,157 @@ TEST(SimulatorTest, SeriesRejectsPastStartAndNegativeSpacing) {
   EXPECT_EQ(sim.PendingEvents(), 0u);
 }
 
-TEST(SimulatorTest, NextEventLowerBoundNeverPassesThePendingHead) {
+// Drives random schedules, cancellations and series bursts, checking the
+// bound against a ledger of the queue: every (time, seq) key scheduled and
+// not yet popped, cancelled ones included, with a series' pending step under
+// its reserved key. The kernel issues seqs in call order, so the ledger can
+// mirror them. Whenever anything is pending the bound must be exactly the
+// earliest key's time; on an empty queue, the end of the 2^20 us interval
+// holding the latest time popped or run (0 before any pop). A dense run
+// keeps up to 200 events in flight, some due 30 h out; a sparse one lets
+// the queue run dry, down to tombstones alone or a lone series running
+// ahead, and refills it from outside any event.
+void CheckBoundAgainstLedger(bool dense) {
   Simulator sim;
-  std::uint64_t x = 0x2545F4914F6CDD1DULL;
+  std::uint64_t x = dense ? 0x2545F4914F6CDD1DULL : 0x9E3779B97F4A7C15ULL;
   const auto next = [&x] {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     return x;
   };
-  std::vector<SimTime> pending;
-  // Random delays across every tier; each handler checks the bound against
-  // the true earliest pending time before it reschedules.
-  std::function<void()> step = [&] {
-    pending.erase(std::find(pending.begin(), pending.end(), sim.now()));
-    if (!pending.empty()) {
-      EXPECT_LE(sim.NextEventLowerBound(),
-                *std::min_element(pending.begin(), pending.end()));
-    }
-    const int fanout = static_cast<int>(next() % 3);
-    for (int k = 0; k < fanout && pending.size() < 200; ++k) {
-      const SimDuration d = static_cast<SimDuration>(
-          next() % (k == 0 ? Seconds(3) : Minutes(30 * 60)));
-      pending.push_back(sim.now() + d);
-      sim.ScheduleIn(d, step);
-    }
+  struct Key {
+    Simulator::EventId id = Simulator::kInvalidEvent;  // none for a step
+    bool live = true;
   };
-  for (int k = 0; k < 50; ++k) {
-    const SimTime t = static_cast<SimTime>(next() % Seconds(20));
-    pending.push_back(t);
-    sim.ScheduleAt(t, step);
+  using Stamp = std::pair<SimTime, std::uint64_t>;
+  std::map<Stamp, Key> ledger;
+  std::uint64_t seq = 1;
+  SimTime reached = -1;
+  std::size_t steps = 0, held = 0, cancelled = 0, idle = 0;
+  const auto pop = [&] {
+    reached = std::max(reached, ledger.begin()->first.first);
+    ledger.erase(ledger.begin());
+  };
+  const auto check = [&](const char* where) {
+    if (ledger.empty()) ++idle;
+    const SimTime expected =
+        !ledger.empty() ? ledger.begin()->first.first
+        : reached < 0   ? 0
+                        : (reached / (SimTime{1} << 20) + 1) << 20;
+    ASSERT_EQ(sim.NextEventLowerBound(), expected)
+        << where << " at " << sim.now();
+  };
+  // An event runs under `key`: every entry before it popped first, and all
+  // of those were cancelled.
+  const auto fired = [&](Stamp key) {
+    while (ledger.begin()->first < key) {
+      EXPECT_FALSE(ledger.begin()->second.live) << "live entry skipped";
+      pop();
+    }
+    ASSERT_EQ(ledger.begin()->first, key);
+    pop();
+  };
+  std::function<void(Stamp)> handler;
+  const auto schedule = [&](SimDuration d) {
+    const Stamp key{sim.now() + d, seq++};
+    ledger[key] = Key{sim.ScheduleIn(d, [&handler, key] { handler(key); })};
+  };
+  const auto burst = [&] {
+    const SimTime start =
+        sim.now() + static_cast<SimDuration>(next() % Seconds(2));
+    const auto spacing = static_cast<SimDuration>(next() % Millis(300));
+    const std::size_t count = 2 + next() % 20;
+    const std::uint64_t first_seq = seq;
+    seq += count;
+    ledger[{start, first_seq}] = Key{};
+    sim.ScheduleSeries(start, count, spacing, [&, start, spacing, count,
+                                               first_seq](std::size_t i) {
+      const auto key_of = [&](std::size_t k) {
+        return Stamp{start + static_cast<SimDuration>(k) * spacing,
+                     first_seq + k};
+      };
+      fired(key_of(i));
+      ++steps;
+      if (i + 1 < count) {
+        ledger[key_of(i + 1)] = Key{};  // held while this step runs
+        ++held;
+      }
+      check("series step");
+    });
+  };
+  handler = [&](Stamp key) {
+    fired(key);
+    check("handler entry");
+    const int fanout = static_cast<int>(next() % (dense ? 3 : 2));
+    for (int k = 0; k < fanout && ledger.size() < 200; ++k) {
+      schedule(static_cast<SimDuration>(
+          next() % (k == 0 || !dense ? Seconds(3) : Minutes(30 * 60))));
+    }
+    if (next() % (dense ? 4 : 2) == 0) {
+      // Cancel a live event: it stays in the queue as a tombstone.
+      for (auto& [stamp, entry] : ledger) {
+        if (entry.live && entry.id != Simulator::kInvalidEvent &&
+            (!dense || next() % 8 == 0)) {
+          sim.Cancel(entry.id);
+          entry.live = false;
+          ++cancelled;
+          break;
+        }
+      }
+    }
+    if (next() % (dense ? 16 : 4) == 0) burst();
+    check("handler exit");
+  };
+  check("before any pop");
+  for (int k = 0; k < (dense ? 50 : 2); ++k) {
+    schedule(static_cast<SimDuration>(next() % Seconds(20)));
   }
-  for (int n = 0; n < 5000 && sim.Step(); ++n) {
+  for (int n = 0; n < 5000; ++n) {
+    if (ledger.empty()) {
+      if (dense) break;
+      // Refill a dry queue from outside any event.
+      schedule(static_cast<SimDuration>(next() % Seconds(3)));
+      if (next() % 2 == 0) burst();
+      check("refill");
+    }
+    if (n % 2 == 0) {
+      if (!sim.Step()) {
+        // Only tombstones were left, and Step() popped them all.
+        while (!ledger.empty()) {
+          EXPECT_FALSE(ledger.begin()->second.live);
+          pop();
+        }
+      }
+    } else {
+      // Series steps run ahead only under RunUntil/RunAll.
+      const SimTime limit =
+          sim.now() + static_cast<SimDuration>(next() % Seconds(2));
+      sim.RunUntil(limit);
+      while (!ledger.empty() && ledger.begin()->first.first <= limit) {
+        EXPECT_FALSE(ledger.begin()->second.live) << "unfired at " << limit;
+        pop();
+      }
+    }
+    check("driver");
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  // The workload reached the cases the bound has to get right.
+  EXPECT_GT(steps, 100u);
+  EXPECT_GT(held, 50u);
+  EXPECT_GT(cancelled, 50u);
+  if (!dense) {
+    EXPECT_GT(idle, 100u);
+  }
+}
+
+TEST(SimulatorTest, NextEventLowerBoundNeverPassesThePendingHead) {
+  {
+    SCOPED_TRACE("dense");
+    CheckBoundAgainstLedger(true);
+  }
+  SCOPED_TRACE("sparse");
+  CheckBoundAgainstLedger(false);
 }
 
 TEST(TimerTest, TimerStatsCountArmedFiredCancelled) {

@@ -1,14 +1,17 @@
-// Queue-discipline suite for the hierarchical timer wheel kernel.
+// Queue-discipline suite for the event kernels.
 //
-// Two halves:
+// Three parts:
 //   1. PendingEvents / cancellation regression — pins the live-event count
 //      through every schedule/cancel/fire interleaving that skewed the
 //      seed's derived (queue size minus tombstone set) accounting.
-//   2. Differential property tests — randomized schedule / cancel /
+//   2. The bare TimerWheel, the city engine's shard queue: tiers, cascades,
+//      the overflow calendar, and its pops through PopUntil and DrainUntil
+//      against the reference heap (tests/heap_ref.h).
+//   3. Differential property tests — randomized schedule / cancel /
 //      equal-timestamp / guard-timer workloads replayed through the
-//      reference heap kernel (tests/heap_ref.h) and the wheel-backed
-//      Simulator side by side, asserting identical execution order, clock
-//      positions, accounting, and TimerStats.
+//      reference heap kernel and sim::Simulator side by side, asserting
+//      identical execution order, clock positions, accounting, and
+//      TimerStats.
 
 #include <algorithm>
 #include <cstdint>
@@ -31,7 +34,7 @@ namespace cnv::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Satellite 1: PendingEvents accounting through interleavings.
+// PendingEvents accounting through interleavings.
 
 TEST(WheelPendingTest, ScheduleCancelFireInterleavings) {
   Simulator sim;
@@ -88,7 +91,7 @@ TEST(WheelPendingTest, CancelledStragglersNeverLingerInCount) {
   for (int i = 0; i < 1000; ++i) {
     ids.push_back(sim.ScheduleAt(100 + i, [] {}));
   }
-  // Cancel every other event without ever stepping: the wheel still holds
+  // Cancel every other event without ever stepping: the queue still holds
   // 1000 entries (500 tombstones), but only 500 are live.
   for (std::size_t i = 0; i < ids.size(); i += 2) sim.Cancel(ids[i]);
   EXPECT_EQ(sim.PendingEvents(), 500u);
@@ -227,72 +230,84 @@ TEST(TimerWheelTest, OccupancyStatsBalance) {
   EXPECT_TRUE(w.Empty());
 }
 
-// Random schedules across every tier (equal and zero delays included) and
-// pops under random limits, replayed into the reference heap. After every
-// operation the bound must be the earliest pending time, and Precedes()
-// must agree with it; an empty wheel's bound stays within the tick of the
-// last pop, so a caller stepping by it wakes once per tick.
-TEST(TimerWheelTest, NextEntryLowerBoundIsTheEarliestPendingTime) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    TimerWheel w;
-    ReferenceHeapSimulator ref;
-    Rng rng(seed);
-    std::vector<std::uint64_t> ref_popped;
-    const auto check = [&](int op) {
-      const SimTime bound = w.NextEntryLowerBound();
-      if (w.Empty()) {
-        EXPECT_LE(bound, ((ref.now() >> 20) + 1) << 20)
-            << "seed " << seed << " op " << op;
-      } else {
-        ASSERT_EQ(bound, ref.NextEntryTime()) << "seed " << seed << " op "
-                                              << op;
-      }
-      for (const SimTime t :
-           {bound - 1, bound, ref.now() + rng.UniformInt(0, Seconds(3))}) {
-        EXPECT_EQ(w.Precedes(t), t < bound)
-            << "seed " << seed << " op " << op << " t " << t;
-      }
-    };
-    // Delays and pop horizons reach every tier: the drained tick, level 0,
-    // level 1 (> ~4.5 min), level 2 (> ~4.8 h) and the calendar (> ~76 h).
-    const SimDuration spans[] = {0,          Millis(50),   Seconds(3),
-                                 Minutes(6), Minutes(600), Minutes(9'000)};
-    const auto draw = [&] {
-      return rng.UniformInt(0, spans[rng.UniformInt(0, 5)]);
-    };
-    std::uint64_t seq = 1;
-    // Schedules outnumber pops for 3,000 operations; then pops alone drain
-    // the backlog, carrying the position through every tier.
-    for (int op = 0; op < 3000 || !w.Empty(); ++op) {
-      if (op < 3000 && rng.Uniform() < 0.55) {
-        const SimTime t = ref.now() + draw();
-        w.Schedule(t, seq, seq);
-        ref.ScheduleAt(t, [&ref_popped, id = seq] {
-          ref_popped.push_back(id);
-        });
-        ++seq;
-      } else {
-        const SimTime limit = ref.now() + draw();
-        WheelEntry e;
-        if (w.PopUntil(limit, &e)) {
-          ASSERT_TRUE(ref.Step());
-          ASSERT_EQ(e.time, ref.now());
-          ASSERT_EQ(e.payload, ref_popped.back());
-        } else {
-          ASSERT_GT(ref.NextEntryTime(), limit);
-        }
-      }
-      check(op);
+// Random schedules across every tier (equal and zero delays included),
+// replayed into the reference heap and popped under random limits. The pop
+// leg takes one entry per PopUntil; the drain leg empties everything up to
+// the limit through DrainUntil, the city engine's path, and its handler
+// schedules back into the wheel, the drained tick included. Both must pop
+// exactly the heap's (time, seq) order, and ResumeAt() must stay a lower
+// bound on the next entry that lies past the drained limit.
+void RunTierWorkload(std::uint64_t seed, bool drain) {
+  TimerWheel w;
+  ReferenceHeapSimulator ref;
+  Rng rng(seed);
+  std::vector<std::uint64_t> ref_popped;
+  // Delays and pop horizons reach every tier: the drained tick, level 0,
+  // level 1 (> ~4.5 min), level 2 (> ~4.8 h) and the calendar (> ~76 h).
+  const SimDuration spans[] = {0,          Millis(50),   Seconds(3),
+                               Minutes(6), Minutes(600), Minutes(9'000)};
+  const auto draw = [&] {
+    return rng.UniformInt(0, spans[rng.UniformInt(0, 5)]);
+  };
+  std::uint64_t seq = 1;
+  const auto schedule = [&](SimTime t) {
+    w.Schedule(t, seq, seq);
+    ref.ScheduleAt(t, [&ref_popped, id = seq] { ref_popped.push_back(id); });
+    ++seq;
+    ASSERT_LE(w.ResumeAt(), t);
+  };
+  const auto expect_next = [&](const WheelEntry& e) {
+    ASSERT_TRUE(ref.Step());
+    ASSERT_EQ(e.time, ref.now());
+    ASSERT_EQ(e.payload, ref_popped.back());
+  };
+  // Schedules outnumber pops for 3,000 operations; then pops alone drain
+  // the backlog, carrying the position through every tier.
+  for (int op = 0; op < 3000 || !w.Empty(); ++op) {
+    if (op < 3000 && rng.Uniform() < 0.55) {
+      schedule(ref.now() + draw());
+      continue;
     }
-    // The workload reached every tier.
-    EXPECT_GT(w.stats().inserts[2], 0u) << "seed " << seed;
-    EXPECT_GT(w.stats().cascaded, 0u) << "seed " << seed;
-    EXPECT_GT(w.stats().migrated, 0u) << "seed " << seed;
+    const SimTime limit = ref.now() + draw();
+    if (drain) {
+      w.DrainUntil(limit, [&](const WheelEntry& e) {
+        expect_next(e);
+        if (op < 3000 && rng.Uniform() < 0.3) schedule(e.time + draw());
+      });
+      ASSERT_FALSE(::testing::Test::HasFatalFailure())
+          << "seed " << seed << " op " << op;
+      ASSERT_GT(w.ResumeAt(), limit) << "seed " << seed << " op " << op;
+    } else {
+      WheelEntry e;
+      if (w.PopUntil(limit, &e)) {
+        expect_next(e);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure())
+            << "seed " << seed << " op " << op;
+        continue;
+      }
+    }
+    ASSERT_GT(ref.NextEntryTime(), limit) << "seed " << seed << " op " << op;
+    ASSERT_LE(w.ResumeAt(), ref.NextEntryTime())
+        << "seed " << seed << " op " << op;
+    ASSERT_EQ(w.Size(), ref.PendingEvents()) << "seed " << seed;
+  }
+  // The workload reached every tier.
+  EXPECT_GT(w.stats().inserts[2], 0u) << "seed " << seed;
+  EXPECT_GT(w.stats().cascaded, 0u) << "seed " << seed;
+  EXPECT_GT(w.stats().migrated, 0u) << "seed " << seed;
+}
+
+TEST(TimerWheelTest, PopsMatchTheHeapAcrossEveryTier) {
+  for (const bool drain : {false, true}) {
+    SCOPED_TRACE(drain ? "DrainUntil" : "PopUntil");
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      RunTierWorkload(seed, drain);
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 2: differential property tests, heap oracle vs wheel kernel.
+// Differential property tests, heap oracle vs the Simulator.
 
 // Drives an identical randomized workload through both kernels and asserts
 // the observable execution is the same: same events in the same order at the
@@ -300,10 +315,10 @@ TEST(TimerWheelTest, NextEntryLowerBoundIsTheEarliestPendingTime) {
 void RunDifferentialWorkload(std::uint64_t seed, int steps, SimTime max_delay,
                              double cancel_bias) {
   ReferenceHeapSimulator heap;
-  Simulator wheel;
-  std::vector<int> heap_log, wheel_log;
+  Simulator kernel;
+  std::vector<int> heap_log, kernel_log;
   std::vector<ReferenceHeapSimulator::EventId> heap_ids;
-  std::vector<Simulator::EventId> wheel_ids;
+  std::vector<Simulator::EventId> kernel_ids;
 
   // Two RNG streams with the same seed make identical decisions.
   Rng rng_a(seed), rng_b(seed);
@@ -327,14 +342,14 @@ void RunDifferentialWorkload(std::uint64_t seed, int steps, SimTime max_delay,
     sim.RunAll();
   };
   drive(heap, heap_ids, heap_log, rng_a);
-  drive(wheel, wheel_ids, wheel_log, rng_b);
+  drive(kernel, kernel_ids, kernel_log, rng_b);
 
-  ASSERT_EQ(heap_log, wheel_log) << "seed " << seed;
-  EXPECT_EQ(heap.now(), wheel.now());
-  EXPECT_EQ(heap.ExecutedEvents(), wheel.ExecutedEvents());
-  EXPECT_EQ(heap.ScheduledEvents(), wheel.ScheduledEvents());
-  EXPECT_EQ(heap.CancelledEvents(), wheel.CancelledEvents());
-  EXPECT_EQ(heap.PendingEvents(), wheel.PendingEvents());
+  ASSERT_EQ(heap_log, kernel_log) << "seed " << seed;
+  EXPECT_EQ(heap.now(), kernel.now());
+  EXPECT_EQ(heap.ExecutedEvents(), kernel.ExecutedEvents());
+  EXPECT_EQ(heap.ScheduledEvents(), kernel.ScheduledEvents());
+  EXPECT_EQ(heap.CancelledEvents(), kernel.CancelledEvents());
+  EXPECT_EQ(heap.PendingEvents(), kernel.PendingEvents());
 }
 
 TEST(WheelPropertyTest, MatchesHeapOnShortDelays) {
@@ -350,8 +365,8 @@ TEST(WheelPropertyTest, MatchesHeapAcrossTiers) {
 }
 
 TEST(WheelPropertyTest, MatchesHeapWithFarFutureGuards) {
-  // Delays beyond the top wheel horizon (~76 h) exercise the overflow
-  // calendar the way T3412/T3346 guard timers do on long-lived populations.
+  // Delays up to ~100 h, like the T3412/T3346 guard timers of long-lived
+  // populations, mostly cancelled before they expire.
   for (std::uint64_t seed = 200; seed <= 203; ++seed) {
     RunDifferentialWorkload(seed, 1200, Minutes(6'000), 0.35);
   }
@@ -361,8 +376,8 @@ TEST(WheelPropertyTest, MatchesHeapOnEqualTimestampBursts) {
   // Many events at few distinct timestamps: the FIFO tie-break carries all
   // of the ordering information.
   ReferenceHeapSimulator heap;
-  Simulator wheel;
-  std::vector<int> heap_log, wheel_log;
+  Simulator kernel;
+  std::vector<int> heap_log, kernel_log;
   Rng rng_a(42), rng_b(42);
   const auto drive = [](auto& sim, std::vector<int>& log, Rng& rng) {
     for (int i = 0; i < 3000; ++i) {
@@ -372,8 +387,8 @@ TEST(WheelPropertyTest, MatchesHeapOnEqualTimestampBursts) {
     sim.RunAll();
   };
   drive(heap, heap_log, rng_a);
-  drive(wheel, wheel_log, rng_b);
-  ASSERT_EQ(heap_log, wheel_log);
+  drive(kernel, kernel_log, rng_b);
+  ASSERT_EQ(heap_log, kernel_log);
 }
 
 TEST(WheelPropertyTest, MatchesHeapOnReentrantChains) {
@@ -397,12 +412,12 @@ TEST(WheelPropertyTest, MatchesHeapOnReentrantChains) {
     sim.RunAll();
   };
   ReferenceHeapSimulator heap;
-  Simulator wheel;
-  std::vector<int> heap_log, wheel_log;
+  Simulator kernel;
+  std::vector<int> heap_log, kernel_log;
   drive(heap, heap_log);
-  drive(wheel, wheel_log);
-  ASSERT_EQ(heap_log, wheel_log);
-  EXPECT_EQ(heap.now(), wheel.now());
+  drive(kernel, kernel_log);
+  ASSERT_EQ(heap_log, kernel_log);
+  EXPECT_EQ(heap.now(), kernel.now());
 }
 
 TEST(WheelPropertyTest, TimerStatsMatchHeapUnderRestartStorms) {
@@ -432,14 +447,14 @@ TEST(WheelPropertyTest, TimerStatsMatchHeapUnderRestartStorms) {
     timers.clear();  // destructors stop running timers
   };
   ReferenceHeapSimulator heap;
-  Simulator wheel;
+  Simulator kernel;
   drive(heap);
-  drive(wheel);
-  EXPECT_EQ(heap.timer_stats().armed, wheel.timer_stats().armed);
-  EXPECT_EQ(heap.timer_stats().fired, wheel.timer_stats().fired);
-  EXPECT_EQ(heap.timer_stats().cancelled, wheel.timer_stats().cancelled);
-  EXPECT_EQ(heap.now(), wheel.now());
-  EXPECT_EQ(heap.ExecutedEvents(), wheel.ExecutedEvents());
+  drive(kernel);
+  EXPECT_EQ(heap.timer_stats().armed, kernel.timer_stats().armed);
+  EXPECT_EQ(heap.timer_stats().fired, kernel.timer_stats().fired);
+  EXPECT_EQ(heap.timer_stats().cancelled, kernel.timer_stats().cancelled);
+  EXPECT_EQ(heap.now(), kernel.now());
+  EXPECT_EQ(heap.ExecutedEvents(), kernel.ExecutedEvents());
 }
 
 }  // namespace
