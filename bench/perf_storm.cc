@@ -125,7 +125,6 @@ int main(int argc, char** argv) {
 
   stack::OverloadConfig off;  // legacy zero-queueing core
   stack::OverloadConfig unbounded;
-  unbounded.enabled = true;
   unbounded.policy = stack::AdmissionPolicy::kUnbounded;
   stack::OverloadConfig reject = unbounded;
   reject.policy = stack::AdmissionPolicy::kRejectBackoff;

@@ -110,20 +110,13 @@ std::vector<stack::OverloadConfig> SelectAdmission(const std::string& spec) {
     const std::string name = rest.substr(0, comma);
     rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
     stack::OverloadConfig cfg;
-    if (name == "off") {
-      out.push_back(cfg);  // legacy disabled core
-      continue;
-    }
-    stack::AdmissionPolicy policy;
-    if (!stack::ParseAdmissionPolicy(name, &policy)) {
+    if (!stack::ParseAdmissionPolicy(name, &cfg.policy)) {
       std::fprintf(stderr,
                    "unknown admission policy '%s' (want off, unbounded, "
                    "reject or shed)\n",
                    name.c_str());
       std::exit(2);
     }
-    cfg.enabled = true;
-    cfg.policy = policy;
     out.push_back(cfg);
   }
   return out;

@@ -18,7 +18,10 @@
 //   --json FILE  also write the machine-readable report to FILE
 //
 // Exit status: 0 = complete sweep, zero unexplained divergences;
-//              1 = unexplained divergences, or a cell that threw.
+//              1 = unexplained divergences, a cell that threw, or a --json
+//                  FILE that cannot be written ("failed to write FILE",
+//                  after the text report);
+//              2 = usage error.
 #include <cstdio>
 #include <string>
 
@@ -53,17 +56,19 @@ int main(int argc, char** argv) {
   }
   if (!report.quarantined.empty()) return 1;
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 2;
-    }
-    const std::string json = conf::DifferentialDriver::FormatJson(report);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-  }
-
   std::printf("%s", conf::DifferentialDriver::FormatText(report).c_str());
+  if (!json_path.empty()) {
+    const std::string json = conf::DifferentialDriver::FormatJson(report);
+    std::FILE* f = std::fopen(json_path.c_str(), "wb");
+    bool ok = f != nullptr;
+    if (ok) {
+      ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+      ok = std::fclose(f) == 0 && ok;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
+      return 1;
+    }
+  }
   return report.unexplained_divergences > 0 ? 1 : 0;
 }

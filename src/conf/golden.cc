@@ -115,7 +115,6 @@ std::string GenerateCongestionStorm() {
   stack::TestbedConfig cfg;
   cfg.profile = stack::OpI();
   cfg.seed = kGoldenSeed;
-  cfg.overload.enabled = true;
   cfg.overload.policy = stack::AdmissionPolicy::kRejectBackoff;
   cfg.overload.queue_capacity = 4;
   cfg.overload.service_time = Millis(20);

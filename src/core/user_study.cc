@@ -13,6 +13,21 @@ namespace {
 
 using stack::Testbed;
 
+// Behaviour rates, chosen to land near the paper's observed event counts
+// (190 CSFB calls, ~146 3G CS calls, 436 switches, 30 attaches).
+constexpr double kCsfbCallsPerUserDay = 1.15;      // 4G users
+constexpr double kCsCallsPerUserDay = 0.35;        // 3G-only, + drive calls
+constexpr double kExtraSwitchesPerUserDay = 0.11;  // roaming/carrier switches
+constexpr double kRestartProbPerUserDay = 0.036;   // + power-ons: ~30 attaches
+constexpr double kProbDataAtCsfbCall = 103.0 / 190;  // mobile data on at call
+constexpr double kProbDataAtCsCall = 113.0 / 146;    // ongoing data at 3G calls
+constexpr double kProbDataAtSwitch = 129.0 / 218;    // data on at 4G->3G switch
+constexpr double kCallDurationMeanS = 67.0;          // §7, S5 row
+// Drive-time mobility for 3G users: one drive per day; boundary crossings
+// during the drive produce the S4 collisions.
+constexpr double kDriveMinutesPerDay = 20.0;
+constexpr double kCrossingIntervalMeanS = 90.0;
+
 void RunUntil(Testbed& tb, const std::function<bool()>& pred,
               SimDuration limit) {
   const SimTime deadline = tb.sim().now() + limit;
@@ -58,8 +73,7 @@ struct Participant {
     };
     std::vector<Event> events;
 
-    const double calls = has_4g ? cfg.csfb_calls_per_user_day
-                                : cfg.cs_calls_per_user_day;
+    const double calls = has_4g ? kCsfbCallsPerUserDay : kCsCallsPerUserDay;
     const int n_calls =
         std::max(0, static_cast<int>(std::round(rng.Normal(calls, 0.7))));
     for (int i = 0; i < n_calls; ++i) {
@@ -67,16 +81,14 @@ struct Participant {
       events.push_back({rng.Uniform(8 * 3600.0, 22 * 3600.0), 'c'});
     }
     if (has_4g) {
-      const int n_switches = rng.Bernoulli(cfg.extra_switches_per_user_day)
-                                 ? 1
-                                 : 0;
+      const int n_switches = rng.Bernoulli(kExtraSwitchesPerUserDay) ? 1 : 0;
       for (int i = 0; i < n_switches; ++i) {
         events.push_back({rng.Uniform(7 * 3600.0, 23 * 3600.0), 's'});
       }
     } else {
       events.push_back({rng.Uniform(8 * 3600.0, 18 * 3600.0), 'd'});
     }
-    if (rng.Bernoulli(cfg.restart_prob_per_user_day)) {
+    if (rng.Bernoulli(kRestartProbPerUserDay)) {
       events.push_back({rng.Uniform(7 * 3600.0, 23 * 3600.0), 'r'});
     }
     std::sort(events.begin(), events.end(),
@@ -105,8 +117,8 @@ struct Participant {
 
   void DoCall(Testbed& tb, Rng& rng) {
     if (tb.ue().out_of_service()) return;
-    const bool with_data = rng.Bernoulli(has_4g ? cfg.prob_data_at_csfb_call
-                                                : cfg.prob_data_at_cs_call);
+    const bool with_data =
+        rng.Bernoulli(has_4g ? kProbDataAtCsfbCall : kProbDataAtCsCall);
     if (with_data && !tb.ue().data_session_active()) {
       // Mostly light background traffic, occasionally a heavy transfer
       // (the paper's largest affected call carried 18.5 MB).
@@ -132,8 +144,8 @@ struct Participant {
              },
              Minutes(2));
     if (tb.ue().call_state() == stack::UeDevice::CallState::kActive) {
-      tb.Run(FromSeconds(std::max(5.0, rng.Exponential(
-                                            cfg.call_duration_mean_s))));
+      tb.Run(FromSeconds(
+          std::max(5.0, rng.Exponential(kCallDurationMeanS))));
       // While the call holds the device on 3G, the network may deactivate
       // the PDP context (the S1 trigger, ~3.1% per switch with data).
       if (is_csfb && session_at_dial && tb.ue().serving() == nas::System::k3G &&
@@ -168,7 +180,7 @@ struct Participant {
     if (tb.ue().serving() != nas::System::k4G || tb.ue().out_of_service()) {
       return;
     }
-    const bool data_on = rng.Bernoulli(cfg.prob_data_at_switch);
+    const bool data_on = rng.Bernoulli(kProbDataAtSwitch);
     if (data_on && !tb.ue().data_session_active()) {
       tb.ue().StartDataSession(rng.Uniform(0.05, 1.0));
       tb.Run(Seconds(2));
@@ -213,11 +225,11 @@ struct Participant {
   // 3G users: a drive with periodic area crossings; some calls of the day
   // collide with the resulting location updates (S4).
   void DoDrive(Testbed& tb, Rng& rng) {
-    const double total_s = cfg.drive_minutes_per_day * 60.0;
+    const double total_s = kDriveMinutesPerDay * 60.0;
     double elapsed = 0;
     while (elapsed < total_s) {
       const double gap =
-          std::max(20.0, rng.Exponential(cfg.crossing_interval_mean_s));
+          std::max(20.0, rng.Exponential(kCrossingIntervalMeanS));
       elapsed += gap;
       // Calls are placed uniformly in time, so a fraction of them lands in
       // the busy window (LAU + MM-WAIT-FOR-NET-CMD) right after a crossing

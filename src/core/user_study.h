@@ -3,7 +3,10 @@
 // carriers — living on the simulated testbed for `days` days. Occurrences
 // of S1-S6 are produced by the *mechanisms* in the stack (PDP deactivations
 // while camping on 3G, CSFB returns, update/call collisions during drives,
-// shared-channel calls), not by sampling outcome labels.
+// shared-channel calls), not by sampling outcome labels. The behaviour
+// rates (calls, switches and restarts per user-day, data-on odds, call and
+// drive lengths) are fixed in user_study.cc, calibrated to the paper's §7
+// counts; the config picks only the population, its length and the seed.
 #pragma once
 
 #include <array>
@@ -20,21 +23,6 @@ struct UserStudyConfig {
   int users_with_4g = 12;  // the paper's 12 4G-capable phones
   int days = 14;
   std::uint64_t seed = 2014;
-
-  // Behaviour rates, chosen to land near the paper's observed event counts
-  // (190 CSFB calls, ~146 3G CS calls, 436 switches, 30 attaches).
-  double csfb_calls_per_user_day = 1.15;        // 4G users
-  double cs_calls_per_user_day = 0.35;  // 3G-only users (plus drive calls)
-  double extra_switches_per_user_day = 0.11;    // roaming/carrier switches
-  double restart_prob_per_user_day = 0.036;  // + initial power-ons: ~30 attaches
-  double prob_data_at_csfb_call = 103.0 / 190;  // mobile data on at call
-  double prob_data_at_cs_call = 113.0 / 146;    // ongoing data at 3G calls
-  double prob_data_at_switch = 129.0 / 218;     // data on at 4G->3G switch
-  double call_duration_mean_s = 67.0;           // §7, S5 row
-  // Drive-time mobility for 3G users: one drive per day; boundary
-  // crossings during the drive produce the S4 collisions.
-  double drive_minutes_per_day = 20.0;
-  double crossing_interval_mean_s = 90.0;
 };
 
 struct FindingStats {

@@ -11,6 +11,10 @@ namespace cnv::fault {
 
 namespace {
 
+// Simulated length of every run, and the telemetry snapshot spacing.
+constexpr SimDuration kRunDuration = Seconds(600);
+constexpr SimDuration kSnapshotPeriod = Seconds(60);
+
 // Folds the monitor's per-property outage accounting into SLO metrics.
 void HarvestMonitorReport(obs::Registry& reg, const MonitorReport& report) {
   for (const auto& p : report.properties) {
@@ -70,7 +74,7 @@ void CampaignRunner::ScheduleWorkload(stack::Testbed& tb) {
 
 std::string CampaignRunner::AdmissionLabel(
     const stack::OverloadConfig& overload) {
-  if (!overload.enabled) return "";
+  if (overload.policy == stack::AdmissionPolicy::kOff) return "";
   return ToString(overload.policy);
 }
 
@@ -88,7 +92,7 @@ RunOutcome CampaignRunner::RunOne(
 
   FaultInjector injector(tb);
   injector.Apply(plan);
-  RecoveryMonitor monitor(tb, config_.slo);
+  RecoveryMonitor monitor(tb);
   monitor.Start();
   ScheduleWorkload(tb);
 
@@ -96,11 +100,11 @@ RunOutcome CampaignRunner::RunOne(
   if (config_.collect_telemetry) {
     snapshots = std::make_unique<obs::SnapshotScheduler>(
         tb.sim(), [&tb](obs::Registry& reg) { obs::HarvestTestbed(reg, tb); },
-        config_.snapshot_period);
+        kSnapshotPeriod);
     snapshots->Start();
   }
 
-  tb.Run(config_.duration);
+  tb.Run(kRunDuration);
 
   RunOutcome out;
   out.seed = seed;

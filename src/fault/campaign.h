@@ -3,7 +3,8 @@
 // a RecoveryMonitor. Every run is fully deterministic: the same (seed,
 // plan, profile) triple produces an identical trace, report and findings.
 //
-// The standard workload (all times from t=0):
+// Each run lasts 600 s of simulated time; with telemetry on, metrics are
+// snapshotted every 60 s of it. The standard workload (all times from t=0):
 //   0 s     power on in 4G, periodic updates every 300 s
 //   30 s    data session starts (0.2 Mbps demand)
 //   120 s   dial (CSFB when in 4G), hang up at 180 s
@@ -32,20 +33,17 @@ struct CampaignConfig {
   std::vector<stack::CarrierProfile> profiles;  // empty -> {OpI()}
   // Admission-policy sweep dimension: each entry is one core overload
   // configuration crossed with profiles x plans x seeds. Empty -> one
-  // default-constructed (disabled) entry, which keeps legacy campaigns —
-  // ordering, summaries, digests — byte-identical.
+  // default-constructed (AdmissionPolicy::kOff) entry, which keeps legacy
+  // campaigns — ordering, summaries, digests — byte-identical.
   std::vector<stack::OverloadConfig> admission;
   stack::SolutionConfig solutions;
   bool robust = false;  // the robust stack (see stack::TestbedConfig)
-  SloBounds slo;
-  SimDuration duration = Seconds(600);
   // Telemetry: when collect_telemetry is set, every run carries an
   // obs::RunReport (periodic metric snapshots on the simulator clock,
   // end-of-run metrics, stitched procedure spans). All exported values are
   // simulated-time based, so reports replay byte-identically per
   // (seed, plan, profile).
   bool collect_telemetry = false;
-  SimDuration snapshot_period = Seconds(60);
   // Worker count for the sweep: 1 = serial (default), 0 = hardware
   // concurrency. Each (seed, plan, profile) run is self-contained, so runs
   // execute concurrently while reports keep the serial ordering — the
@@ -58,7 +56,7 @@ struct RunOutcome {
   std::uint64_t seed = 0;
   std::string plan;
   std::string profile;
-  // Admission-policy label for the run ("" = legacy disabled core, else
+  // Admission-policy label for the run ("" = AdmissionPolicy::kOff, else
   // "unbounded" / "reject-backoff" / "priority-shed").
   std::string admission;
   MonitorReport report;
@@ -93,7 +91,7 @@ class CampaignRunner {
   CampaignResult Run() const;
 
   // One deterministic run; exposed for tests and the determinism checks.
-  // The overload config defaults to the legacy disabled core.
+  // The overload config defaults to AdmissionPolicy::kOff.
   RunOutcome RunOne(std::uint64_t seed, const FaultPlan& plan,
                     const stack::CarrierProfile& profile,
                     const stack::OverloadConfig& overload = {}) const;

@@ -13,16 +13,21 @@ namespace {
 constexpr int kSampleHour = 12;
 // A CSFB device stranded in 3G longer than this counts as the S3 defect.
 constexpr double kStuckIn3gThresholdS = 10.0;
+// Longest tolerated single outage of each property.
+constexpr SimDuration kOutageSlo = Seconds(120);
+// Graceful-degradation bounds, checked only when the run carried storm load
+// (see DegradationReport): the foreground attach latency p99, the share of
+// offered signalling turned away, and how soon after the last injection
+// the backlog must be gone.
+constexpr SimDuration kStormAttachP99Slo = Seconds(35);
+constexpr double kStormShedFractionSlo = 0.9;
+constexpr SimDuration kStormDrainSlo = Seconds(30);
 }  // namespace
 
-RecoveryMonitor::RecoveryMonitor(stack::Testbed& tb, SloBounds slo)
-    : tb_(tb), slo_(slo) {
+RecoveryMonitor::RecoveryMonitor(stack::Testbed& tb) : tb_(tb) {
   mm_.name = "MM_OK";
-  mm_.slo = slo_.mm_recovery;
   ps_.name = "PacketService_OK";
-  ps_.slo = slo_.ps_recovery;
   cs_.name = "CallService_OK";
-  cs_.slo = slo_.cs_recovery;
 }
 
 bool RecoveryMonitor::MmOk() const {
@@ -138,8 +143,7 @@ void RecoveryMonitor::Start() {
   tb_.sim().ScheduleIn(kSamplePeriod, [this] { Sample(); });
 }
 
-DegradationReport RecoveryMonitor::ProbeDegradation(stack::Testbed& tb,
-                                                    const SloBounds& slo) {
+DegradationReport RecoveryMonitor::ProbeDegradation(stack::Testbed& tb) {
   DegradationReport d;
   d.active = tb.storm().injected() > 0;
   d.storm_injected = tb.storm().injected();
@@ -177,9 +181,9 @@ DegradationReport RecoveryMonitor::ProbeDegradation(stack::Testbed& tb,
     last_drain = std::max(last_drain, at);
   }
   if (d.drained) d.time_to_drain = last_drain - storm_end;
-  d.attach_p99_slo = slo.storm_attach_p99;
-  d.shed_fraction_slo = slo.storm_max_shed_fraction;
-  d.drain_slo = slo.storm_drain_bound;
+  d.attach_p99_slo = kStormAttachP99Slo;
+  d.shed_fraction_slo = kStormShedFractionSlo;
+  d.drain_slo = kStormDrainSlo;
   return d;
 }
 
@@ -200,7 +204,7 @@ MonitorReport RecoveryMonitor::Finalize() {
     p.outages = t->outages;
     p.total_outage = t->total_outage;
     p.longest_outage = t->longest_outage;
-    p.slo = t->slo;
+    p.slo = kOutageSlo;
     if (!t->established) {
       // Never came up: the whole run is one outage.
       p.outages = 1;
@@ -210,7 +214,7 @@ MonitorReport RecoveryMonitor::Finalize() {
     report.properties.push_back(std::move(p));
   }
   report.findings = ProbeFindings(tb_);
-  report.degradation = ProbeDegradation(tb_, slo_);
+  report.degradation = ProbeDegradation(tb_);
   if (report.degradation.active) {
     const DegradationReport& d = report.degradation;
     tb_.traces().Recovery(

@@ -1,5 +1,8 @@
 // Watches a Testbed during a fault campaign and reports, per user-visible
-// property, the outage and recovery times against configurable SLO bounds.
+// property, the outage and recovery times against fixed SLO bounds: 120 s
+// for the longest single outage of each property and, under storm load, a
+// 35 s foreground attach p99, at most 90% of offered signalling turned
+// away, and a backlog gone within 30 s of the last injection.
 // The three properties are the ones the paper's user study cares about:
 //
 //   MM_OK            the device is registered with its serving system
@@ -32,19 +35,6 @@
 #include "stack/testbed.h"
 
 namespace cnv::fault {
-
-struct SloBounds {
-  // Longest tolerated single outage per property.
-  SimDuration mm_recovery = Seconds(120);
-  SimDuration ps_recovery = Seconds(120);
-  SimDuration cs_recovery = Seconds(120);
-  // Graceful-degradation bounds, checked only when the run carried storm
-  // load (see DegradationReport).
-  SimDuration storm_attach_p99 = Seconds(35);  // foreground attach latency
-  double storm_max_shed_fraction = 0.9;        // turned-away / offered
-  SimDuration storm_drain_bound = Seconds(30); // backlog gone this soon
-                                               // after the last injection
-};
 
 struct PropertyReport {
   std::string name;
@@ -87,8 +77,7 @@ struct DegradationReport {
   std::uint64_t ue_congestion_backoffs = 0;
   bool drained = false;                 // every core queue empty at the end
   SimDuration time_to_drain = 0;        // last-drain minus last-injection
-  // Bounds copied from SloBounds at Finalize so the verdict is
-  // self-contained.
+  // The storm SLO bounds, copied in so the verdict is self-contained.
   SimDuration attach_p99_slo = 0;
   double shed_fraction_slo = 0.0;
   SimDuration drain_slo = 0;
@@ -118,7 +107,7 @@ class RecoveryMonitor {
   // Spacing of the sample grid.
   static constexpr SimDuration kSamplePeriod = Millis(100);
 
-  explicit RecoveryMonitor(stack::Testbed& tb, SloBounds slo = {});
+  explicit RecoveryMonitor(stack::Testbed& tb);
   RecoveryMonitor(const RecoveryMonitor&) = delete;
   RecoveryMonitor& operator=(const RecoveryMonitor&) = delete;
 
@@ -134,15 +123,12 @@ class RecoveryMonitor {
   static std::vector<Finding> ProbeFindings(stack::Testbed& tb);
 
   // Aggregates the core elements' overload counters and the foreground
-  // UE's congestion/backoff view into a degradation verdict. Standalone
-  // for tests; Finalize() calls it with this monitor's bounds.
-  static DegradationReport ProbeDegradation(stack::Testbed& tb,
-                                            const SloBounds& slo);
+  // UE's congestion/backoff view into a degradation verdict.
+  static DegradationReport ProbeDegradation(stack::Testbed& tb);
 
  private:
   struct Tracker {
     std::string name;
-    SimDuration slo = 0;
     bool established = false;
     bool ok = false;
     SimTime outage_started = 0;
@@ -161,7 +147,6 @@ class RecoveryMonitor {
   bool CsOk() const;
 
   stack::Testbed& tb_;
-  SloBounds slo_;
   SimTime grid_origin_ = 0;  // samples run at grid_origin_ + k * kSamplePeriod
   bool running_ = false;
   Tracker mm_;

@@ -56,10 +56,6 @@ concept CheckableModel = requires(const M m, const typename M::State s,
 struct ExploreOptions {
   // Stop exploring after this many distinct states (0 = unlimited).
   std::uint64_t max_states = 2'000'000;
-  // Also report reachable states with no enabled transitions ("deadlocks").
-  // States for which the model's optional `is_final(state)` returns true are
-  // successful terminations, not deadlocks.
-  bool detect_deadlock = false;
   // State-space reduction switches (mck/reduction.h). A model that does not
   // declare the matching ReductionSpec pieces explores fully — the flags are
   // safe to pass uniformly across a sweep of heterogeneous models.
@@ -70,7 +66,7 @@ struct ExploreOptions {
 // model.initial() reaches `state`.
 template <typename M>
 struct Violation {
-  std::string property;          // property name, or "deadlock"
+  std::string property;          // name of the violated property
   std::vector<typename M::Action> trace;  // actions from the initial state
   typename M::State state;       // the violating state
 };

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <concepts>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -49,17 +48,6 @@ struct ParallelExploreOptions {
 };
 
 namespace internal {
-
-template <typename M>
-bool IsFinal(const M& model, const typename M::State& s) {
-  if constexpr (requires { { model.is_final(s) } -> std::convertible_to<bool>; }) {
-    return model.is_final(s);
-  } else {
-    (void)model;
-    (void)s;
-    return false;
-  }
-}
 
 // Parent rank of the root state.
 inline constexpr std::uint64_t kNoParentRank = ~0ull;
@@ -147,16 +135,10 @@ ExploreResult<M> Search(const M& model,
   ExploreResult<M> result;
   const std::uint32_t n_props = static_cast<std::uint32_t>(properties.size());
 
-  // Committed violations by property index, plus the deadlock flag.
+  // Committed violations by property index.
   std::vector<char> violated(n_props, 0);
   std::uint32_t violated_count = 0;
-  bool deadlocked = false;
   const auto commit = [&](std::uint32_t p, std::uint64_t rank) {
-    if (p == n_props) {
-      deadlocked = true;
-      result.violations.push_back(counterexample("deadlock", rank));
-      return;
-    }
     violated[p] = 1;
     ++violated_count;
     result.violations.push_back(counterexample(properties[p].name, rank));
@@ -164,8 +146,7 @@ ExploreResult<M> Search(const M& model,
   const auto all_violated = [&] {
     // An empty property set means "build the reachability graph", not "every
     // property is already violated" — keep exploring.
-    return n_props != 0 && violated_count == n_props &&
-           !options.detect_deadlock;
+    return n_props != 0 && violated_count == n_props;
   };
 
   std::uint64_t depth = 0;
@@ -203,13 +184,7 @@ ExploreResult<M> Search(const M& model,
       // children are interned.
       const State& parent = states[static_cast<std::size_t>(parent_rank)];
       const std::vector<Action> actions = model.enabled(parent);
-      if (actions.empty()) {
-        if (options.detect_deadlock && !deadlocked &&
-            !IsFinal(model, parent)) {
-          commit(n_props, parent_rank);
-        }
-        continue;
-      }
+      if (actions.empty()) continue;
       const std::vector<Action>* expand = &actions;
       if (red.por() &&
           red.SelectAmple(model, parent, actions, is_old_canon, ample)) {

@@ -153,18 +153,6 @@ std::string CombinedModel::describe(const Action& a) const {
   return who + "?";
 }
 
-bool CombinedModel::is_final(const State& s) const {
-  for (int i = 0; i < config_.ues; ++i) {
-    const Ue& u = s.ue[static_cast<std::size_t>(i)];
-    if (u.out_of_service) return false;
-    if (u.cm != Cm::kDone &&
-        !(u.cm == Cm::kIdle && u.calls >= config_.max_calls)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 mck::PropertySet<CombinedModel::State> CombinedModel::Properties() const {
   const int n = config_.ues;
   const bool switch_back = config_.switch_back;

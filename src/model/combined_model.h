@@ -131,10 +131,6 @@ struct CombinedModel {
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 
-  // Every UE either completed its call lifecycle or never owed one; such
-  // states end the run without counting as deadlocks.
-  bool is_final(const State& s) const;
-
   // PacketService_OK / CallService_OK / MM_OK over all active UEs (§3.2.2).
   // Member (not static): MM_OK depends on the switch_back knob.
   mck::PropertySet<State> Properties() const;

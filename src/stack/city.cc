@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -63,10 +64,32 @@ std::uint64_t SplitMix(std::uint64_t x) {
 // MM states.
 enum : std::uint8_t { kDereg = 0, kAttaching, kRegistered, kBackoff };
 
+// The busy-hour shape: the attach front starts at kStormStart with
+// exponential arrivals of mean kStormRamp, and session/paging intensity
+// peaks at kBusyBoost times the off-peak rate.
+constexpr SimTime kStormStart = Seconds(5);
+constexpr SimTime kStormRamp = Seconds(30);
+constexpr double kBusyBoost = 3.0;
+// Every kHotspotEvery-th cell is a drive-route junction: mobility draws are
+// biased toward these cells, concentrating location-update load (paper
+// Fig. 7).
+constexpr std::uint32_t kHotspotEvery = 16;
+
+const CityConfig& Validated(const CityConfig& cfg) {
+  // No UEs would make bytes_per_ue NaN; no cells, a division by zero.
+  if (cfg.ues == 0) {
+    throw std::invalid_argument("CityConfig: ues must be > 0");
+  }
+  if (cfg.cells == 0) {
+    throw std::invalid_argument("CityConfig: cells must be > 0");
+  }
+  return cfg;
+}
+
 }  // namespace
 
 CityEngine::CityEngine(const CityConfig& cfg, CityKernelMode)
-    : cfg_(cfg),
+    : cfg_(Validated(cfg)),
       shards_(cfg.cells),
       resume_(cfg.cells, 0),
       stalls_(cfg.cells, 0),
@@ -92,14 +115,14 @@ CityEngine::CityEngine(const CityConfig& cfg, CityKernelMode)
   // Busy-hour intensity, tabulated per simulated second: a Gaussian bump
   // centered shortly after the attach front, relaxing to the off-peak mean.
   const double center =
-      ToSeconds(cfg_.storm_start) + 2.0 * ToSeconds(cfg_.storm_ramp);
-  const double width = std::max(4.0 * ToSeconds(cfg_.storm_ramp), 120.0);
+      ToSeconds(kStormStart) + 2.0 * ToSeconds(kStormRamp);
+  const double width = std::max(4.0 * ToSeconds(kStormRamp), 120.0);
   const auto seconds = static_cast<std::size_t>(
       std::min<SimTime>(cfg_.horizon / kSecond + 2, 4 * 3600));
   intensity_.resize(seconds);
   for (std::size_t sec = 0; sec < seconds; ++sec) {
     const double x = (static_cast<double>(sec) - center) / width;
-    intensity_[sec] = 1.0 + (cfg_.busy_boost - 1.0) * std::exp(-x * x);
+    intensity_[sec] = 1.0 + (kBusyBoost - 1.0) * std::exp(-x * x);
   }
 }
 
@@ -318,10 +341,10 @@ void CityEngine::Dispatch(Shard& s, SimTime t, std::uint8_t kind,
       std::uint32_t dst;
       const double r = UnitDraw(ue);
       const std::uint32_t hotspots =
-          std::max<std::uint32_t>(1, cfg_.cells / cfg_.hotspot_every);
+          std::max<std::uint32_t>(1, cfg_.cells / kHotspotEvery);
       if (r < 0.3) {
         dst = static_cast<std::uint32_t>(UnitDraw(ue) * hotspots) *
-              cfg_.hotspot_every % cfg_.cells;
+              kHotspotEvery % cfg_.cells;
       } else if (r < 0.65) {
         dst = (cell_[ue] + 1) % cfg_.cells;
       } else {
@@ -333,7 +356,7 @@ void CityEngine::Dispatch(Shard& s, SimTime t, std::uint8_t kind,
       // the arrival re-establishes its chains in the target cell after one
       // lookahead of signalling latency.
       BumpTag(ggen_, ue);
-      Send(s, dst, t + cfg_.lookahead, kArrive, ue, BumpTag(epoch_, ue));
+      Send(s, dst, t + kLookahead, kArrive, ue, BumpTag(epoch_, ue));
       break;
     }
     case kArrive: {
@@ -390,7 +413,7 @@ void CityEngine::SeedPopulation() {
     cell_[ue] = ue % cfg_.cells;
     SimTime t0;
     if (UnitDraw(ue) < cfg_.storm_fraction) {
-      t0 = cfg_.storm_start + ExpDraw(ue, ToSeconds(cfg_.storm_ramp));
+      t0 = kStormStart + ExpDraw(ue, ToSeconds(kStormRamp));
     } else {
       t0 = FromSeconds(UnitDraw(ue) * uniform_span);
     }
@@ -474,7 +497,7 @@ void CityEngine::RunWheel(par::WorkerPool* pool) {
   };
   SimTime t = 0;
   while (t < cfg_.horizon) {
-    const SimTime end = std::min(t + cfg_.lookahead, cfg_.horizon);
+    const SimTime end = std::min(t + kLookahead, cfg_.horizon);
     if (pool != nullptr && pool->jobs() > 1) {
       pool->ParallelEach(cfg_.cells,
                          [&](int, std::size_t c) { advance(c, end); });

@@ -14,8 +14,9 @@
 //   * Per-cell event sharding: each cell owns a hierarchical TimerWheel,
 //     an outbox, and its own FIFO sequence — no shared event queue.
 //   * Conservative parallel discrete-event windows: cross-cell signalling
-//     (handover/LU) takes at least `lookahead` of latency, so all cells can
-//     advance one lookahead window independently on a par::WorkerPool.
+//     (handover/LU) takes CityEngine::kLookahead (50 ms) of latency, so all
+//     cells can advance one lookahead window independently on a
+//     par::WorkerPool.
 //     Window barriers exchange outbox messages in a deterministically
 //     sorted order; per-UE decisions come from counter-hash draws rather
 //     than shared RNG streams. Result: byte-identical runs (digest, trace
@@ -42,27 +43,22 @@
 
 namespace cnv::stack {
 
+// CityEngine's constructor throws std::invalid_argument for a city with no
+// UEs or no cells.
 struct CityConfig {
   std::uint32_t ues = 10'000;
   std::uint32_t cells = 64;
-  // Every Nth cell is a drive-route junction: mobility draws are biased
-  // toward these cells, concentrating location-update load (paper Fig. 7).
-  std::uint32_t hotspot_every = 16;
   SimTime horizon = Minutes(10);
-  // Cross-cell signalling latency; also the conservative window width.
-  SimTime lookahead = Millis(50);
   std::uint64_t seed = 1;
   std::uint32_t sample_every = 1024;  // trace 1-in-N UEs
 
   // Time-of-day load model. A `storm_fraction` of the population powers on
-  // in an exponential front starting at `storm_start` (mass re-attach after
-  // an outage / morning busy hour); the rest trickle in uniformly. Session
-  // and paging intensity peaks by `busy_boost`x mid-front and relaxes to
-  // the off-peak mean afterwards.
+  // in an exponential front early in the run (mass re-attach after an
+  // outage / morning busy hour); the rest trickle in uniformly. Session and
+  // paging intensity peaks mid-front and relaxes to the off-peak means
+  // below. The front's timing, the peak and the drive-route hotspots are
+  // fixed constants in city.cc.
   double storm_fraction = 0.7;
-  SimTime storm_start = Seconds(5);
-  SimTime storm_ramp = Seconds(30);
-  double busy_boost = 3.0;
   double activity_mean_s = 60.0;  // off-peak think time between sessions
   double paging_mean_s = 90.0;
   double dwell_mean_s = 120.0;  // time in a cell before moving on
@@ -122,6 +118,9 @@ struct CityReport {
 
 class CityEngine {
  public:
+  // Cross-cell signalling latency; also the conservative window width.
+  static constexpr SimTime kLookahead = Millis(50);
+
   explicit CityEngine(const CityConfig& cfg,
                       CityKernelMode = CityKernelMode::kWheel);
   ~CityEngine();

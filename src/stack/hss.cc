@@ -3,7 +3,7 @@
 namespace cnv::stack {
 
 bool Hss::AdmitOp() {
-  if (!overload_.enabled) {
+  if (overload_.policy == AdmissionPolicy::kOff) {
     ++stats_.admitted;
     return true;
   }

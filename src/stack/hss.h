@@ -58,7 +58,7 @@ class Hss {
 
   // Overload control: the HSS is op-based (location updates/purges), so its
   // bounded "queue" is an op budget of `queue_capacity` per `service_time`
-  // window; over-budget ops are shed. Disabled = unlimited (legacy).
+  // window; over-budget ops are shed. kOff = unlimited (legacy).
   void ConfigureOverload(const OverloadConfig& cfg) { overload_ = cfg; }
   const OverloadStats& overload_stats() const { return stats_; }
 

@@ -80,7 +80,7 @@ bool CoreElement::Screen(const nas::Message& m) {
 void CoreElement::OnUplink(const nas::Message& m) {
   if (!Admit(m)) return;
   if (!Screen(m)) return;
-  if (!overload_.enabled) {
+  if (overload_.policy == AdmissionPolicy::kOff) {
     // Legacy zero-queueing core: dispatch immediately. Synthetic storm
     // load is still "served" (it consumes nothing here — exactly why an
     // unmodeled core cannot degrade gracefully).

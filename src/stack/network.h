@@ -44,9 +44,10 @@ class Sgsn;
 // On top of the outage machinery sits overload control: an ingress screen
 // (malformed/truncated NAS refused with "semantically incorrect", duplicate
 // uids caught by a replay cache) and an optional bounded signalling queue
-// with a configurable admission policy (see stack/overload.h). With the
-// queue disabled (default) every screened uplink dispatches immediately —
-// the legacy behaviour all pre-storm tests and goldens depend on.
+// with a configurable admission policy (see stack/overload.h). Under
+// AdmissionPolicy::kOff (default) every screened uplink dispatches
+// immediately — the legacy behaviour all pre-storm tests and goldens
+// depend on.
 class CoreElement {
  public:
   bool available() const { return available_; }
@@ -63,7 +64,6 @@ class CoreElement {
 
   // --- overload control
   void ConfigureOverload(const OverloadConfig& cfg) { overload_ = cfg; }
-  const OverloadConfig& overload_config() const { return overload_; }
   const OverloadStats& overload_stats() const { return stats_; }
   // Optional collector for overload / adversarial-rejection trace records
   // (only events outside legacy behaviour are traced, so attaching a

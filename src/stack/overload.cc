@@ -4,6 +4,8 @@ namespace cnv::stack {
 
 std::string ToString(AdmissionPolicy p) {
   switch (p) {
+    case AdmissionPolicy::kOff:
+      return "off";
     case AdmissionPolicy::kUnbounded:
       return "unbounded";
     case AdmissionPolicy::kRejectBackoff:
@@ -15,17 +17,15 @@ std::string ToString(AdmissionPolicy p) {
 }
 
 bool ParseAdmissionPolicy(const std::string& s, AdmissionPolicy* out) {
-  if (s == "off" || s == "unbounded") {
-    *out = AdmissionPolicy::kUnbounded;
-    return true;
-  }
-  if (s == "reject" || s == "reject-backoff") {
-    *out = AdmissionPolicy::kRejectBackoff;
-    return true;
-  }
-  if (s == "shed" || s == "priority-shed") {
-    *out = AdmissionPolicy::kPriorityShed;
-    return true;
+  const std::string name =
+      s == "reject" ? "reject-backoff" : s == "shed" ? "priority-shed" : s;
+  for (const AdmissionPolicy p :
+       {AdmissionPolicy::kOff, AdmissionPolicy::kUnbounded,
+        AdmissionPolicy::kRejectBackoff, AdmissionPolicy::kPriorityShed}) {
+    if (name == ToString(p)) {
+      *out = p;
+      return true;
+    }
   }
   return false;
 }

@@ -15,10 +15,16 @@
 
 namespace cnv::stack {
 
-// What a core element does when its signalling queue is full.
+// How a core element admits signalling. kOff is the legacy zero-queueing
+// core; every other policy serializes signalling through a service queue
+// and decides what happens when that queue is full.
 enum class AdmissionPolicy : std::uint8_t {
-  // No bound: every uplink is processed immediately (the pre-overload
-  // behaviour, and the baseline storms blow past SLOs against).
+  // No queue: every uplink is processed the instant it arrives (existing
+  // tests and goldens rely on this byte-for-byte).
+  kOff,
+  // A service queue with no admission control: everything is accepted and
+  // the backlog grows without limit (the storm baseline that blows past
+  // the degradation SLOs).
   kUnbounded,
   // Reject the overflow with cause "congestion" plus a T3346-style backoff
   // grant; the UE must not retry before the timer expires (TS 24.301
@@ -31,8 +37,10 @@ enum class AdmissionPolicy : std::uint8_t {
   kPriorityShed,
 };
 
+// "off", "unbounded", "reject-backoff", "priority-shed".
 std::string ToString(AdmissionPolicy p);
-// Parses "off"/"unbounded", "reject", "shed". Returns false on junk.
+// Parses what ToString prints, plus "reject" and "shed". Returns false on
+// junk.
 bool ParseAdmissionPolicy(const std::string& s, AdmissionPolicy* out);
 
 // Scheduling class of a signalling message under priority shed. Lower value
@@ -46,17 +54,11 @@ enum class MsgPriority : std::uint8_t {
 MsgPriority PriorityOf(nas::MsgKind k);
 
 struct OverloadConfig {
-  // Master switch. Disabled = the legacy zero-queueing core: every uplink
-  // is processed the instant it arrives (existing tests and goldens rely on
-  // this byte-for-byte). Enabled = signalling is serialized through a
-  // service queue; `policy` then decides what happens on overflow. Note
-  // that kUnbounded + enabled is the "admission control off" storm
-  // baseline: everything is accepted and the queue grows without bound.
-  bool enabled = false;
-  AdmissionPolicy policy = AdmissionPolicy::kUnbounded;
-  // Bounded-queue depth (ignored under kUnbounded).
+  AdmissionPolicy policy = AdmissionPolicy::kOff;
+  // Bounded-queue depth (ignored under kOff and kUnbounded).
   std::size_t queue_capacity = 16;
-  // Deterministic per-message service time while draining the queue.
+  // Deterministic per-message service time while draining the queue
+  // (ignored under kOff).
   SimDuration service_time = Millis(5);
   // Backoff granted with congestion rejects (Message::backoff).
   SimDuration t3346_backoff = nas::timers::kT3346CongestionBackoff;

@@ -35,7 +35,7 @@ struct TestbedConfig {
   // off so the baseline reproduces the S1-S6 defects.
   bool robust = false;
   // Core overload control (bounded signalling queues + admission policy);
-  // default disabled = the legacy unbounded core.
+  // default AdmissionPolicy::kOff = the legacy zero-queueing core.
   OverloadConfig overload = {};
 };
 

@@ -366,7 +366,6 @@ TEST(CampaignTest, StormTelemetryIsPinned) {
             stack::AdmissionPolicy::kRejectBackoff,
             stack::AdmissionPolicy::kPriorityShed}) {
         stack::OverloadConfig overload;
-        overload.enabled = true;
         overload.policy = policy;
         const RunOutcome run = runner.RunOne(1, plan, profile, overload);
         const Pin* pin = nullptr;
@@ -526,7 +525,6 @@ TEST(CampaignTest, RobustCellOutcomesArePinned) {
     }
   }
   stack::OverloadConfig overload;
-  overload.enabled = true;
   overload.policy = stack::AdmissionPolicy::kRejectBackoff;
   for (const FaultPlan& plan : TenthScaleStorms()) {
     for (const auto& profile : {stack::OpI(), stack::OpII()}) {
@@ -751,7 +749,6 @@ TEST(CampaignTest, TelemetryApartFromEventTotalsIsPinned) {
             continue;
           }
           stack::OverloadConfig overload;
-          overload.enabled = true;
           overload.policy = policy;
           check(robust, runner.RunOne(1, plan, profile, overload));
         }
@@ -766,7 +763,6 @@ TEST(CampaignSweepTest, RunSweepsSeedsTimesPlansTimesProfiles) {
   cfg.seeds = {1, 2};
   cfg.plans = {plans::S1MissingBearerContext(), plans::TimerSkew()};
   cfg.profiles = {stack::OpI(), stack::OpII()};
-  cfg.duration = Seconds(300);
   const CampaignResult result = CampaignRunner(cfg).Run();
   EXPECT_EQ(result.runs.size(), 8u);
   EXPECT_LE(result.runs_within_slo, result.runs.size());
@@ -782,7 +778,6 @@ TEST(CampaignSweepTest, SummaryListsEveryRun) {
   CampaignConfig cfg;
   cfg.seeds = {3};
   cfg.plans = {plans::S2AttachDisruption()};
-  cfg.duration = Seconds(300);
   const CampaignResult result = CampaignRunner(cfg).Run();
   const std::string summary = result.Summary();
   EXPECT_NE(summary.find("1 run(s)"), std::string::npos);
@@ -792,7 +787,6 @@ TEST(CampaignSweepTest, SummaryListsEveryRun) {
 
 TEST(CampaignSweepTest, TracesAreKeptOnlyWhenAskedFor) {
   CampaignConfig cfg;
-  cfg.duration = Seconds(60);
   const FaultPlan plan = plans::TimerSkew();
   const RunOutcome without =
       CampaignRunner(cfg, /*keep_traces=*/false).RunOne(1, plan, stack::OpI());

@@ -12,7 +12,6 @@ namespace {
 RunOutcome RunTriple(std::uint64_t seed, const FaultPlan& plan,
                      const stack::CarrierProfile& profile) {
   CampaignConfig cfg;
-  cfg.duration = Seconds(600);
   return CampaignRunner(cfg, /*keep_traces=*/true).RunOne(seed, plan, profile);
 }
 
@@ -55,7 +54,6 @@ TEST(FaultDeterminismTest, EntireCampaignIsReproducible) {
   CampaignConfig cfg;
   cfg.seeds = {1, 2};
   cfg.plans = {plans::S1MissingBearerContext(), plans::S6LuFailurePropagation()};
-  cfg.duration = Seconds(600);
   const std::string a = CampaignRunner(cfg).Run().Summary();
   const std::string b = CampaignRunner(cfg).Run().Summary();
   EXPECT_EQ(a, b);

@@ -73,8 +73,7 @@ TEST(RecoveryMonitorTest, RecoveryWithinSloAfterShortOutage) {
   stack::TestbedConfig cfg;
   cfg.robust = true;
   stack::Testbed tb(cfg);
-  SloBounds slo;  // 120 s per property
-  RecoveryMonitor monitor(tb, slo);
+  RecoveryMonitor monitor(tb);  // 120 s per property
   monitor.Start();
   FaultInjector inj(tb);
   // Outage window before the attach even starts; queued uplinks replay.

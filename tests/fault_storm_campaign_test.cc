@@ -22,7 +22,6 @@ FaultPlan SmallStorm() {
 
 stack::OverloadConfig Admission(stack::AdmissionPolicy policy) {
   stack::OverloadConfig cfg;
-  cfg.enabled = true;
   cfg.policy = policy;
   return cfg;
 }

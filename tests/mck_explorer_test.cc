@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mck/reachability.h"
+
 #include "toy_models.h"
 
 namespace cnv::mck {
@@ -94,42 +96,51 @@ TEST(ExplorerTest, BrokenPetersonViolatesMutualExclusion) {
   EXPECT_FALSE(r.FindViolation("mutex")->trace.empty());
 }
 
+// Dead ends are found by the recoverability pass: a state with no path to
+// the goal. Until the ack arrives the ping is pending.
+RecoverabilityResult<LossyPingModel> CheckAckReachable(
+    const LossyPingModel& m) {
+  return CheckRecoverable<LossyPingModel>(
+      m, [](const LossyPingModel::State& s) { return !s.sender_got_ack; },
+      [](const LossyPingModel::State& s) { return s.sender_got_ack; });
+}
+
 TEST(ExplorerTest, LossyPingWithoutRetransmitDeadlocks) {
   LossyPingModel m;
   m.retransmit = false;
-  ExploreOptions opt;
-  opt.detect_deadlock = true;
-  const auto r = Explore(m, {}, opt);
-  const auto* v = r.FindViolation("deadlock");
-  ASSERT_NE(v, nullptr);
-  // The deadlock is: the single allowed PING was dropped.
-  EXPECT_FALSE(v->state.sender_got_ack);
-  EXPECT_FALSE(v->state.receiver_got_ping);
+  const auto r = CheckAckReachable(m);
+  ASSERT_FALSE(r.holds);
+  // The dead end is: the single allowed PING was dropped.
+  EXPECT_FALSE(r.state.sender_got_ack);
+  EXPECT_FALSE(r.state.receiver_got_ping);
+  EXPECT_TRUE(m.enabled(r.state).empty());
 }
 
 TEST(ExplorerTest, LossyPingWithRetransmitHasBoundedDeadlockToo) {
-  // Even with 3 sends, all may be dropped; deadlock detection still fires,
+  // Even with 3 sends, all may be dropped; the dead end remains,
   // demonstrating the bounded-retry limit rather than true liveness.
   LossyPingModel m;
   m.retransmit = true;
-  ExploreOptions opt;
-  opt.detect_deadlock = true;
-  const auto r = Explore(m, {}, opt);
-  ASSERT_FALSE(r.Holds("deadlock"));
-  EXPECT_GE(r.FindViolation("deadlock")->state.sends, 3);
+  const auto r = CheckAckReachable(m);
+  ASSERT_FALSE(r.holds);
+  EXPECT_GE(r.state.sends, 3);
+  EXPECT_TRUE(m.enabled(r.state).empty());
 }
 
 TEST(ExplorerTest, ClassicLockOrderDeadlockDetected) {
+  // The goal: some process holds both locks.
   DeadlockModel m;
-  ExploreOptions opt;
-  opt.detect_deadlock = true;
-  const auto r = Explore(m, {}, opt);
-  const auto* v = r.FindViolation("deadlock");
-  ASSERT_NE(v, nullptr);
+  const auto r = CheckRecoverable<DeadlockModel>(
+      m, [](const DeadlockModel::State&) { return true; },
+      [](const DeadlockModel::State& s) {
+        return s.progress[0] == 2 || s.progress[1] == 2;
+      });
+  ASSERT_FALSE(r.holds);
   // Both processes hold their first lock and wait for the other's.
-  EXPECT_EQ(v->state.progress[0], 1);
-  EXPECT_EQ(v->state.progress[1], 1);
-  EXPECT_EQ(v->trace.size(), 2u);  // BFS: shortest path is two acquisitions
+  EXPECT_EQ(r.state.progress[0], 1);
+  EXPECT_EQ(r.state.progress[1], 1);
+  EXPECT_TRUE(m.enabled(r.state).empty());
+  EXPECT_EQ(r.trace.size(), 2u);  // BFS: shortest path is two acquisitions
 }
 
 TEST(ExplorerTest, FirstViolationPerPropertyDeduplicates) {

@@ -69,21 +69,6 @@ TEST(ParallelExploreTest, PetersonMatchesSerial) {
   ExpectMatchesSerial(broken, props);
 }
 
-TEST(ParallelExploreTest, LossyPingDeadlockMatchesSerial) {
-  ExploreOptions base;
-  base.detect_deadlock = true;
-  PropertySet<toys::LossyPingModel::State> no_props;
-  ExpectMatchesSerial(toys::LossyPingModel{true}, no_props, base);
-  ExpectMatchesSerial(toys::LossyPingModel{false}, no_props, base);
-}
-
-TEST(ParallelExploreTest, DeadlockModelMatchesSerial) {
-  ExploreOptions base;
-  base.detect_deadlock = true;
-  PropertySet<toys::DeadlockModel::State> no_props;
-  ExpectMatchesSerial(toys::DeadlockModel{}, no_props, base);
-}
-
 TEST(ParallelExploreTest, MaxStatesTruncationMatchesSerial) {
   toys::PetersonModel m{true};
   PropertySet<toys::PetersonModel::State> props{

@@ -60,8 +60,8 @@ TEST_P(NasIngressFuzz, GarbageNeverCrashesNorCorruptsTheSession) {
     TestbedConfig cfg;
     cfg.profile = OpI();
     cfg.seed = seed;
-    cfg.overload.enabled = (seed % 2) == 0;  // also fuzz the legacy core
-    cfg.overload.policy = policy;
+    // Also fuzz the legacy core.
+    cfg.overload.policy = (seed % 2) == 0 ? policy : AdmissionPolicy::kOff;
     cfg.overload.queue_capacity = 4;
     cfg.overload.service_time = Millis(2);
     Testbed tb(cfg);

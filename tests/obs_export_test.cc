@@ -70,7 +70,6 @@ TEST(RunReportTest, JsonShapeAndLabel) {
 TEST(TelemetryDeterminismTest, RepeatedRunsExportIdenticalBytes) {
   fault::CampaignConfig cfg;
   cfg.collect_telemetry = true;
-  cfg.snapshot_period = Seconds(120);
   fault::CampaignRunner runner(cfg);
   const auto a =
       runner.RunOne(5, fault::plans::S2AttachDisruption(), stack::OpI());

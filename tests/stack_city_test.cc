@@ -13,6 +13,7 @@
 //     T3346 backoff and flag signalling storms in the always-on trace.
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -144,7 +145,8 @@ TEST(CityKernelTest, WheelStatsAccountForTheRun) {
   // Windows advanced to the horizon.
   EXPECT_EQ(cap.report.windows,
             static_cast<std::uint64_t>(
-                (cfg.horizon + cfg.lookahead - 1) / cfg.lookahead));
+                (cfg.horizon + CityEngine::kLookahead - 1) /
+                CityEngine::kLookahead));
 }
 
 TEST(CityMemoryTest, BytesPerUeIsSmallAndFlat) {
@@ -187,6 +189,19 @@ TEST(CityOverloadTest, CapacityStarvedCellsRejectIntoBackoffAndFlagStorms) {
   }
   EXPECT_TRUE(saw_backoff) << "no T3346 record in the trace";
   EXPECT_TRUE(saw_storm) << "no storm-onset record in the trace";
+}
+
+TEST(CityConfigTest, RejectsAnEmptyCity) {
+  CityConfig no_cells;
+  no_cells.cells = 0;
+  EXPECT_THROW(CityEngine{no_cells}, std::invalid_argument);
+  CityConfig no_ues;
+  no_ues.ues = 0;
+  EXPECT_THROW(CityEngine{no_ues}, std::invalid_argument);
+  // One UE in one cell is the smallest city.
+  CityConfig tiny = SmallCity(1);
+  tiny.cells = 1;
+  EXPECT_GT(CityEngine(tiny).Run(nullptr).bytes_per_ue, 0.0);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ namespace {
 
 OverloadConfig Congested() {
   OverloadConfig c;
-  c.enabled = true;
   c.policy = AdmissionPolicy::kRejectBackoff;
   c.queue_capacity = 0;  // every request overflows into a congestion reject
   return c;

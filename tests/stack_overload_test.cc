@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
+#include "fault/campaign.h"
 #include "stack/testbed.h"
 #include "trace/qxdm.h"
 
@@ -16,7 +18,6 @@ TestbedConfig WithOverload(AdmissionPolicy policy,
   TestbedConfig cfg;
   cfg.profile = OpI();
   cfg.seed = 7;
-  cfg.overload.enabled = true;
   cfg.overload.policy = policy;
   cfg.overload.queue_capacity = capacity;
   cfg.overload.service_time = Millis(5);
@@ -178,7 +179,6 @@ TEST(OverloadTest, HssOpBudgetShedsOverBudgetLocationOps) {
   // budget of 1 location op per 60 s window.
   Testbed tb({.profile = OpI(), .solutions = {}, .seed = 7});
   OverloadConfig budget;
-  budget.enabled = true;
   budget.policy = AdmissionPolicy::kRejectBackoff;
   budget.queue_capacity = 1;
   budget.service_time = Seconds(60);
@@ -190,6 +190,42 @@ TEST(OverloadTest, HssOpBudgetShedsOverBudgetLocationOps) {
   tb.Run(Seconds(55));
   EXPECT_GT(tb.hss().overload_stats().shed, 0u);
   EXPECT_GT(tb.hss().overload_stats().admitted, 0u);
+}
+
+TEST(OverloadTest, AdmissionPolicyNamesRoundTrip) {
+  const std::pair<const char*, AdmissionPolicy> names[] = {
+      {"off", AdmissionPolicy::kOff},
+      {"unbounded", AdmissionPolicy::kUnbounded},
+      {"reject", AdmissionPolicy::kRejectBackoff},
+      {"reject-backoff", AdmissionPolicy::kRejectBackoff},
+      {"shed", AdmissionPolicy::kPriorityShed},
+      {"priority-shed", AdmissionPolicy::kPriorityShed},
+  };
+  for (const auto& [name, want] : names) {
+    AdmissionPolicy got = AdmissionPolicy::kUnbounded;
+    EXPECT_TRUE(ParseAdmissionPolicy(name, &got)) << name;
+    EXPECT_EQ(got, want) << name;
+  }
+  for (const char* junk : {"", "Off", "none", "reject,shed", "shed "}) {
+    AdmissionPolicy got = AdmissionPolicy::kOff;
+    EXPECT_FALSE(ParseAdmissionPolicy(junk, &got)) << '"' << junk << '"';
+  }
+  for (const AdmissionPolicy p :
+       {AdmissionPolicy::kOff, AdmissionPolicy::kUnbounded,
+        AdmissionPolicy::kRejectBackoff, AdmissionPolicy::kPriorityShed}) {
+    AdmissionPolicy back = p == AdmissionPolicy::kOff
+                               ? AdmissionPolicy::kUnbounded
+                               : AdmissionPolicy::kOff;
+    EXPECT_TRUE(ParseAdmissionPolicy(ToString(p), &back)) << ToString(p);
+    EXPECT_EQ(back, p) << ToString(p);
+  }
+  // The default policy is off, and an off core carries no admission label,
+  // so campaigns without an admission sweep keep their legacy summaries.
+  EXPECT_EQ(OverloadConfig{}.policy, AdmissionPolicy::kOff);
+  EXPECT_EQ(fault::CampaignRunner::AdmissionLabel(OverloadConfig{}), "");
+  OverloadConfig shed;
+  shed.policy = AdmissionPolicy::kPriorityShed;
+  EXPECT_EQ(fault::CampaignRunner::AdmissionLabel(shed), "priority-shed");
 }
 
 }  // namespace

@@ -14,7 +14,6 @@ std::string RunStormScenario(std::uint64_t seed) {
   TestbedConfig cfg;
   cfg.profile = OpI();
   cfg.seed = seed;
-  cfg.overload.enabled = true;
   cfg.overload.policy = AdmissionPolicy::kRejectBackoff;
   cfg.overload.queue_capacity = 4;
   Testbed tb(cfg);

@@ -68,8 +68,8 @@ std::size_t HashValue(const PetersonModel::State& s);
 
 // --- Lossy ping: a sender transmits PING over a channel that may drop it;
 // with `retransmit` the sender may resend, without it the system deadlocks
-// waiting for an ack that never comes. Exercises deadlock detection and
-// models the RRC unreliability at the heart of finding S2.
+// waiting for an ack that never comes. Exercises the recoverability check
+// and models the RRC unreliability at the heart of finding S2.
 struct LossyPingModel {
   bool retransmit = true;
 
@@ -96,15 +96,12 @@ struct LossyPingModel {
   std::vector<Action> enabled(const State& s) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
-
-  // Getting the ack is the protocol's successful termination.
-  bool is_final(const State& s) const { return s.sender_got_ack; }
 };
 
 std::size_t HashValue(const LossyPingModel::State& s);
 
 // --- Two processes taking two locks in opposite order: the classic
-// deadlock. Used to verify deadlock detection reports a trace.
+// deadlock. Used to verify the recoverability check reports a trace to it.
 struct DeadlockModel {
   struct State {
     // lock holder: -1 free, 0 or 1 = process id
