@@ -99,8 +99,11 @@ class CampaignRunner {
   // Label used for RunOutcome::admission.
   static std::string AdmissionLabel(const stack::OverloadConfig& overload);
 
- private:
+  // Schedules the standard workload every run carries (the times plan.h
+  // aligns its faults with).
   static void ScheduleWorkload(stack::Testbed& tb);
+
+ private:
   std::vector<stack::CarrierProfile> ResolvedProfiles() const;
   std::vector<stack::OverloadConfig> ResolvedAdmission() const;
 

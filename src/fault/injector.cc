@@ -1,6 +1,11 @@
 #include "fault/injector.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cnv::fault {
 
@@ -37,7 +42,49 @@ nas::System FaultInjector::SystemOf(FaultTarget t) {
   }
 }
 
+namespace {
+
+bool IsStorm(FaultKind k) {
+  return k == FaultKind::kStormMassAttach ||
+         k == FaultKind::kStormTaPingPong ||
+         k == FaultKind::kStormPagingFlood ||
+         k == FaultKind::kStormAdversarialNas;
+}
+
+// Throws unless the storm action starting at `start` is a burst the
+// generator can schedule: a count >= 0, a finite spacing >= 0 that fits
+// SimTime, and a last message that does too.
+void CheckStorm(const std::string& plan, const FaultAction& a,
+                SimTime start) {
+  const auto reject = [&](const std::string& why) {
+    throw std::invalid_argument("fault plan '" + plan + "': " + Describe(a) +
+                                ": " + why);
+  };
+  if (a.count < 0) reject("negative storm count");
+  // 2^63 us, the first spacing SimDuration cannot hold.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!std::isfinite(a.value) || a.value < 0 ||
+      a.value * static_cast<double>(kSecond) >= kLimit) {
+    reject("storm spacing must be finite, >= 0 and fit in simulated time");
+  }
+  const SimDuration spacing = FromSeconds(a.value);
+  if (a.count > 1 && spacing > 0 &&
+      static_cast<std::uint64_t>(a.count - 1) >
+          static_cast<std::uint64_t>(
+              (std::numeric_limits<SimTime>::max() - start) / spacing)) {
+    reject("last storm message overflows simulated time");
+  }
+}
+
+}  // namespace
+
 void FaultInjector::Apply(const FaultPlan& plan) {
+  // Checked first, so a rejected plan schedules nothing.
+  for (const FaultAction& a : plan.actions) {
+    if (IsStorm(a.kind)) {
+      CheckStorm(plan.name, a, std::max(a.at, tb_.sim().now()));
+    }
+  }
   for (const FaultAction& a : plan.actions) {
     const SimTime at = std::max(a.at, tb_.sim().now());
     tb_.sim().ScheduleAt(at, [this, a] { Execute(a); });

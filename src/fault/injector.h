@@ -17,6 +17,9 @@ class FaultInjector {
 
   // Schedules every action of `plan`. Actions whose time is already in the
   // past execute immediately. May be called more than once (plans compose).
+  // Throws std::invalid_argument, naming the plan, for a storm action with a
+  // negative count, a spacing that is not finite, negative or too large for
+  // SimTime, or a last message past the end of simulated time.
   void Apply(const FaultPlan& plan);
 
   std::size_t injected() const { return injected_; }

@@ -126,6 +126,11 @@ class RecoveryMonitor {
   // UE's congestion/backoff view into a degradation verdict.
   static DegradationReport ProbeDegradation(stack::Testbed& tb);
 
+  // The three properties as a sample sees them now.
+  bool MmOk() const;
+  bool PsOk() const;
+  bool CsOk() const;
+
  private:
   struct Tracker {
     std::string name;
@@ -141,10 +146,6 @@ class RecoveryMonitor {
   // Queues the next sample on the first grid point that can see a change.
   void ScheduleNextSample();
   void Observe(Tracker& t, bool ok_now);
-
-  bool MmOk() const;
-  bool PsOk() const;
-  bool CsOk() const;
 
   stack::Testbed& tb_;
   SimTime grid_origin_ = 0;  // samples run at grid_origin_ + k * kSamplePeriod

@@ -88,7 +88,10 @@ bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream f(p, std::ios::binary | std::ios::trunc);
   if (!f) return false;
   f << content;
-  return static_cast<bool>(f);
+  // The bytes may sit in the stream's buffer until close flushes them, so
+  // only a clean close means they were written (e.g. /dev/full fails here).
+  f.close();
+  return !f.fail();
 }
 
 std::string SanitizeFilename(const std::string& s) {

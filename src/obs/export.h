@@ -65,8 +65,8 @@ struct RunReport {
   std::string Label() const;
 };
 
-// Writes `content` to `path`, creating parent directories. Returns false on
-// I/O failure.
+// Writes `content` to `path`, creating parent directories, and closes it.
+// Returns false on any I/O failure, including one the final flush reports.
 bool WriteFile(const std::string& path, const std::string& content);
 
 // Replaces characters that are awkward in filenames with '-'.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace cnv::sim {
@@ -43,21 +44,27 @@ Simulator::EventId Simulator::ScheduleIn(SimDuration d,
   return ScheduleAt(now_ + d, std::move(fn));
 }
 
-void Simulator::ScheduleSeries(SimTime start, std::size_t count,
-                               SimDuration spacing,
-                               std::function<void(std::size_t)> fn) {
-  if (start < now_) {
-    throw std::invalid_argument("ScheduleSeries: start in the past");
-  }
-  if (spacing < 0) {
-    throw std::invalid_argument("ScheduleSeries: negative spacing");
-  }
-  if (!fn) throw std::invalid_argument("ScheduleSeries: empty handler");
+void Simulator::CheckSeries(const char* caller, SimTime start,
+                            std::size_t count, SimDuration spacing,
+                            bool has_handler) const {
+  const auto reject = [caller](const char* why) {
+    throw std::invalid_argument(std::string(caller) + ": " + why);
+  };
+  if (start < now_) reject("start in the past");
+  if (spacing < 0) reject("negative spacing");
+  if (!has_handler) reject("empty handler");
   if (count == 0) return;
   const SimTime room = std::numeric_limits<SimTime>::max() - start;
   if (spacing > 0 && count - 1 > static_cast<std::uint64_t>(room / spacing)) {
-    throw std::invalid_argument("ScheduleSeries: last step overflows time");
+    reject("last step overflows time");
   }
+}
+
+void Simulator::ScheduleSeries(SimTime start, std::size_t count,
+                               SimDuration spacing,
+                               std::function<void(std::size_t)> fn) {
+  CheckSeries("ScheduleSeries", start, count, spacing, static_cast<bool>(fn));
+  if (count == 0) return;
   auto s = std::make_unique<Series>();
   s->start = start;
   s->spacing = spacing;
@@ -69,6 +76,44 @@ void Simulator::ScheduleSeries(SimTime start, std::size_t count,
   slots_[slot].series = s.get();
   Enqueue(start, s->first_seq, slot);
   series_.push_back(std::move(s));
+}
+
+Simulator::KeyBlock Simulator::ScheduleBlock(SimTime start, std::size_t count,
+                                             SimDuration spacing,
+                                             std::function<void()> fn) {
+  CheckSeries("ScheduleBlock", start, count, spacing, static_cast<bool>(fn));
+  const KeyBlock b{start, spacing, next_seq_, count};
+  if (count == 0) return b;
+  next_seq_ += count;
+  const std::uint32_t slot = AcquireSlot();
+  slots_[slot].fn = std::move(fn);
+  Enqueue(start + static_cast<SimDuration>(count - 1) * spacing,
+          b.first_seq + count - 1, slot);
+  return b;
+}
+
+std::size_t Simulator::Passed(const KeyBlock& b) const {
+  const SimTime t = frontier_time_;
+  if (b.count == 0 || t < b.start) return 0;
+  // Keys [0, before) lie before the frontier's instant and have passed;
+  // keys [before, upto) lie at it and have passed up to the frontier's seq.
+  std::uint64_t before = t > b.start ? b.count : 0;
+  std::uint64_t upto = b.count;
+  if (b.spacing > 0) {
+    const auto span = static_cast<std::uint64_t>(t - b.start);
+    const auto spacing = static_cast<std::uint64_t>(b.spacing);
+    before = std::min<std::uint64_t>(b.count, (span + spacing - 1) / spacing);
+    upto = std::min<std::uint64_t>(b.count, span / spacing + 1);
+  }
+  if (frontier_seq_ >= b.first_seq) {
+    before = std::max(before, std::min(upto, frontier_seq_ - b.first_seq + 1));
+  }
+  return static_cast<std::size_t>(before);
+}
+
+void Simulator::PassUntilNow() {
+  frontier_time_ = now_;
+  frontier_seq_ = next_seq_ - 1;
 }
 
 SimTime Simulator::NextEventLowerBound() const {
@@ -95,6 +140,8 @@ bool Simulator::Pop(SimTime limit, Entry* e) {
 
 void Simulator::Fire(const Entry& e, SimTime limit) {
   now_ = e.time;
+  frontier_time_ = e.time;
+  frontier_seq_ = e.seq;
   ++executed_;
   Series* s = slots_[SlotOf(e.id)].series;
   if (s != nullptr) {
@@ -148,6 +195,8 @@ void Simulator::RunSeries(Series* s, EventId id, SimTime limit) {
     }
     now_ = held_.time;
     reached_ = std::max(reached_, now_);
+    frontier_time_ = held_.time;
+    frontier_seq_ = held_.seq;
     held_.id = kInvalidEvent;
     ++executed_;
   }
@@ -204,6 +253,7 @@ void Simulator::RunUntil(SimTime t) {
     if (IsLive(e)) Fire(e, t);
   }
   now_ = t;
+  PassUntilNow();
 }
 
 void Simulator::RunAll(SimTime limit) {
@@ -215,6 +265,8 @@ void Simulator::RunAll(SimTime limit) {
   if (now_ < limit && limit != std::numeric_limits<SimTime>::max()) {
     now_ = limit;
   }
+  // Every event up to now has fired, unless the limit lay before now.
+  if (limit >= now_) PassUntilNow();
 }
 
 }  // namespace cnv::sim

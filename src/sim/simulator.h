@@ -70,14 +70,43 @@ class Simulator {
   void ScheduleSeries(SimTime start, std::size_t count, SimDuration spacing,
                       std::function<void(std::size_t)> fn);
 
+  // A block of reserved event keys: key i is (start + i * spacing,
+  // first_seq + i) for i in [0, count).
+  struct KeyBlock {
+    SimTime start = 0;
+    SimDuration spacing = 0;
+    std::uint64_t first_seq = 0;
+    std::size_t count = 0;
+  };
+
+  // Reserves the keys ScheduleSeries(start, count, spacing, ...) would take
+  // and queues `fn` alone, under the last of them. Nothing runs at the
+  // other keys; the caller counts them with Passed(). The block holds one
+  // handler slot and one pending entry over its whole span, as the series
+  // does, so PendingEvents(), PeakQueueDepth() and HandlerSlots() match it
+  // and only ExecutedEvents() and ScheduledEvents() fall, by count - 1.
+  // Arguments are checked as for ScheduleSeries; count == 0 queues nothing.
+  KeyBlock ScheduleBlock(SimTime start, std::size_t count,
+                         SimDuration spacing, std::function<void()> fn);
+
+  // How many keys of `b` have passed, i.e. lie at or before the frontier.
+  // The frontier is the key of the event now firing (or, between runs, of
+  // the last event Step() fired), or (t, every seq handed out so far) once
+  // RunUntil(t) or RunAll returns. Events fire in increasing key order and
+  // every key handed out later lies past the frontier, so the passed keys
+  // of a block are a prefix that only grows. O(1).
+  std::size_t Passed(const KeyBlock& b) const;
+
   // The time of the earliest pending event: the heap top (cancelled entries
   // still in the heap count as pending) or the held series step, whichever
-  // is earlier. On an empty queue it is the end of the kIdleTick interval
-  // holding the latest entry popped or step run ahead, tombstones included
-  // (0 before the first pop), never "no event": a caller that steps by the
-  // bound still wakes about once per ~1.05 s and sees changes made outside
-  // any event. A handler may rely on nothing running in (now,
-  // NextEventLowerBound()) unless it schedules something there itself.
+  // is earlier. The keys of a ScheduleBlock are not events: only the last
+  // one, where its handler runs, bounds this. On an empty queue it is the
+  // end of the kIdleTick interval holding the latest entry popped or step
+  // run ahead, tombstones included (0 before the first pop), never "no
+  // event": a caller that steps by the bound still wakes about once per
+  // ~1.05 s and sees changes made outside any event. A handler may rely on
+  // nothing running in (now, NextEventLowerBound()) unless it schedules
+  // something there itself; what Passed() counts may still grow there.
   SimTime NextEventLowerBound() const;
 
   // Cancels a pending event; cancelling an already-fired or unknown event is
@@ -181,9 +210,12 @@ class Simulator {
   }
 
   std::uint32_t AcquireSlot();
-  // Queues the event in `slot` under an already-issued seq; ScheduleAt and
-  // series starts share it.
+  // Queues the event in `slot` under an already-issued seq; ScheduleAt,
+  // series starts and key blocks share it.
   EventId Enqueue(SimTime t, std::uint64_t seq, std::uint32_t slot);
+  // Throws unless a series or key block may take these arguments.
+  void CheckSeries(const char* caller, SimTime start, std::size_t count,
+                   SimDuration spacing, bool has_handler) const;
   // Pops the head into *e when its time is <= limit.
   bool Pop(SimTime limit, Entry* e);
   // Runs the live event `e`; a series may run ahead up to `limit`.
@@ -191,6 +223,9 @@ class Simulator {
   void RunSeries(Series* s, EventId id, SimTime limit);
   // Queues the held step, if any, under its reserved key.
   void QueueHeld();
+  // Moves the frontier to (now, every seq handed out so far): for the end
+  // of a run that fired every event up to now.
+  void PassUntilNow();
 
   // Returns the slot's handler and recycles the slot for reuse.
   std::function<void()> ReleaseSlot(EventId id);
@@ -205,6 +240,10 @@ class Simulator {
   TimerStats timer_stats_;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   SimTime reached_ = -1;  // latest time popped or run ahead; -1 before any
+  // The last key that has passed (see Passed()); seqs start at 1, so
+  // (0, 0) means none has.
+  SimTime frontier_time_ = 0;
+  std::uint64_t frontier_seq_ = 0;
   // Slot 0 is reserved so no live event ever gets id kInvalidEvent.
   std::vector<Slot> slots_{Slot{}};
   std::vector<std::uint32_t> free_slots_;

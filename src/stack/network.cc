@@ -32,15 +32,56 @@ bool CoreElement::Admit(const nas::Message& m) {
 }
 
 void CoreElement::Restart(bool lose_state) {
+  Settle();
   available_ = true;
   if (lose_state) OnStateLoss();
   // Buffered uplinks live in the transport in front of the element, so they
-  // survive even a lossy restart and replay in arrival order.
+  // survive even a lossy restart and replay in arrival order. Tallied
+  // storm steps only count as served, so where they fall in that order
+  // does not matter.
+  stats_.background_served += pending_background_;
+  pending_background_ = 0;
   std::vector<nas::Message> pending = std::move(pending_);
   pending_.clear();
   for (const auto& m : pending) OnUplink(m);
   // Signalling that was already in the service queue resumes draining.
   EnsureDraining();
+}
+
+void CoreElement::ConfigureOverload(const OverloadConfig& cfg) {
+  Settle();
+  if (!tallies_.empty()) {
+    throw std::logic_error("ConfigureOverload: a tallied burst is in flight");
+  }
+  overload_ = cfg;
+}
+
+sim::Simulator::KeyBlock CoreElement::TallyBackground(SimTime start,
+                                                      std::size_t count,
+                                                      SimDuration spacing) {
+  if (overload_.policy != AdmissionPolicy::kOff) {
+    throw std::logic_error("TallyBackground: admission is not off");
+  }
+  // The block's one event falls on its last key and settles the burst.
+  const sim::Simulator::KeyBlock keys =
+      sim_.ScheduleBlock(start, count, spacing, [this] { Settle(); });
+  if (count > 0) tallies_.push_back({keys, 0});
+  return keys;
+}
+
+void CoreElement::Settle() const {
+  for (Tally& t : tallies_) {
+    const std::size_t passed = sim_.Passed(t.keys);
+    const std::uint64_t fresh = passed - t.settled;
+    t.settled = passed;
+    if (available_) {
+      stats_.background_served += fresh;
+    } else if (queue_while_down_) {
+      pending_background_ += fresh;
+    }
+  }
+  std::erase_if(tallies_,
+                [](const Tally& t) { return t.settled == t.keys.count; });
 }
 
 void CoreElement::TraceEvent(std::string description) {
@@ -83,7 +124,9 @@ void CoreElement::OnUplink(const nas::Message& m) {
   if (overload_.policy == AdmissionPolicy::kOff) {
     // Legacy zero-queueing core: dispatch immediately. Synthetic storm
     // load is still "served" (it consumes nothing here — exactly why an
-    // unmodeled core cannot degrade gracefully).
+    // unmodeled core cannot degrade gracefully). StormGenerator counts its
+    // bursts in closed form instead of sending each one through here
+    // (TallyBackground), which this branch is the specification of.
     if (m.synthetic) {
       ++stats_.background_served;
       return;

@@ -48,14 +48,30 @@ class Sgsn;
 // AdmissionPolicy::kOff (default) every screened uplink dispatches
 // immediately — the legacy behaviour all pre-storm tests and goldens
 // depend on.
+//
+// Synthetic storm load aimed at a kOff element changes nothing but its
+// counters, so it is tallied rather than stepped (TallyBackground): the
+// kernel reserves the burst's event keys, and the element works out how
+// many of them have passed whenever its counters are read or its
+// availability changes.
 class CoreElement {
  public:
   bool available() const { return available_; }
-  void set_queue_while_down(bool q) { queue_while_down_ = q; }
-  std::size_t queued_while_down() const { return pending_.size(); }
+  void set_queue_while_down(bool q) {
+    Settle();
+    queue_while_down_ = q;
+  }
+  // Uplinks buffered for replay, tallied storm load included.
+  std::size_t queued_while_down() const {
+    Settle();
+    return pending_.size() + pending_background_;
+  }
 
   // Element goes down (crash / maintenance). Uplinks stop being processed.
-  void BeginOutage() { available_ = false; }
+  void BeginOutage() {
+    Settle();
+    available_ = false;
+  }
 
   // Element comes back. With `lose_state`, all volatile protocol state
   // (registrations, contexts) is forgotten first — the restart-with-state-
@@ -63,8 +79,15 @@ class CoreElement {
   void Restart(bool lose_state);
 
   // --- overload control
-  void ConfigureOverload(const OverloadConfig& cfg) { overload_ = cfg; }
-  const OverloadStats& overload_stats() const { return stats_; }
+  // Throws std::logic_error while a tallied burst is still arriving: its
+  // steps were counted under the policy they were offered to.
+  void ConfigureOverload(const OverloadConfig& cfg);
+  AdmissionPolicy admission() const { return overload_.policy; }
+  // Settles the tallied storm load first.
+  const OverloadStats& overload_stats() const {
+    Settle();
+    return stats_;
+  }
   // Optional collector for overload / adversarial-rejection trace records
   // (only events outside legacy behaviour are traced, so attaching a
   // collector never perturbs existing golden traces).
@@ -78,6 +101,19 @@ class CoreElement {
   // Uplink entry point: outage absorption, integrity + replay screening,
   // then admission per the configured policy.
   void OnUplink(const nas::Message& m);
+
+  // Offers `count` synthetic uplinks at start + i * spacing to a kOff
+  // element in closed form. Each would pass the screen and, under kOff,
+  // only count as served, buffered or lost, so none is stepped: the burst
+  // is a Simulator::ScheduleBlock whose passed keys are settled into the
+  // counters when they are read and before availability changes. A step
+  // served while the element is up counts as background_served; while it
+  // is down, it joins the replay buffer under queue-and-replay (served on
+  // Restart) and is lost otherwise. Returns the block, so the caller can
+  // count the steps offered so far. Throws std::logic_error unless the
+  // policy is kOff.
+  sim::Simulator::KeyBlock TallyBackground(SimTime start, std::size_t count,
+                                           SimDuration spacing);
 
  protected:
   CoreElement(sim::Simulator& sim, nas::System system, std::string module);
@@ -110,15 +146,29 @@ class CoreElement {
   void EnsureDraining();
   void DrainOne();
   void TraceEvent(std::string description);
+  // Folds the tallied steps that have passed since the last call into the
+  // counters, under the current availability. Const, because reading a
+  // counter settles it; the state it updates is mutable for that reason.
+  void Settle() const;
+
+  // A tallied burst and how many of its steps are already counted.
+  struct Tally {
+    sim::Simulator::KeyBlock keys;
+    std::size_t settled = 0;
+  };
 
   nas::System system_;
   std::string module_;
   bool available_ = true;
   bool queue_while_down_ = false;
   std::vector<nas::Message> pending_;
+  // Tallied bursts with steps still to come, and tallied steps buffered
+  // while down.
+  mutable std::vector<Tally> tallies_;
+  mutable std::uint64_t pending_background_ = 0;
 
   OverloadConfig overload_;
-  OverloadStats stats_;
+  mutable OverloadStats stats_;  // settled on read (see Settle)
   trace::Collector* trace_ = nullptr;
   std::deque<nas::Message> queue_;
   bool draining_ = false;

@@ -1,6 +1,7 @@
 #include "stack/storm.h"
 
 #include <string>
+#include <utility>
 
 #include "stack/network.h"
 
@@ -25,71 +26,84 @@ void StormGenerator::NoteBurst(SimTime start, std::size_t count,
   if (end > last_injection_at_) last_injection_at_ = end;
 }
 
+std::uint64_t StormGenerator::injected() const {
+  std::uint64_t n = injected_;
+  for (const sim::Simulator::KeyBlock& b : tallied_) n += sim_.Passed(b);
+  return n;
+}
+
+void StormGenerator::Announce(SimTime start, nas::System system,
+                              std::string what, std::size_t count,
+                              SimDuration spacing) {
+  sim_.ScheduleAt(start, [this, system, what = std::move(what), count,
+                          spacing] {
+    trace_.Event(system, "STORM",
+                 what + " (" + BurstLabel(count, spacing) + ")");
+  });
+}
+
+void StormGenerator::Background(
+    CoreElement& target, SimTime start, std::size_t count,
+    SimDuration spacing,
+    std::function<void(std::size_t, nas::Message&)> fill) {
+  const std::uint64_t first_imsi = next_bg_imsi_;
+  next_bg_imsi_ += count;
+  if (target.admission() == AdmissionPolicy::kOff) {
+    // The legacy core only counts synthetic load: tally it.
+    tallied_.push_back(target.TallyBackground(start, count, spacing));
+    return;
+  }
+  // Admission control queues each arrival, so each one is stepped.
+  sim_.ScheduleSeries(start, count, spacing,
+                      [this, &target, first_imsi,
+                       fill = std::move(fill)](std::size_t i) {
+                        nas::Message m;
+                        m.imsi = nas::Imsi{first_imsi + i};
+                        m.synthetic = true;
+                        fill(i, m);
+                        ++injected_;
+                        target.OnUplink(m);
+                      });
+}
+
 void StormGenerator::MassAttach(SimTime start, std::size_t count,
                                 SimDuration spacing) {
   NoteBurst(start, count, spacing);
   if (count == 0) return;
-  sim_.ScheduleAt(start, [this, count, spacing] {
-    trace_.Event(nas::System::k4G, "STORM",
-                 "Mass attach storm begins (" + BurstLabel(count, spacing) +
-                 ")");
-  });
-  const std::uint64_t first_imsi = next_bg_imsi_;
-  next_bg_imsi_ += count;
-  sim_.ScheduleSeries(start, count, spacing, [this, first_imsi](std::size_t i) {
-    nas::Message m;
-    m.kind = nas::MsgKind::kAttachRequest;
-    m.protocol = nas::Protocol::kEmm;
-    m.imsi = nas::Imsi{first_imsi + i};
-    m.synthetic = true;
-    ++injected_;
-    mme_.OnUplink(m);
-  });
+  Announce(start, nas::System::k4G, "Mass attach storm begins", count,
+           spacing);
+  Background(mme_, start, count, spacing,
+             [](std::size_t, nas::Message& m) {
+               m.kind = nas::MsgKind::kAttachRequest;
+               m.protocol = nas::Protocol::kEmm;
+             });
 }
 
 void StormGenerator::TaPingPong(SimTime start, std::size_t count,
                                 SimDuration spacing) {
   NoteBurst(start, count, spacing);
   if (count == 0) return;
-  sim_.ScheduleAt(start, [this, count, spacing] {
-    trace_.Event(nas::System::k4G, "STORM",
-                 "TA ping-pong burst begins (" + BurstLabel(count, spacing) +
-                 ")");
-  });
-  const std::uint64_t first_imsi = next_bg_imsi_;
-  next_bg_imsi_ += count;
-  sim_.ScheduleSeries(start, count, spacing, [this, first_imsi](std::size_t i) {
-    nas::Message m;
-    m.kind = nas::MsgKind::kTauRequest;
-    m.protocol = nas::Protocol::kEmm;
-    m.imsi = nas::Imsi{first_imsi + i};
-    // Border devices alternate between two tracking areas.
-    m.tai.tac = (i % 2 == 0) ? 0x0101 : 0x0102;
-    m.synthetic = true;
-    ++injected_;
-    mme_.OnUplink(m);
-  });
+  Announce(start, nas::System::k4G, "TA ping-pong burst begins", count,
+           spacing);
+  Background(mme_, start, count, spacing,
+             [](std::size_t i, nas::Message& m) {
+               m.kind = nas::MsgKind::kTauRequest;
+               m.protocol = nas::Protocol::kEmm;
+               // Border devices alternate between two tracking areas.
+               m.tai.tac = (i % 2 == 0) ? 0x0101 : 0x0102;
+             });
 }
 
 void StormGenerator::PagingFlood(SimTime start, std::size_t count,
                                  SimDuration spacing) {
   NoteBurst(start, count, spacing);
   if (count == 0) return;
-  sim_.ScheduleAt(start, [this, count, spacing] {
-    trace_.Event(nas::System::k3G, "STORM",
-                 "Paging flood begins (" + BurstLabel(count, spacing) + ")");
-  });
-  const std::uint64_t first_imsi = next_bg_imsi_;
-  next_bg_imsi_ += count;
-  sim_.ScheduleSeries(start, count, spacing, [this, first_imsi](std::size_t i) {
-    nas::Message m;
-    m.kind = nas::MsgKind::kPagingResponse;
-    m.protocol = nas::Protocol::kMm;
-    m.imsi = nas::Imsi{first_imsi + i};
-    m.synthetic = true;
-    ++injected_;
-    msc_.OnUplink(m);
-  });
+  Announce(start, nas::System::k3G, "Paging flood begins", count, spacing);
+  Background(msc_, start, count, spacing,
+             [](std::size_t, nas::Message& m) {
+               m.kind = nas::MsgKind::kPagingResponse;
+               m.protocol = nas::Protocol::kMm;
+             });
 }
 
 namespace {
@@ -109,11 +123,8 @@ void StormGenerator::AdversarialNas(SimTime start, std::size_t count,
   // single slot but count as two messages.
   NoteBurst(start, count, spacing);
   if (count == 0) return;
-  sim_.ScheduleAt(start, [this, count, spacing] {
-    trace_.Event(nas::System::k4G, "STORM",
-                 "Adversarial NAS burst begins (" + BurstLabel(count, spacing) +
-                 ")");
-  });
+  Announce(start, nas::System::k4G, "Adversarial NAS burst begins", count,
+           spacing);
   const std::uint64_t imsi = next_bg_imsi_;
   const std::uint64_t first_uid = next_uid_;
   next_uid_ += ReplayUidsBefore(count);

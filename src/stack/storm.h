@@ -5,13 +5,22 @@
 // restart, tracking-area ping-pong, paging floods, and an adversarial UE
 // replaying malformed/truncated/reordered NAS. No randomness is consumed —
 // bursts are fixed (start, count, spacing) grids, so runs stay byte-
-// identical per seed at any parallelism. Each burst is one
-// Simulator::ScheduleSeries: a message's IMSI and replay uid derive from its
-// step index, and a burst of any size holds one queue entry at a time.
+// identical per seed at any parallelism.
+//
+// A background burst aimed at a kOff (legacy) element is tallied, not
+// stepped: on that core a synthetic uplink only bumps a counter, so the
+// element counts the burst's passed steps in closed form
+// (CoreElement::TallyBackground). Under admission control, and for the
+// adversarial corpus, whose steps are traced, a burst is one
+// Simulator::ScheduleSeries: a message's IMSI and replay uid derive from
+// its step index, and a burst of any size holds one queue entry at a time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "nas/messages.h"
 #include "sim/simulator.h"
@@ -20,6 +29,7 @@
 
 namespace cnv::stack {
 
+class CoreElement;
 class Mme;
 class Msc;
 class Sgsn;
@@ -51,21 +61,31 @@ class StormGenerator {
   // dispatches as a state-safe no-op.
   void AdversarialNas(SimTime start, std::size_t count, SimDuration spacing);
 
-  // Messages injected so far (replay duplicates count individually).
-  std::uint64_t injected() const { return injected_; }
+  // Messages injected so far (replay duplicates count individually),
+  // tallied steps included once their instant has passed.
+  std::uint64_t injected() const;
   // Latest scheduled injection instant across all bursts (0 = no storm);
   // the recovery monitor measures time-to-drain from here.
   SimTime last_injection_at() const { return last_injection_at_; }
 
  private:
   void NoteBurst(SimTime start, std::size_t count, SimDuration spacing);
+  // Traces "<what> (count=... spacing=...)" when the burst starts.
+  void Announce(SimTime start, nas::System system, std::string what,
+                std::size_t count, SimDuration spacing);
+  // Offers `count` synthetic messages to `target`; `fill` sets step i's
+  // kind and fields. Tallied on a kOff target, a series otherwise.
+  void Background(CoreElement& target, SimTime start, std::size_t count,
+                  SimDuration spacing,
+                  std::function<void(std::size_t, nas::Message&)> fill);
 
   sim::Simulator& sim_;
   trace::Collector& trace_;
   Mme& mme_;
   Msc& msc_;
   Sgsn& sgsn_;
-  std::uint64_t injected_ = 0;
+  std::uint64_t injected_ = 0;  // stepped messages
+  std::vector<sim::Simulator::KeyBlock> tallied_;  // one per tallied burst
   SimTime last_injection_at_ = 0;
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_bg_imsi_ = 901'000'000'000'001ULL;

@@ -24,11 +24,6 @@ std::optional<nas::System> ParseSystem(std::string_view s) {
   return std::nullopt;
 }
 
-bool IsAsciiSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-         c == '\r';
-}
-
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 bool TakeLiteral(std::string_view& s, std::string_view lit) {

@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
@@ -8,14 +7,6 @@
 #include "util/time.h"
 
 namespace cnv {
-
-std::string_view TrimView(std::string_view s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
 
 std::string Format(const char* fmt, ...) {
   va_list args;

@@ -458,25 +458,25 @@ TEST(CampaignTest, RobustCellOutcomesArePinned) {
       {"attach-interference", "OP-II", "",
        0xdf847c0dd399d357ULL},
       {"mass-attach-storm", "OP-I", "",
-       0x85c17c455200cdbcULL},
+       0xffc634b1b9ff29d9ULL},
       {"mass-attach-storm", "OP-II", "",
-       0x47cfd8247f8e29f3ULL},
+       0xf9f53978e95ea1ecULL},
       {"ta-ping-pong-storm", "OP-I", "",
-       0x1be2301124b84f53ULL},
+       0x4643a41f1735e92cULL},
       {"ta-ping-pong-storm", "OP-II", "",
-       0x381a3f5eedea04edULL},
+       0xfe14b823c4b23fafULL},
       {"paging-flood-storm", "OP-I", "",
-       0xfc6192b29fd6a6f2ULL},
+       0x0f97b4d4490ef98eULL},
       {"paging-flood-storm", "OP-II", "",
-       0x82a25300acf5bc36ULL},
+       0x8cbae2af5ce1de81ULL},
       {"adversarial-nas-storm", "OP-I", "",
        0xe48657a9785d21feULL},
       {"adversarial-nas-storm", "OP-II", "",
        0x9803b6af017beca3ULL},
       {"signalling-storm-mix", "OP-I", "",
-       0x4ea3087329a46558ULL},
+       0x1b067a6d32406ae8ULL},
       {"signalling-storm-mix", "OP-II", "",
-       0x0b04bcae7e2c6bceULL},
+       0xab7802a0b97288d2ULL},
       {"mass-attach-storm", "OP-I", "reject-backoff",
        0x93816f28bbc3d723ULL},
       {"mass-attach-storm", "OP-II", "reject-backoff",

@@ -2,6 +2,10 @@
 // at the right simulation time and leave a FAULT record in the trace log.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "fault/injector.h"
 #include "trace/qxdm.h"
 
@@ -120,6 +124,73 @@ TEST(FaultInjectorTest, FaultRecordsRenderInQxdmFormat) {
   const std::string log = trace::FormatLog(tb.traces().records());
   EXPECT_NE(log.find("[FAULT]"), std::string::npos);
   EXPECT_NE(log.find("timer-skew on UE"), std::string::npos);
+}
+
+// A one-action storm plan named "bad-storm".
+FaultPlan StormPlan(int count, double spacing_s, SimTime at = Seconds(1)) {
+  return {.name = "bad-storm",
+          .description = "",
+          .actions = {{.at = at,
+                       .kind = FaultKind::kStormMassAttach,
+                       .target = FaultTarget::kMme,
+                       .count = count,
+                       .value = spacing_s}}};
+}
+
+// Applies `plan` and returns the std::invalid_argument message, or "" when
+// Apply accepted it. A rejected plan must schedule nothing.
+std::string ApplyError(const FaultPlan& plan) {
+  stack::Testbed tb({});
+  FaultInjector inj(tb);
+  try {
+    inj.Apply(plan);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(tb.sim().PendingEvents(), 0u);
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultInjectorTest, StormWithNegativeCountIsRejected) {
+  const std::string error = ApplyError(StormPlan(-1, 0.002));
+  EXPECT_NE(error.find("bad-storm"), std::string::npos) << error;
+  EXPECT_NE(error.find("negative storm count"), std::string::npos) << error;
+}
+
+TEST(FaultInjectorTest, StormWithNanSpacingIsRejected) {
+  const std::string error =
+      ApplyError(StormPlan(10, std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_NE(error.find("bad-storm"), std::string::npos) << error;
+}
+
+TEST(FaultInjectorTest, StormWithInfiniteSpacingIsRejected) {
+  const std::string error =
+      ApplyError(StormPlan(10, std::numeric_limits<double>::infinity()));
+  EXPECT_NE(error.find("bad-storm"), std::string::npos) << error;
+}
+
+TEST(FaultInjectorTest, StormWithNegativeSpacingIsRejected) {
+  const std::string error = ApplyError(StormPlan(10, -0.002));
+  EXPECT_NE(error.find("bad-storm"), std::string::npos) << error;
+}
+
+TEST(FaultInjectorTest, StormWithSpacingPastSimTimeIsRejected) {
+  // 1e13 s is 1e19 us, past the 2^63 - 1 us SimTime holds.
+  const std::string error = ApplyError(StormPlan(2, 1e13));
+  EXPECT_NE(error.find("bad-storm"), std::string::npos) << error;
+}
+
+TEST(FaultInjectorTest, StormWhoseLastMessageOverflowsTimeIsRejected) {
+  // Each spacing fits, but 1,000,000 of 1e7 s do not.
+  const std::string error = ApplyError(StormPlan(1'000'001, 1e7));
+  EXPECT_NE(error.find("bad-storm"), std::string::npos) << error;
+  EXPECT_NE(error.find("overflows"), std::string::npos) << error;
+}
+
+TEST(FaultInjectorTest, StormEdgesAreAccepted) {
+  EXPECT_EQ(ApplyError(StormPlan(0, 0.0)), "");
+  EXPECT_EQ(ApplyError(StormPlan(1, 1e12)), "");  // one message: no stride
+  EXPECT_EQ(ApplyError(StormPlan(1'000, 0.0)), "");
 }
 
 }  // namespace

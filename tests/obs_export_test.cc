@@ -104,6 +104,13 @@ TEST(WriteFileTest, CreatesParentDirectories) {
   std::filesystem::remove_all(dir);
 }
 
+// A device that accepts the open but fails every write: the content fits
+// the stream buffer, so only the flush at close can report the failure.
+TEST(WriteFileTest, ReportsAFailedFlushOnDevFull) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(WriteFile("/dev/full", "{\"ok\":true}"));
+}
+
 TEST(SanitizeFilenameTest, ReplacesAwkwardCharacters) {
   EXPECT_EQ(SanitizeFilename("OP-I (release/redirect)"),
             "OP-I--release-redirect-");

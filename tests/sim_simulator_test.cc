@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -537,6 +538,140 @@ TEST(SimulatorTest, SeriesRejectsPastStartAndNegativeSpacing) {
                std::invalid_argument);
   sim.ScheduleSeries(Seconds(2), 0, Millis(1), noop);  // empty: no-op
   EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+// --- ScheduleBlock ----------------------------------------------------------
+//
+// A key block reserves a series' keys and runs one event at the last; its
+// Passed() must count exactly the steps the series would have fired by
+// then, at every read: inside events queued before and after the block,
+// and between runs.
+
+TEST(SimulatorTest, BlockRejectsWhatSeriesRejects) {
+  Simulator sim;
+  sim.RunUntil(Seconds(1));
+  const auto noop = [] {};
+  EXPECT_THROW(sim.ScheduleBlock(Millis(999), 3, Millis(1), noop),
+               std::invalid_argument);
+  EXPECT_THROW(sim.ScheduleBlock(Seconds(2), 3, -1, noop),
+               std::invalid_argument);
+  EXPECT_THROW(sim.ScheduleBlock(Seconds(2), 3, Millis(1), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(sim.ScheduleBlock(Seconds(2), 3,
+                                 std::numeric_limits<SimTime>::max() / 2,
+                                 noop),
+               std::invalid_argument);
+  const Simulator::KeyBlock empty =
+      sim.ScheduleBlock(Seconds(2), 0, Millis(1), noop);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  sim.RunAll();
+  EXPECT_EQ(sim.Passed(empty), 0u);
+}
+
+// A run that fires nothing leaves keys taken at now unpassed, even when
+// its limit lies before now.
+TEST(SimulatorTest, BlockKeysAtNowPassOnlyOnceTheirTimeIsRun) {
+  Simulator sim;
+  sim.RunUntil(Millis(5));
+  const Simulator::KeyBlock b =
+      sim.ScheduleBlock(Millis(5), 3, 0, [] {});
+  EXPECT_EQ(sim.Passed(b), 0u);
+  sim.RunAll(Millis(4));
+  EXPECT_EQ(sim.Passed(b), 0u);
+  sim.RunUntil(Millis(5));
+  EXPECT_EQ(sim.Passed(b), 3u);
+}
+
+TEST(SimulatorTest, BlockPassedMatchesTheStepsASeriesFired) {
+  std::mt19937_64 rng(20'260);
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    Simulator with_series;
+    Simulator with_block;
+    std::vector<std::size_t> fired;  // per burst, on the series side
+    std::vector<Simulator::KeyBlock> blocks;
+    std::vector<std::string> series_reads;
+    std::vector<std::string> block_reads;
+    const auto read_series = [&] {
+      std::string r = std::to_string(with_series.now());
+      for (const std::size_t n : fired) r += " " + std::to_string(n);
+      series_reads.push_back(r);
+    };
+    const auto read_block = [&] {
+      std::string r = std::to_string(with_block.now());
+      for (const auto& b : blocks) {
+        r += " " + std::to_string(with_block.Passed(b));
+      }
+      block_reads.push_back(r);
+    };
+    // Both simulators take the same calls in the same order.
+    const auto probe = [&](SimTime at) {
+      with_series.ScheduleAt(at, read_series);
+      with_block.ScheduleAt(at, read_block);
+    };
+    for (int round = 0; round < 4; ++round) {
+      const SimTime start = with_series.now() + (pick(0, 1) ? 0 : pick(1, 9));
+      const auto count =
+          static_cast<std::size_t>(pick(0, 2) == 0 ? pick(0, 1) : pick(2, 30));
+      const SimDuration spacing = pick(0, 3) == 0 ? 0 : pick(1, 5);
+      // A step instant, or any instant up to just past the block.
+      const auto instant = [&] {
+        if (pick(0, 1) == 0) {
+          return start +
+                 pick(0, static_cast<std::int64_t>(count) * spacing + 3);
+        }
+        return start + pick(0, count == 0 ? 0 : count - 1) * spacing;
+      };
+      for (int i = pick(0, 2); i > 0; --i) probe(instant());
+      const std::size_t index = fired.size();
+      fired.push_back(0);
+      with_series.ScheduleSeries(start, count, spacing,
+                                 [&fired, index](std::size_t) {
+                                   ++fired[index];
+                                 });
+      blocks.push_back(with_block.ScheduleBlock(start, count, spacing, [] {}));
+      read_series();  // right after the call, between runs
+      read_block();
+      for (int i = pick(0, 2); i > 0; --i) probe(instant());
+      // Reads from a series of probes too, whose steps run ahead.
+      if (pick(0, 1) == 0) {
+        const SimTime at = instant();
+        const auto n = static_cast<std::size_t>(pick(1, 6));
+        const SimDuration every = pick(0, 4);
+        with_series.ScheduleSeries(at, n, every,
+                                   [&](std::size_t) { read_series(); });
+        with_block.ScheduleSeries(at, n, every,
+                                  [&](std::size_t) { read_block(); });
+      }
+      const SimTime until =
+          start + pick(0, static_cast<std::int64_t>(count) * spacing + 3);
+      with_series.RunUntil(until);
+      with_block.RunUntil(until);
+      read_series();
+      read_block();
+      ASSERT_EQ(block_reads, series_reads) << "trial " << trial;
+      EXPECT_EQ(with_block.PendingEvents(), with_series.PendingEvents());
+      EXPECT_EQ(with_block.PeakQueueDepth(), with_series.PeakQueueDepth());
+      EXPECT_EQ(with_block.HandlerSlots(), with_series.HandlerSlots());
+    }
+    with_series.RunAll();
+    with_block.RunAll();
+    read_series();
+    read_block();
+    ASSERT_EQ(block_reads, series_reads) << "trial " << trial;
+    std::uint64_t steps = 0;
+    std::uint64_t blocks_run = 0;
+    for (const auto& b : blocks) {
+      steps += b.count;
+      blocks_run += b.count > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(with_series.ExecutedEvents() - with_block.ExecutedEvents(),
+              steps - blocks_run);
+    EXPECT_EQ(with_series.ScheduledEvents() - with_block.ScheduledEvents(),
+              steps - blocks_run);
+  }
 }
 
 // Drives random schedules, cancellations and series bursts, checking the

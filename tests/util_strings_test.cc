@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -17,6 +18,16 @@ TEST(StringsTest, TrimBothEnds) {
   EXPECT_EQ(TrimView(""), "");
   EXPECT_EQ(TrimView("   "), "");
   EXPECT_EQ(TrimView("a b"), "a b");
+}
+
+// The program never calls setlocale, so the C locale's isspace is the
+// byte set TrimView always used; IsAsciiSpace must match it on every byte.
+TEST(StringsTest, IsAsciiSpaceMatchesTheCLocale) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(IsAsciiSpace(c), std::isspace(b) != 0) << "byte " << b;
+  }
+  EXPECT_EQ(TrimView("\v\f\r x \x85"), "x \x85");  // NEL is not ASCII
 }
 
 TEST(StringsTest, FormatWorksLikePrintf) {
