@@ -304,11 +304,9 @@ void UeDevice::OnGuardExpiry(NasProc& p) {
 void UeDevice::BackOff(NasProc& p, const char* why) {
   const SimDuration pause = Scaled(BackoffDelay(
       nas::timers::kT3411AttachRetry, p.backoff_cycles++));
-  if (why != nullptr) {
-    std::string text = why;
-    if (p.spec->shows_pause) text += Format(" (%.0f s)", ToSeconds(pause));
-    trace_.Event(p.spec->system, p.spec->module, std::move(text));
-  }
+  std::string text = why;
+  if (p.spec->shows_pause) text += Format(" (%.0f s)", ToSeconds(pause));
+  trace_.Event(p.spec->system, p.spec->module, std::move(text));
   p.backoff->Start(pause, [this, &p] { Restart(p); });
 }
 
@@ -941,10 +939,6 @@ void UeDevice::OnDownlink3gCs(const nas::Message& m) {
         // T3346 (TS 24.008 §4.1.1.7): honoured on every device, robust or
         // not — congestion backoff is mandated behaviour.
         OnCongestionReject(lu_proc_, m);
-      } else if (robust_) {
-        // Retry the update after a growing pause instead of staying
-        // unregistered until the next mobility trigger.
-        BackOff(lu_proc_, nullptr);
       }
       break;
 

@@ -328,7 +328,7 @@ TEST(NasProcedurePinTest, RetryPathsArePinned) {
       {"lu-congested", false, 0xd5b84779535b28a1ULL},
       {"lu-congested", true, 0x229c182a4beae449ULL},
       {"lu-rejected", false, 0x4adf6929f0e06c14ULL},
-      {"lu-rejected", true, 0x7b46a71ea37a413fULL},
+      {"lu-rejected", true, 0xa6839711e5473f4aULL},
       {"gprs-attach-lost", false, 0xe17cd9153ee8dd6fULL},
       {"gprs-attach-lost", true, 0xcfd2857a39717b1dULL},
       {"gprs-attach-congested", false, 0xcdce002a77d93a86ULL},
